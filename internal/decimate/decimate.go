@@ -13,10 +13,11 @@
 package decimate
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/mesh"
@@ -180,8 +181,10 @@ func Decimate(m *mesh.Mesh, data []float64, targetVerts int, opts Options) (*Res
 		}
 		if opts.TrackRestriction {
 			res.Restriction = make(Restriction, len(m.Verts))
-			for i := range res.Restriction {
-				res.Restriction[i] = []Weight{{Vertex: int32(i), W: 1}}
+			rows := make([]Weight, len(m.Verts))
+			for i := range rows {
+				rows[i] = Weight{Vertex: int32(i), W: 1}
+				res.Restriction[i] = rows[i : i+1 : i+1]
 			}
 		}
 		return res, nil
@@ -191,29 +194,25 @@ func Decimate(m *mesh.Mesh, data []float64, targetVerts int, opts Options) (*Res
 		prio = EdgeLength
 	}
 
-	w := newWork(m, data, opts.TrackRestriction)
+	w := getWork()
+	defer putWork(w)
+	w.init(m, data, targetVerts, prio, opts.TrackRestriction)
 	minArea := opts.minArea(m)
-
-	// Seed the queue with every edge of the input mesh.
-	queue := pq.New(len(m.Tris) * 3 / 2)
-	ids := newEdgeIDs()
-	for _, e := range m.Edges() {
-		queue.Push(ids.id(e), prio(w.asMesh(), e.A, e.B, w.data))
-	}
 
 	res := &Result{}
 	alive := len(m.Verts)
 	for alive > targetVerts {
-		id, _, ok := queue.Pop()
+		id, _, ok := w.queue.Pop()
 		if !ok {
 			break
 		}
-		e := ids.edge(id)
-		ids.release(e)
+		e := w.edges[id]
+		w.unlink(e.A, e.B)
+		w.unlink(e.B, e.A)
 		if !w.vertAlive[e.A] || !w.vertAlive[e.B] {
 			continue // endpoint died in an earlier collapse
 		}
-		if !w.collapse(e, minArea, queue, ids, prio) {
+		if !w.collapse(e, minArea) {
 			res.Rejected++
 			continue
 		}
@@ -253,45 +252,22 @@ func (o Options) minArea(m *mesh.Mesh) float64 {
 	return frac * m.TotalArea() / float64(len(m.Tris))
 }
 
-// edgeIDs maps edges to stable integer handles for the priority queue.
-type edgeIDs struct {
-	byEdge map[mesh.Edge]int
-	byID   map[int]mesh.Edge
-	next   int
+// link is one queued edge as seen from one of its endpoints.
+type link struct {
+	to int32 // the other endpoint
+	id int32 // the edge's queue handle
 }
 
-func newEdgeIDs() *edgeIDs {
-	return &edgeIDs{byEdge: make(map[mesh.Edge]int), byID: make(map[int]mesh.Edge)}
-}
-
-func (e *edgeIDs) id(ed mesh.Edge) int {
-	if id, ok := e.byEdge[ed]; ok {
-		return id
-	}
-	id := e.next
-	e.next++
-	e.byEdge[ed] = id
-	e.byID[id] = ed
-	return id
-}
-
-func (e *edgeIDs) lookup(ed mesh.Edge) (int, bool) {
-	id, ok := e.byEdge[ed]
-	return id, ok
-}
-
-func (e *edgeIDs) edge(id int) mesh.Edge { return e.byID[id] }
-
-func (e *edgeIDs) release(ed mesh.Edge) {
-	if id, ok := e.byEdge[ed]; ok {
-		delete(e.byEdge, ed)
-		delete(e.byID, id)
-	}
-}
-
-// work is the mutable decimation state. Vertices and triangles are never
-// physically deleted during the pass — alive flags mark removals, and
-// compact() squeezes the survivors into a fresh mesh at the end.
+// work is the mutable decimation state, all of it index-addressed slices.
+// Vertices and triangles are never physically deleted during the pass —
+// alive flags mark removals, each collapse appends one vertex, and compact()
+// squeezes the survivors into a fresh mesh at the end.
+//
+// The per-vertex lists (vertTris, links) are carved from shared arenas with
+// their capacity capped at their initial length, so the arenas can grow by
+// append without disturbing lists carved earlier. A list never outgrows its
+// initial length: a collapse replaces two of a surviving vertex's neighbors
+// (or one) by the new vertex, never adds one.
 type work struct {
 	verts     []mesh.Vertex
 	data      []float64
@@ -299,45 +275,146 @@ type work struct {
 	boundary  []bool // true for vertices on (or descended from) the input boundary
 	tris      []mesh.Triangle
 	triAlive  []bool
-	vertTris  [][]int32          // incidence; may contain dead ids, filtered on read
-	triSet    map[[3]int32]int32 // canonical key -> alive tri id
-	mview     mesh.Mesh          // window over verts for geometry helpers
-	// weights[v], when restriction tracking is on, expresses v's data
-	// value as a weighted sum over input vertices.
-	weights []map[int32]float64
+	vertTris  [][]int32 // incidence; may contain dead ids, filtered on read
+	triArena  []int32   // backs vertTris
+	mview     mesh.Mesh // window over verts for geometry helpers
+	prio      Priority
+
+	// Edge handles are dense ints assigned in push order and never reused:
+	// edges[id] names the endpoints, links[v] holds the handles currently
+	// queued at v (the edge -> handle lookup), and the queue breaks
+	// priority ties on the handle.
+	queue     pq.Queue
+	edges     []mesh.Edge
+	links     [][]link
+	linkArena []link // backs links
+
+	// mark[v] == epoch means v was already seen by the current neighbors
+	// call; bumping epoch clears every mark at once.
+	mark  []uint32
+	epoch uint32
+
+	// merged, when restriction tracking is on, records how each
+	// collapse-made vertex inputVerts+n got its value: the mean of the two
+	// listed vertices, or a copy of the first when the second is -1.
+	// compact() expands this forest into restriction rows.
+	track      bool
+	inputVerts int
+	merged     [][2]int32
+	ring       int // arena entries budgeted for the rings of collapse-made vertices
+
+	// Scratch.
+	table                mesh.EdgeTable
+	count                []int32
+	nbrI, nbrJ, edgeTris []int32
+	referenced           []bool
+	remap                []int32
+	stack                []Weight
 }
 
-func newWork(m *mesh.Mesh, data []float64, track bool) *work {
-	w := &work{
-		verts:     append([]mesh.Vertex(nil), m.Verts...),
-		data:      append([]float64(nil), data...),
-		vertAlive: make([]bool, len(m.Verts)),
-		boundary:  make([]bool, len(m.Verts)),
-		tris:      append([]mesh.Triangle(nil), m.Tris...),
-		triAlive:  make([]bool, len(m.Tris)),
-		vertTris:  make([][]int32, len(m.Verts)),
-		triSet:    make(map[[3]int32]int32, len(m.Tris)),
+// spare keeps the state of one finished pass for the next to reuse, so a
+// warm pass allocates little beyond its result; nothing a pass returns aliases
+// it. It is a one-slot free list rather than a sync.Pool because the rest of a
+// write allocates enough between two hierarchy builds for the collector to
+// empty a pool every time. The cost is that the process keeps the slices of
+// one pass, about 600 bytes per input vertex of the largest mesh it served; a
+// pass that made several times the expected number of edges (hub vertices
+// under an ablation priority) has arenas only it needed and is not kept.
+var spare = make(chan *work, 1)
+
+func getWork() *work {
+	select {
+	case w := <-spare:
+		return w
+	default:
+		return new(work)
 	}
-	for i := range w.vertAlive {
-		w.vertAlive[i] = true
+}
+
+func putWork(w *work) {
+	w.prio = nil // the caller's closure is not ours to keep
+	if len(w.edges)-len(w.table.Edges) > 4*w.ring {
+		return
 	}
-	for v := range m.BoundaryVertices() {
-		w.boundary[v] = true
+	select {
+	case spare <- w:
+	default:
 	}
-	if track {
-		w.weights = make([]map[int32]float64, len(m.Verts))
-		for i := range w.weights {
-			w.weights[i] = map[int32]float64{int32(i): 1}
+}
+
+// reuse returns s emptied, with room for n elements.
+func reuse[T any](s []T, n int) []T { return slices.Grow(s[:0], n) }
+
+// refill returns s with length n, every element set to v, and room for max.
+func refill[T any](s []T, n, max int, v T) []T {
+	s = reuse(s, max)[:n]
+	for i := range s {
+		s[i] = v
+	}
+	return s
+}
+
+// init loads the input mesh and seeds the queue with every edge.
+func (w *work) init(m *mesh.Mesh, data []float64, targetVerts int, prio Priority, track bool) {
+	nv, nt := len(m.Verts), len(m.Tris)
+	// Each collapse appends one vertex and, typically, a ring of six to
+	// eight triangles and edges; the arenas grow if a pass needs more.
+	collapses := nv - targetVerts
+	final := nv + collapses
+	ring := 8 * collapses
+
+	w.prio, w.track, w.inputVerts, w.ring = prio, track, nv, ring
+	w.verts = append(reuse(w.verts, final), m.Verts...)
+	w.data = append(reuse(w.data, final), data...)
+	w.vertAlive = refill(w.vertAlive, nv, final, true)
+	w.tris = append(reuse(w.tris, nt), m.Tris...)
+	w.triAlive = refill(w.triAlive, nt, nt, true)
+	w.mark = refill(w.mark, nv, final, 0)
+	w.epoch = 0
+	w.merged = w.merged[:0]
+
+	// Incidence: vertTris[v] lists v's triangles in ascending order.
+	w.count = refill(w.count, nv, nv, 0)
+	for _, t := range m.Tris {
+		for _, v := range t {
+			w.count[v]++
 		}
 	}
-	for ti, t := range w.tris {
-		w.triAlive[ti] = true
-		w.triSet[canonical(t)] = int32(ti)
+	w.vertTris = reuse(w.vertTris, final)[:nv]
+	w.triArena = reuse(w.triArena, 3*nt+ring)[:3*nt]
+	arena := w.triArena
+	for v, c := range w.count {
+		w.vertTris[v], arena = arena[:0:c], arena[c:]
+	}
+	for ti, t := range m.Tris {
 		for _, v := range t {
 			w.vertTris[v] = append(w.vertTris[v], int32(ti))
 		}
 	}
-	return w
+
+	// Edges: an input edge's handle is its position in m.Edges().
+	w.table.Build(m)
+	seed := w.table.Edges
+	w.boundary = refill(w.boundary, nv, final, false)
+	w.table.MarkBoundary(w.boundary)
+	w.edges = append(reuse(w.edges, len(seed)+ring), seed...)
+	w.count = refill(w.count, nv, nv, 0)
+	for _, e := range seed {
+		w.count[e.A]++
+		w.count[e.B]++
+	}
+	w.links = reuse(w.links, final)[:nv]
+	w.linkArena = reuse(w.linkArena, 2*len(seed)+ring)[:2*len(seed)]
+	linkArena := w.linkArena
+	for v, c := range w.count {
+		w.links[v], linkArena = linkArena[:0:c], linkArena[c:]
+	}
+	w.queue.Reset(len(seed))
+	for id, e := range seed {
+		w.links[e.A] = append(w.links[e.A], link{to: e.B, id: int32(id)})
+		w.links[e.B] = append(w.links[e.B], link{to: e.A, id: int32(id)})
+		w.queue.Push(id, prio(w.asMesh(), e.A, e.B, w.data))
+	}
 }
 
 func canonical(t mesh.Triangle) [3]int32 {
@@ -361,6 +438,20 @@ func (w *work) asMesh() *mesh.Mesh {
 	return &w.mview
 }
 
+// unlink removes the queued edge (v, to) from v's list and returns its
+// handle, or -1 if that edge is not queued.
+func (w *work) unlink(v, to int32) int32 {
+	ls := w.links[v]
+	for p, l := range ls {
+		if l.to == to {
+			ls[p] = ls[len(ls)-1]
+			w.links[v] = ls[:len(ls)-1]
+			return l.id
+		}
+	}
+	return -1
+}
+
 // liveTris returns the alive triangle ids incident to v.
 func (w *work) liveTris(v int32) []int32 {
 	out := w.vertTris[v][:0]
@@ -377,56 +468,68 @@ func triHas(t mesh.Triangle, v int32) bool {
 	return t[0] == v || t[1] == v || t[2] == v
 }
 
-// neighbors returns the alive vertices adjacent to v.
-func (w *work) neighbors(v int32) []int32 {
-	seen := map[int32]struct{}{}
-	var out []int32
+// neighbors appends to dst[:0] the alive vertices adjacent to v, in order of
+// first appearance over v's live triangles.
+func (w *work) neighbors(v int32, dst []int32) []int32 {
+	w.epoch++
+	dst = dst[:0]
 	for _, ti := range w.liveTris(v) {
 		for _, u := range w.tris[ti] {
-			if u == v {
-				continue
-			}
-			if _, ok := seen[u]; !ok {
-				seen[u] = struct{}{}
-				out = append(out, u)
+			if u != v && w.mark[u] != w.epoch {
+				w.mark[u] = w.epoch
+				dst = append(dst, u)
 			}
 		}
 	}
-	return out
+	return dst
 }
 
-func (w *work) area(t mesh.Triangle) float64 {
-	a, b, c := w.verts[t[0]], w.verts[t[1]], w.verts[t[2]]
-	return math.Abs(0.5 * ((b.X-a.X)*(c.Y-a.Y) - (c.X-a.X)*(b.Y-a.Y)))
+// hasTwin reports whether an alive triangle other than ti has the vertex
+// set of t, the re-pointed form of ti. A twin contains every vertex of t, so
+// the shorter incidence list of the two vertices other than k holds it.
+func (w *work) hasTwin(ti int32, t mesh.Triangle, k int32) bool {
+	var search []int32
+	for _, v := range t {
+		if v != k && (search == nil || len(w.vertTris[v]) < len(search)) {
+			search = w.vertTris[v]
+		}
+	}
+	key := canonical(t)
+	for _, tj := range search {
+		if tj != ti && w.triAlive[tj] && canonical(w.tris[tj]) == key {
+			return true
+		}
+	}
+	return false
 }
 
 // collapse merges edge e into a new midpoint vertex. It returns false (and
 // changes nothing) if the collapse fails the link condition or the
 // minimum-area guard.
-func (w *work) collapse(e mesh.Edge, minArea float64, queue *pq.Queue, ids *edgeIDs, prio Priority) bool {
+func (w *work) collapse(e mesh.Edge, minArea float64) bool {
 	i, j := e.A, e.B
-	nbrI := w.neighbors(i)
-	nbrJ := w.neighbors(j)
+	w.nbrI = w.neighbors(i, w.nbrI)
+	w.nbrJ = w.neighbors(j, w.nbrJ)
+	nbrI, nbrJ := w.nbrI, w.nbrJ
+	trisI, trisJ := w.vertTris[i], w.vertTris[j] // live: neighbors just filtered them
 
 	// Link condition: the common neighbors of i and j must be exactly
 	// the apex vertices of the triangles sharing edge (i,j); otherwise
 	// the collapse would pinch the surface (create a non-manifold fold).
-	inI := make(map[int32]bool, len(nbrI))
-	for _, v := range nbrI {
-		inI[v] = true
-	}
+	// The marks still carry j's neighbor set.
 	var common int
-	for _, v := range nbrJ {
-		if inI[v] {
+	for _, v := range nbrI {
+		if w.mark[v] == w.epoch {
 			common++
 		}
 	}
-	var edgeTris []int32
-	for _, ti := range w.liveTris(i) {
+	edgeTris := w.edgeTris[:0]
+	for _, ti := range trisI {
 		if triHas(w.tris[ti], j) {
 			edgeTris = append(edgeTris, ti)
 		}
 	}
+	w.edgeTris = edgeTris
 	if len(edgeTris) == 0 || common != len(edgeTris) {
 		return false
 	}
@@ -445,11 +548,14 @@ func (w *work) collapse(e mesh.Edge, minArea float64, queue *pq.Queue, ids *edge
 	k := int32(len(w.verts))
 	var kv mesh.Vertex
 	var kd float64
+	from := [2]int32{i, j} // where k's value comes from, for the restriction
 	switch {
 	case bI && !bJ:
 		kv, kd = w.verts[i], w.data[i]
+		from = [2]int32{i, -1}
 	case bJ && !bI:
 		kv, kd = w.verts[j], w.data[j]
+		from = [2]int32{j, -1}
 	default:
 		// Paper's rule: midpoint position, mean data.
 		kv = mesh.Vertex{
@@ -462,111 +568,118 @@ func (w *work) collapse(e mesh.Edge, minArea float64, queue *pq.Queue, ids *edge
 	// Quality guard: every surviving triangle that gets re-pointed at k
 	// must keep a usable area.
 	if minArea > 0 {
-		for _, ti := range append(append([]int32(nil), w.liveTris(i)...), w.liveTris(j)...) {
-			t := w.tris[ti]
-			if triHas(t, i) && triHas(t, j) {
-				continue // dies with the collapse
-			}
-			nt := t
-			for c := 0; c < 3; c++ {
-				if nt[c] == i || nt[c] == j {
-					nt[c] = k
+		for _, list := range [2][]int32{trisI, trisJ} {
+			for _, ti := range list {
+				t := w.tris[ti]
+				if triHas(t, i) && triHas(t, j) {
+					continue // dies with the collapse
 				}
-			}
-			a, b, cc := vertexOrNew(w, nt[0], k, kv), vertexOrNew(w, nt[1], k, kv), vertexOrNew(w, nt[2], k, kv)
-			area := math.Abs(0.5 * ((b.X-a.X)*(cc.Y-a.Y) - (cc.X-a.X)*(b.Y-a.Y)))
-			if area < minArea {
-				return false
+				var p [3]mesh.Vertex
+				for c, v := range t {
+					if v == i || v == j {
+						p[c] = kv
+					} else {
+						p[c] = w.verts[v]
+					}
+				}
+				area := math.Abs(0.5 * ((p[1].X-p[0].X)*(p[2].Y-p[0].Y) - (p[2].X-p[0].X)*(p[1].Y-p[0].Y)))
+				if area < minArea {
+					return false
+				}
 			}
 		}
 	}
 
 	// Commit. Drop queued edges incident to the dying endpoints.
 	for _, v := range nbrI {
-		w.dropEdge(mesh.MakeEdge(i, v), queue, ids)
+		if id := w.unlink(v, i); id >= 0 {
+			w.queue.Remove(int(id))
+		}
 	}
 	for _, v := range nbrJ {
-		w.dropEdge(mesh.MakeEdge(j, v), queue, ids)
+		if id := w.unlink(v, j); id >= 0 {
+			w.queue.Remove(int(id))
+		}
 	}
+	w.links[i], w.links[j] = nil, nil
 
 	w.verts = append(w.verts, kv)
 	w.data = append(w.data, kd)
 	w.vertAlive = append(w.vertAlive, true)
 	w.boundary = append(w.boundary, bI || bJ)
-	w.vertTris = append(w.vertTris, nil)
-	if w.weights != nil {
-		var kw map[int32]float64
-		switch {
-		case bI && !bJ:
-			kw = w.weights[i] // value snapped to endpoint i
-		case bJ && !bI:
-			kw = w.weights[j]
-		default:
-			kw = make(map[int32]float64, len(w.weights[i])+len(w.weights[j]))
-			for v, wt := range w.weights[i] {
-				kw[v] += wt / 2
-			}
-			for v, wt := range w.weights[j] {
-				kw[v] += wt / 2
-			}
-		}
-		w.weights = append(w.weights, kw)
+	w.mark = append(w.mark, 0)
+	if w.track {
+		w.merged = append(w.merged, from)
 	}
 	w.vertAlive[i] = false
 	w.vertAlive[j] = false
 
-	// Retire triangles on the collapsed edge; re-point the rest.
+	// Retire triangles on the collapsed edge; re-point the rest, i's
+	// survivors before j's. Two triangles that become the same triangle
+	// merge into one: the later copy dies.
 	for _, ti := range edgeTris {
-		w.killTri(ti)
+		w.triAlive[ti] = false
 	}
-	for _, ti := range append(append([]int32(nil), w.liveTris(i)...), w.liveTris(j)...) {
-		t := w.tris[ti]
-		delete(w.triSet, canonical(t))
-		for c := 0; c < 3; c++ {
-			if t[c] == i || t[c] == j {
-				t[c] = k
+	first := len(w.triArena)
+	for _, list := range [2][]int32{trisI, trisJ} {
+		for _, ti := range list {
+			if !w.triAlive[ti] {
+				continue
 			}
+			t := w.tris[ti]
+			for c := 0; c < 3; c++ {
+				if t[c] == i || t[c] == j {
+					t[c] = k
+				}
+			}
+			if w.hasTwin(ti, t, k) {
+				w.triAlive[ti] = false
+				continue
+			}
+			w.tris[ti] = t
+			w.triArena = append(w.triArena, ti)
 		}
-		if dup, ok := w.triSet[canonical(t)]; ok && dup != ti {
-			// Two triangles merged into one; keep a single copy.
-			w.triAlive[ti] = false
-			continue
-		}
-		w.tris[ti] = t
-		w.triSet[canonical(t)] = ti
-		w.vertTris[k] = append(w.vertTris[k], ti)
+	}
+	w.vertTris = append(w.vertTris, w.triArena[first:len(w.triArena):len(w.triArena)])
+	if limit := 3*len(w.tris) + w.ring; len(w.triArena) > 2*limit {
+		w.triArena = repack(w.vertTris, w.vertAlive, limit)
 	}
 
-	// Queue the edges of the new vertex.
-	for _, v := range w.neighbors(k) {
-		ne := mesh.MakeEdge(k, v)
-		if _, queued := ids.lookup(ne); queued {
-			continue
-		}
-		queue.Push(ids.id(ne), prio(w.asMesh(), ne.A, ne.B, w.data))
+	// Queue the edges of the new vertex, in neighbor order.
+	w.nbrI = w.neighbors(k, w.nbrI)
+	first = len(w.linkArena)
+	for _, v := range w.nbrI {
+		id := int32(len(w.edges))
+		w.edges = append(w.edges, mesh.MakeEdge(k, v))
+		w.linkArena = append(w.linkArena, link{to: v, id: id})
+		w.links[v] = append(w.links[v], link{to: k, id: id})
+		w.queue.Push(int(id), w.prio(w.asMesh(), v, k, w.data))
+	}
+	w.links = append(w.links, w.linkArena[first:len(w.linkArena):len(w.linkArena)])
+	if limit := 2*len(w.table.Edges) + w.ring; len(w.linkArena) > 2*limit {
+		w.linkArena = repack(w.links, w.vertAlive, limit)
 	}
 	return true
 }
 
-func vertexOrNew(w *work, v, k int32, kv mesh.Vertex) mesh.Vertex {
-	if v == k {
-		return kv
+// repack moves the lists of alive vertices into a fresh arena of the given
+// capacity, which it returns, and drops the lists of dead ones. Rings are
+// usually six to eight entries and an arena never fills; under a priority
+// that grows hub vertices each collapse of a hub leaves a ring of hundreds
+// behind, and without this an arena would grow with the number of edges ever
+// made instead of the number alive.
+func repack[T any](lists [][]T, alive []bool, capacity int) []T {
+	arena := make([]T, 0, capacity)
+	for v, list := range lists {
+		if !alive[v] {
+			lists[v] = nil
+			continue
+		}
+		first := len(arena)
+		arena = append(arena, list...)
+		lists[v] = arena[first:len(arena):len(arena)]
 	}
-	return w.verts[v]
-}
-
-func (w *work) dropEdge(e mesh.Edge, queue *pq.Queue, ids *edgeIDs) {
-	if id, ok := ids.lookup(e); ok {
-		queue.Remove(id)
-		ids.release(e)
-	}
-}
-
-func (w *work) killTri(ti int32) {
-	if w.triAlive[ti] {
-		w.triAlive[ti] = false
-		delete(w.triSet, canonical(w.tris[ti]))
-	}
+	return arena
 }
 
 // compact squeezes alive vertices and triangles into a fresh mesh, remapping
@@ -574,19 +687,33 @@ func (w *work) killTri(ti int32) {
 // Vertices orphaned by duplicate-triangle merges (alive but referenced by no
 // surviving triangle) are dropped: they carry no interpolatable geometry.
 func (w *work) compact() (*mesh.Mesh, []float64, Restriction) {
-	referenced := make([]bool, len(w.verts))
+	w.referenced = refill(w.referenced, len(w.verts), len(w.verts), false)
+	w.remap = reuse(w.remap, len(w.verts))[:len(w.verts)]
+	referenced, remap := w.referenced, w.remap
+	ntris := 0
 	for ti, t := range w.tris {
 		if !w.triAlive[ti] {
 			continue
 		}
+		ntris++
 		referenced[t[0]] = true
 		referenced[t[1]] = true
 		referenced[t[2]] = true
 	}
-	remap := make([]int32, len(w.verts))
-	out := &mesh.Mesh{}
-	var data []float64
+	nverts := 0
+	for v := range w.verts {
+		if w.vertAlive[v] && referenced[v] {
+			nverts++
+		}
+	}
+	out := &mesh.Mesh{Verts: make([]mesh.Vertex, 0, nverts), Tris: make([]mesh.Triangle, 0, ntris)}
+	data := make([]float64, 0, nverts)
 	var restriction Restriction
+	var rows []Weight
+	if w.track {
+		restriction = make(Restriction, 0, nverts)
+		rows = make([]Weight, 0, w.inputVerts) // an input vertex feeds at most one row
+	}
 	for v := range w.verts {
 		if !w.vertAlive[v] || !referenced[v] {
 			remap[v] = -1
@@ -595,13 +722,10 @@ func (w *work) compact() (*mesh.Mesh, []float64, Restriction) {
 		remap[v] = int32(len(out.Verts))
 		out.Verts = append(out.Verts, w.verts[v])
 		data = append(data, w.data[v])
-		if w.weights != nil {
-			row := make([]Weight, 0, len(w.weights[v]))
-			for fv, wt := range w.weights[v] {
-				row = append(row, Weight{Vertex: fv, W: wt})
-			}
-			sort.Slice(row, func(i, j int) bool { return row[i].Vertex < row[j].Vertex })
-			restriction = append(restriction, row)
+		if w.track {
+			first := len(rows)
+			rows = w.appendRow(rows, int32(v))
+			restriction = append(restriction, rows[first:len(rows):len(rows)])
 		}
 	}
 	for ti, t := range w.tris {
@@ -611,4 +735,30 @@ func (w *work) compact() (*mesh.Mesh, []float64, Restriction) {
 		out.Tris = append(out.Tris, mesh.Triangle{remap[t[0]], remap[t[1]], remap[t[2]]})
 	}
 	return out, data, restriction
+}
+
+// appendRow appends to rows the restriction row of vertex v, sorted by input
+// vertex: it walks the merge forest down from v, halving the weight at every
+// mean and passing it through at every copy, so an input vertex's weight is
+// 2^-(means above it) exactly as if it had been halved collapse by collapse.
+func (w *work) appendRow(rows []Weight, v int32) []Weight {
+	first := len(rows)
+	stack := append(w.stack[:0], Weight{Vertex: v, W: 1})
+	for len(stack) > 0 {
+		top := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if int(top.Vertex) < w.inputVerts {
+			rows = append(rows, top)
+			continue
+		}
+		from := w.merged[int(top.Vertex)-w.inputVerts]
+		if from[1] < 0 {
+			stack = append(stack, Weight{Vertex: from[0], W: top.W})
+		} else {
+			stack = append(stack, Weight{Vertex: from[0], W: top.W / 2}, Weight{Vertex: from[1], W: top.W / 2})
+		}
+	}
+	w.stack = stack
+	slices.SortFunc(rows[first:], func(a, b Weight) int { return cmp.Compare(a.Vertex, b.Vertex) })
+	return rows
 }

@@ -12,6 +12,7 @@ package mesh
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Vertex is a 2D point. Canopus evaluates on planar slices of simulation
@@ -28,8 +29,8 @@ type Triangle [3]int32
 // Mesh is an unstructured triangular mesh. The zero value is an empty mesh.
 //
 // Mesh itself stores only geometry and connectivity; derived adjacency is
-// built on demand by Adjacency and cached by the caller, because decimation
-// mutates its own working copy of the structures.
+// built on demand by BuildAdjacency and cached by the caller, because
+// decimation mutates its own working copy of the structures.
 type Mesh struct {
 	Verts []Vertex
 	Tris  []Triangle
@@ -65,80 +66,139 @@ func MakeEdge(a, b int32) Edge {
 	return Edge{a, b}
 }
 
-// Edges returns the unique undirected edges of the mesh, in deterministic
-// (sorted by the first triangle that introduces them) order.
+// Edges returns the unique undirected edges of the mesh in order of first
+// appearance: triangles in index order, and within a triangle the edges
+// (t[0],t[1]), (t[1],t[2]), (t[2],t[0]). Decimation seeds its queue — and so
+// assigns its edge handles — in this order.
 func (m *Mesh) Edges() []Edge {
-	seen := make(map[Edge]struct{}, len(m.Tris)*3/2)
-	edges := make([]Edge, 0, len(m.Tris)*3/2)
-	for _, t := range m.Tris {
+	var t EdgeTable
+	t.Build(m)
+	return t.Edges
+}
+
+// EdgeTable lists the unique undirected edges of a mesh and how many
+// triangles contain each. Build may be called again, for the same or another
+// mesh, and reuses the table's storage.
+type EdgeTable struct {
+	// Edges holds the unique edges in Mesh.Edges order.
+	Edges []Edge
+	// Tris[i] is the number of triangles containing Edges[i]: 1 on the
+	// boundary and 2 in the interior of a manifold mesh.
+	Tris []int32
+
+	// Scratch. Edges are deduplicated without hashing: each is filed under
+	// its smaller endpoint v in the bucket other[start[v]:start[v]+fill[v]],
+	// sized by counting, which holds no more entries than v has neighbors.
+	start, fill  []int32
+	other, index []int32 // a bucket entry's larger endpoint and its position in Edges
+}
+
+// Build fills the table from m.
+func (t *EdgeTable) Build(m *Mesh) {
+	nv := len(m.Verts)
+	t.start = append(t.start[:0], make([]int32, nv+1)...)
+	t.fill = append(t.fill[:0], make([]int32, nv)...)
+	t.other = slices.Grow(t.other[:0], 3*len(m.Tris))[:3*len(m.Tris)]
+	t.index = slices.Grow(t.index[:0], 3*len(m.Tris))[:3*len(m.Tris)]
+	t.Edges = slices.Grow(t.Edges[:0], len(m.Tris)*3/2+nv)
+	t.Tris = slices.Grow(t.Tris[:0], cap(t.Edges))
+	start, fill, other, index := t.start, t.fill, t.other, t.index
+	for _, tri := range m.Tris {
 		for k := 0; k < 3; k++ {
-			e := MakeEdge(t[k], t[(k+1)%3])
-			if _, ok := seen[e]; !ok {
-				seen[e] = struct{}{}
-				edges = append(edges, e)
-			}
+			start[MakeEdge(tri[k], tri[(k+1)%3]).A+1]++
 		}
 	}
-	return edges
+	for v := 0; v < nv; v++ {
+		start[v+1] += start[v]
+	}
+	for _, tri := range m.Tris {
+	nextEdge:
+		for k := 0; k < 3; k++ {
+			e := MakeEdge(tri[k], tri[(k+1)%3])
+			lo := start[e.A]
+			hi := lo + fill[e.A]
+			for p := lo; p < hi; p++ {
+				if other[p] == e.B {
+					t.Tris[index[p]]++
+					continue nextEdge
+				}
+			}
+			other[hi], index[hi] = e.B, int32(len(t.Edges))
+			fill[e.A]++
+			t.Edges = append(t.Edges, e)
+			t.Tris = append(t.Tris, 1)
+		}
+	}
+}
+
+// MarkBoundary sets onBoundary[v] for every vertex v incident to an edge
+// contained in exactly one triangle.
+func (t *EdgeTable) MarkBoundary(onBoundary []bool) {
+	for i, e := range t.Edges {
+		if t.Tris[i] == 1 {
+			onBoundary[e.A] = true
+			onBoundary[e.B] = true
+		}
+	}
 }
 
 // Adjacency holds derived connectivity for a mesh: which triangles touch
-// each vertex and how many triangles share each edge.
+// each vertex.
 type Adjacency struct {
-	// VertTris[v] lists the indices of triangles incident to vertex v.
+	// VertTris[v] lists the indices of triangles incident to vertex v, in
+	// ascending order. The lists are carved from one backing array.
 	VertTris [][]int32
-	// EdgeTris maps each edge to the triangles containing it (1 for
-	// boundary edges, 2 for interior edges in a manifold mesh).
-	EdgeTris map[Edge][]int32
 }
 
-// BuildAdjacency computes vertex-triangle and edge-triangle incidence.
+// BuildAdjacency computes vertex-triangle incidence.
 func (m *Mesh) BuildAdjacency() *Adjacency {
-	a := &Adjacency{
-		VertTris: make([][]int32, len(m.Verts)),
-		EdgeTris: make(map[Edge][]int32, len(m.Tris)*3/2),
+	count := make([]int32, len(m.Verts))
+	for _, t := range m.Tris {
+		for _, v := range t {
+			count[v]++
+		}
+	}
+	a := &Adjacency{VertTris: make([][]int32, len(m.Verts))}
+	arena := make([]int32, 3*len(m.Tris))
+	for v, c := range count {
+		a.VertTris[v], arena = arena[:0:c], arena[c:]
 	}
 	for ti, t := range m.Tris {
-		for k := 0; k < 3; k++ {
-			v := t[k]
+		for _, v := range t {
 			a.VertTris[v] = append(a.VertTris[v], int32(ti))
-			e := MakeEdge(t[k], t[(k+1)%3])
-			a.EdgeTris[e] = append(a.EdgeTris[e], int32(ti))
 		}
 	}
 	return a
 }
 
 // Neighbors returns the vertex ids adjacent to v (connected by an edge), in
-// ascending order-of-first-appearance across v's incident triangles.
+// order of first appearance across v's incident triangles.
 func (a *Adjacency) Neighbors(m *Mesh, v int32) []int32 {
-	seen := map[int32]struct{}{}
 	var out []int32
 	for _, ti := range a.VertTris[v] {
+	nextVertex:
 		for _, w := range m.Tris[ti] {
 			if w == v {
 				continue
 			}
-			if _, ok := seen[w]; !ok {
-				seen[w] = struct{}{}
-				out = append(out, w)
+			for _, seen := range out {
+				if seen == w {
+					continue nextVertex
+				}
 			}
+			out = append(out, w)
 		}
 	}
 	return out
 }
 
-// BoundaryVertices returns a set of vertex ids that lie on the mesh boundary
-// (incident to an edge shared by exactly one triangle).
-func (m *Mesh) BoundaryVertices() map[int32]bool {
-	adj := m.BuildAdjacency()
-	b := make(map[int32]bool)
-	for e, tris := range adj.EdgeTris {
-		if len(tris) == 1 {
-			b[e.A] = true
-			b[e.B] = true
-		}
-	}
+// BoundaryVertices flags the vertices that lie on the mesh boundary
+// (incident to an edge contained in exactly one triangle).
+func (m *Mesh) BoundaryVertices() []bool {
+	var t EdgeTable
+	t.Build(m)
+	b := make([]bool, len(m.Verts))
+	t.MarkBoundary(b)
 	return b
 }
 

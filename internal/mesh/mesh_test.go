@@ -136,6 +136,40 @@ func TestEdges(t *testing.T) {
 	}
 }
 
+// TestEdgesOrderAndTableReuse checks Edges against the obvious map-based
+// enumeration — order of first appearance is what decimation's edge handles,
+// and so its tie-breaks, hang on — and that one EdgeTable rebuilt for meshes of
+// different sizes answers like a fresh one each time.
+func TestEdgesOrderAndTableReuse(t *testing.T) {
+	var reused EdgeTable
+	for _, m := range []*Mesh{Disk(5, 96, 1), Rect(7, 4, 1, 1), Annulus(6, 30, 0.5, 1), Rect(1, 1, 1, 1), {}} {
+		var want []Edge
+		count := map[Edge]int32{}
+		for _, tri := range m.Tris {
+			for k := 0; k < 3; k++ {
+				e := MakeEdge(tri[k], tri[(k+1)%3])
+				if count[e] == 0 {
+					want = append(want, e)
+				}
+				count[e]++
+			}
+		}
+		got := m.Edges()
+		reused.Build(m)
+		if len(got) != len(want) || len(reused.Edges) != len(want) || len(reused.Tris) != len(want) {
+			t.Fatalf("%d verts: %d edges (%d reused), want %d", len(m.Verts), len(got), len(reused.Edges), len(want))
+		}
+		for i, e := range want {
+			if got[i] != e || reused.Edges[i] != e {
+				t.Fatalf("%d verts: edge %d = %v (%v reused), want %v", len(m.Verts), i, got[i], reused.Edges[i], e)
+			}
+			if reused.Tris[i] != count[e] {
+				t.Fatalf("%d verts: edge %v in %d triangles, want %d", len(m.Verts), e, reused.Tris[i], count[e])
+			}
+		}
+	}
+}
+
 func TestMakeEdgeCanonical(t *testing.T) {
 	if e := MakeEdge(5, 2); e != (Edge{2, 5}) {
 		t.Fatalf("MakeEdge(5,2) = %v", e)
@@ -149,9 +183,11 @@ func TestAdjacency(t *testing.T) {
 	m := Rect(2, 2, 1, 1)
 	adj := m.BuildAdjacency()
 	// Every interior edge must belong to exactly 2 triangles, boundary to 1.
-	for e, tris := range adj.EdgeTris {
-		if len(tris) < 1 || len(tris) > 2 {
-			t.Fatalf("edge %v in %d triangles", e, len(tris))
+	var et EdgeTable
+	et.Build(m)
+	for i, e := range et.Edges {
+		if et.Tris[i] < 1 || et.Tris[i] > 2 {
+			t.Fatalf("edge %v in %d triangles", e, et.Tris[i])
 		}
 	}
 	// Center vertex of a 2x2 grid is index 4 (row-major 3x3 lattice).
@@ -173,12 +209,22 @@ func TestAdjacency(t *testing.T) {
 	}
 }
 
+func countTrue(b []bool) int {
+	n := 0
+	for _, on := range b {
+		if on {
+			n++
+		}
+	}
+	return n
+}
+
 func TestBoundaryVertices(t *testing.T) {
 	m := Rect(3, 3, 1, 1)
 	b := m.BoundaryVertices()
 	// 4x4 lattice: 12 boundary vertices, 4 interior.
-	if len(b) != 12 {
-		t.Fatalf("boundary count = %d, want 12", len(b))
+	if n := countTrue(b); n != 12 {
+		t.Fatalf("boundary count = %d, want 12", n)
 	}
 	// Interior vertex (1,1) of the lattice = index 5 must not be boundary.
 	if b[5] {
@@ -189,10 +235,13 @@ func TestBoundaryVertices(t *testing.T) {
 func TestDiskBoundaryIsOuterRing(t *testing.T) {
 	m := Disk(4, 16, 2.0)
 	b := m.BoundaryVertices()
-	if len(b) != 16 {
-		t.Fatalf("disk boundary count = %d, want 16", len(b))
+	if n := countTrue(b); n != 16 {
+		t.Fatalf("disk boundary count = %d, want 16", n)
 	}
-	for v := range b {
+	for v, on := range b {
+		if !on {
+			continue
+		}
 		r := math.Hypot(m.Verts[v].X, m.Verts[v].Y)
 		if math.Abs(r-2.0) > 1e-12 {
 			t.Fatalf("boundary vertex %d at radius %g, want 2", v, r)

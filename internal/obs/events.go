@@ -85,7 +85,10 @@ func EventTypes() []string {
 const DefaultEventRetention = 256
 
 var (
-	evSeq uint64 // atomic; last assigned sequence number
+	// evSeq is the last assigned sequence number. It advances only under
+	// evMu, so ring order is sequence order; it is atomic so LastEventSeq
+	// can read it without the lock.
+	evSeq atomic.Uint64
 
 	evMu  sync.Mutex
 	evBuf []Event // ring storage; len(evBuf) < evCap means it has not wrapped
@@ -113,12 +116,15 @@ func (t EventType) Emit(attrs ...string) {
 		}
 	}
 	e := Event{
-		Seq:          atomic.AddUint64(&evSeq, 1),
 		TimeUnixNano: time.Now().UnixNano(),
 		Type:         t.name,
 		Attrs:        m,
 	}
 	evMu.Lock()
+	// Taking the number inside the critical section is what keeps the ring
+	// in sequence order: taken before it, two emitters could insert out of
+	// order and a since= poller would skip the late one for good.
+	e.Seq = evSeq.Add(1)
 	if len(evBuf) < evCap {
 		evBuf = append(evBuf, e)
 	} else {
@@ -143,9 +149,9 @@ func SetEventRetention(n int) {
 	}
 	evCap = n
 	evBuf = append(make([]Event, 0, min(n, len(cur)+16)), cur...)
-	if len(evBuf) == evCap {
-		evPos = 0
-	}
+	// cur is oldest-first, so whenever the ring is (or later becomes) full
+	// its oldest entry is slot 0.
+	evPos = 0
 }
 
 // snapshotLocked returns retained events oldest-first. Caller holds evMu.
@@ -195,7 +201,7 @@ func Events(types []string, sinceSeq uint64) []Event {
 // LastEventSeq reports the most recently assigned event sequence number (0
 // when nothing has been emitted). Tests snapshot it before a workload and
 // pass it as sinceSeq to isolate the workload's events.
-func LastEventSeq() uint64 { return atomic.LoadUint64(&evSeq) }
+func LastEventSeq() uint64 { return evSeq.Load() }
 
 // ResetEvents clears the retained events (the sequence counter keeps
 // counting, so since-cursors held across a reset stay monotonic).

@@ -81,6 +81,37 @@ func TestSetEventRetentionKeepsNewest(t *testing.T) {
 	}
 }
 
+// TestGrowRetentionAfterWrapKeepsOrder: growing the bound of a ring that has
+// wrapped used to leave its write cursor mid-ring, so once the larger ring
+// filled, new events overwrote a middle slot and a snapshot came back out of
+// sequence.
+func TestGrowRetentionAfterWrapKeepsOrder(t *testing.T) {
+	obs.ResetEvents()
+	obs.SetEventRetention(8)
+	defer obs.SetEventRetention(0)
+	et := obs.RegisterEventType("obs_test_grow")
+	emit := func(n int) {
+		for i := 0; i < n; i++ {
+			et.Emit()
+		}
+	}
+	emit(8 + 5) // fill, then wrap: the write cursor sits at slot 5
+	obs.SetEventRetention(12)
+	emit(12 + 3) // refill past the new bound
+	got := obs.Events(nil, 0)
+	if len(got) != 12 {
+		t.Fatalf("retained %d events, want the new bound 12", len(got))
+	}
+	for i := 1; i < len(got); i++ {
+		if got[i].Seq != got[i-1].Seq+1 {
+			t.Fatalf("snapshot out of order: seq %d follows %d", got[i].Seq, got[i-1].Seq)
+		}
+	}
+	if last := obs.LastEventSeq(); got[len(got)-1].Seq != last {
+		t.Errorf("newest retained seq %d, want the last emitted %d", got[len(got)-1].Seq, last)
+	}
+}
+
 func TestRegisterEventTypeInvalidPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

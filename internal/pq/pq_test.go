@@ -180,13 +180,23 @@ func TestHeapSortAgainstSort(t *testing.T) {
 }
 
 // TestQuickRandomOps drives a random operation sequence against a naive map
-// model and checks Pop always returns the model minimum.
+// model and checks Pop always returns the model minimum. Ids run to 100 while
+// New is told 0, 10 or 100, so the position index has to grow on Push, and
+// every step probes an id the queue has never seen (or a negative one), which
+// must read as absent.
 func TestQuickRandomOps(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		q := New(0)
+		q := New([]int{0, 10, 100}[rng.Intn(3)])
 		model := map[int]float64{}
 		for step := 0; step < 300; step++ {
+			stranger := 100 + rng.Intn(1000)
+			if rng.Intn(2) == 0 {
+				stranger = -1 - rng.Intn(1000)
+			}
+			if _, ok := q.Priority(stranger); ok || q.Contains(stranger) || q.Remove(stranger) {
+				return false
+			}
 			switch rng.Intn(4) {
 			case 0: // push
 				id := rng.Intn(100)
@@ -235,6 +245,56 @@ func TestQuickRandomOps(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOpsDoNotAllocate: once New has been told the handle range, no
+// operation allocates.
+func TestOpsDoNotAllocate(t *testing.T) {
+	const n = 512
+	rng := rand.New(rand.NewSource(3))
+	prios := make([]float64, 2*n)
+	for i := range prios {
+		prios[i] = rng.Float64()
+	}
+	q := New(n)
+	allocs := testing.AllocsPerRun(20, func() {
+		for id := 0; id < n; id++ {
+			q.Push(id, prios[id])
+		}
+		for id := 0; id < n; id += 3 {
+			q.Update(id, prios[n+id])
+		}
+		for id := 1; id < n; id += 3 {
+			q.Remove(id)
+		}
+		for q.Len() > 0 {
+			q.Pop()
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Push/Update/Remove/Pop made %.0f allocations per run, want 0", allocs)
+	}
+}
+
+func TestResetEmptiesAndKeepsWorking(t *testing.T) {
+	q := New(4)
+	for id := 0; id < 9; id++ { // past the hint, so the index has grown
+		q.Push(id, float64(9-id))
+	}
+	q.Reset(2)
+	if q.Len() != 0 {
+		t.Fatalf("Len after Reset = %d, want 0", q.Len())
+	}
+	for id := 0; id < 9; id++ {
+		if q.Contains(id) {
+			t.Fatalf("id %d still queued after Reset", id)
+		}
+	}
+	q.Push(7, 2)
+	q.Push(3, 1)
+	if id, _, _ := q.Pop(); id != 3 {
+		t.Fatalf("Pop after Reset = %d, want 3", id)
 	}
 }
 
