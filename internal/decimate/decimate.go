@@ -276,7 +276,7 @@ type work struct {
 	tris      []mesh.Triangle
 	triAlive  []bool
 	vertTris  [][]int32 // incidence; may contain dead ids, filtered on read
-	triArena  []int32   // backs vertTris
+	triArena  []int32   // backs the vertTris of collapse-made vertices
 	mview     mesh.Mesh // window over verts for geometry helpers
 	prio      Priority
 
@@ -304,6 +304,7 @@ type work struct {
 	ring       int // arena entries budgeted for the rings of collapse-made vertices
 
 	// Scratch.
+	adjacency            mesh.Adjacency
 	table                mesh.EdgeTable
 	count                []int32
 	nbrI, nbrJ, edgeTris []int32
@@ -374,23 +375,9 @@ func (w *work) init(m *mesh.Mesh, data []float64, targetVerts int, prio Priority
 	w.merged = w.merged[:0]
 
 	// Incidence: vertTris[v] lists v's triangles in ascending order.
-	w.count = refill(w.count, nv, nv, 0)
-	for _, t := range m.Tris {
-		for _, v := range t {
-			w.count[v]++
-		}
-	}
-	w.vertTris = reuse(w.vertTris, final)[:nv]
-	w.triArena = reuse(w.triArena, 3*nt+ring)[:3*nt]
-	arena := w.triArena
-	for v, c := range w.count {
-		w.vertTris[v], arena = arena[:0:c], arena[c:]
-	}
-	for ti, t := range m.Tris {
-		for _, v := range t {
-			w.vertTris[v] = append(w.vertTris[v], int32(ti))
-		}
-	}
+	w.adjacency.Build(m)
+	w.vertTris = append(reuse(w.vertTris, final), w.adjacency.VertTris...)
+	w.triArena = reuse(w.triArena, ring)
 
 	// Edges: an input edge's handle is its position in m.Edges().
 	w.table.Build(m)

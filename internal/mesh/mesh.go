@@ -143,24 +143,36 @@ func (t *EdgeTable) MarkBoundary(onBoundary []bool) {
 }
 
 // Adjacency holds derived connectivity for a mesh: which triangles touch
-// each vertex.
+// each vertex. Build may be called again, for the same or another mesh, and
+// reuses the adjacency's storage.
 type Adjacency struct {
 	// VertTris[v] lists the indices of triangles incident to vertex v, in
-	// ascending order. The lists are carved from one backing array.
+	// ascending order. The lists are carved from one backing array, each
+	// with its capacity capped at its length.
 	VertTris [][]int32
+
+	arena, count []int32
 }
 
 // BuildAdjacency computes vertex-triangle incidence.
 func (m *Mesh) BuildAdjacency() *Adjacency {
-	count := make([]int32, len(m.Verts))
+	a := &Adjacency{}
+	a.Build(m)
+	return a
+}
+
+// Build fills a from m.
+func (a *Adjacency) Build(m *Mesh) {
+	a.count = append(a.count[:0], make([]int32, len(m.Verts))...)
 	for _, t := range m.Tris {
 		for _, v := range t {
-			count[v]++
+			a.count[v]++
 		}
 	}
-	a := &Adjacency{VertTris: make([][]int32, len(m.Verts))}
-	arena := make([]int32, 3*len(m.Tris))
-	for v, c := range count {
+	a.VertTris = slices.Grow(a.VertTris[:0], len(m.Verts))[:len(m.Verts)]
+	a.arena = slices.Grow(a.arena[:0], 3*len(m.Tris))[:3*len(m.Tris)]
+	arena := a.arena
+	for v, c := range a.count {
 		a.VertTris[v], arena = arena[:0:c], arena[c:]
 	}
 	for ti, t := range m.Tris {
@@ -168,7 +180,6 @@ func (m *Mesh) BuildAdjacency() *Adjacency {
 			a.VertTris[v] = append(a.VertTris[v], int32(ti))
 		}
 	}
-	return a
 }
 
 // Neighbors returns the vertex ids adjacent to v (connected by an edge), in

@@ -2,6 +2,7 @@ package mesh
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -205,6 +206,14 @@ func TestAdjacency(t *testing.T) {
 		}
 		if !found {
 			t.Fatalf("VertTris lists triangle %d not containing vertex %d", ti, center)
+		}
+	}
+	// Rebuilt for a smaller and then a larger mesh, the same Adjacency
+	// answers like a fresh one.
+	for _, other := range []*Mesh{Rect(1, 1, 1, 1), Disk(4, 24, 1)} {
+		adj.Build(other)
+		if fresh := other.BuildAdjacency(); !reflect.DeepEqual(adj.VertTris, fresh.VertTris) {
+			t.Fatalf("reused adjacency differs from a fresh one on %d vertices", other.NumVerts())
 		}
 	}
 }
