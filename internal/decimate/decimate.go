@@ -181,10 +181,8 @@ func Decimate(m *mesh.Mesh, data []float64, targetVerts int, opts Options) (*Res
 		}
 		if opts.TrackRestriction {
 			res.Restriction = make(Restriction, len(m.Verts))
-			rows := make([]Weight, len(m.Verts))
-			for i := range rows {
-				rows[i] = Weight{Vertex: int32(i), W: 1}
-				res.Restriction[i] = rows[i : i+1 : i+1]
+			for i := range res.Restriction {
+				res.Restriction[i] = []Weight{{Vertex: int32(i), W: 1}}
 			}
 		}
 		return res, nil
@@ -220,7 +218,7 @@ func Decimate(m *mesh.Mesh, data []float64, targetVerts int, opts Options) (*Res
 		alive--
 	}
 
-	res.Coarse, res.Data, res.Restriction = w.compact()
+	res.Coarse, res.Data, res.Restriction = w.compact(alive)
 	res.AchievedRatio = float64(len(m.Verts)) / float64(len(res.Coarse.Verts))
 	return res, nil
 }
@@ -266,8 +264,8 @@ type link struct {
 // The per-vertex lists (vertTris, links) are carved from shared arenas with
 // their capacity capped at their initial length, so the arenas can grow by
 // append without disturbing lists carved earlier. A list never outgrows its
-// initial length: a collapse replaces two of a surviving vertex's neighbors
-// (or one) by the new vertex, never adds one.
+// initial length: a vertex's triangles only die, and a collapse replaces two
+// of a surviving vertex's neighbors (or one) by the new vertex, never adds one.
 type work struct {
 	verts     []mesh.Vertex
 	data      []float64
@@ -279,6 +277,7 @@ type work struct {
 	triArena  []int32   // backs the vertTris of collapse-made vertices
 	mview     mesh.Mesh // window over verts for geometry helpers
 	prio      Priority
+	ring      int // arena entries budgeted for the rings of collapse-made vertices
 
 	// Edge handles are dense ints assigned in push order and never reused:
 	// edges[id] names the endpoints, links[v] holds the handles currently
@@ -301,16 +300,13 @@ type work struct {
 	track      bool
 	inputVerts int
 	merged     [][2]int32
-	ring       int // arena entries budgeted for the rings of collapse-made vertices
 
 	// Scratch.
-	adjacency            mesh.Adjacency
-	table                mesh.EdgeTable
-	count                []int32
-	nbrI, nbrJ, edgeTris []int32
-	referenced           []bool
-	remap                []int32
-	stack                []Weight
+	adjacency  mesh.Adjacency
+	table      mesh.EdgeTable
+	nbrI, nbrJ []int32
+	remap      []int32
+	stack      []Weight
 }
 
 // spare keeps the state of one finished pass for the next to reuse, so a
@@ -385,15 +381,13 @@ func (w *work) init(m *mesh.Mesh, data []float64, targetVerts int, prio Priority
 	w.boundary = refill(w.boundary, nv, final, false)
 	w.table.MarkBoundary(w.boundary)
 	w.edges = append(reuse(w.edges, len(seed)+ring), seed...)
-	w.count = refill(w.count, nv, nv, 0)
-	for _, e := range seed {
-		w.count[e.A]++
-		w.count[e.B]++
-	}
+	// A vertex with t triangles has t neighbors, t+1 on the boundary (a
+	// non-manifold one may have more; its list then grows on the heap).
 	w.links = reuse(w.links, final)[:nv]
-	w.linkArena = reuse(w.linkArena, 2*len(seed)+ring)[:2*len(seed)]
+	w.linkArena = reuse(w.linkArena, 3*nt+nv+ring)[:3*nt+nv]
 	linkArena := w.linkArena
-	for v, c := range w.count {
+	for v := range w.links {
+		c := len(w.vertTris[v]) + 1
 		w.links[v], linkArena = linkArena[:0:c], linkArena[c:]
 	}
 	w.queue.Reset(len(seed))
@@ -402,20 +396,6 @@ func (w *work) init(m *mesh.Mesh, data []float64, targetVerts int, prio Priority
 		w.links[e.B] = append(w.links[e.B], link{to: e.A, id: int32(id)})
 		w.queue.Push(id, prio(w.asMesh(), e.A, e.B, w.data))
 	}
-}
-
-func canonical(t mesh.Triangle) [3]int32 {
-	a, b, c := t[0], t[1], t[2]
-	if a > b {
-		a, b = b, a
-	}
-	if b > c {
-		b, c = c, b
-	}
-	if a > b {
-		a, b = b, a
-	}
-	return [3]int32{a, b, c}
 }
 
 // asMesh returns a mesh view over the current vertex array (triangles are
@@ -481,9 +461,8 @@ func (w *work) hasTwin(ti int32, t mesh.Triangle, k int32) bool {
 			search = w.vertTris[v]
 		}
 	}
-	key := canonical(t)
 	for _, tj := range search {
-		if tj != ti && w.triAlive[tj] && canonical(w.tris[tj]) == key {
+		if u := w.tris[tj]; tj != ti && w.triAlive[tj] && triHas(u, t[0]) && triHas(u, t[1]) && triHas(u, t[2]) {
 			return true
 		}
 	}
@@ -510,14 +489,13 @@ func (w *work) collapse(e mesh.Edge, minArea float64) bool {
 			common++
 		}
 	}
-	edgeTris := w.edgeTris[:0]
+	var edgeTris int // triangles on edge (i,j)
 	for _, ti := range trisI {
 		if triHas(w.tris[ti], j) {
-			edgeTris = append(edgeTris, ti)
+			edgeTris++
 		}
 	}
-	w.edgeTris = edgeTris
-	if len(edgeTris) == 0 || common != len(edgeTris) {
+	if edgeTris == 0 || common != edgeTris {
 		return false
 	}
 
@@ -528,7 +506,7 @@ func (w *work) collapse(e mesh.Edge, minArea float64) bool {
 	// the coarse mesh. So chords are rejected, and a boundary+interior
 	// collapse snaps the new vertex onto the boundary endpoint.
 	bI, bJ := w.boundary[i], w.boundary[j]
-	if bI && bJ && len(edgeTris) != 1 {
+	if bI && bJ && edgeTris != 1 {
 		return false // interior chord between two boundary vertices
 	}
 
@@ -555,21 +533,20 @@ func (w *work) collapse(e mesh.Edge, minArea float64) bool {
 	// Quality guard: every surviving triangle that gets re-pointed at k
 	// must keep a usable area.
 	if minArea > 0 {
+		moved := func(v int32) mesh.Vertex { // v's position after the collapse
+			if v == i || v == j {
+				return kv
+			}
+			return w.verts[v]
+		}
 		for _, list := range [2][]int32{trisI, trisJ} {
 			for _, ti := range list {
 				t := w.tris[ti]
 				if triHas(t, i) && triHas(t, j) {
 					continue // dies with the collapse
 				}
-				var p [3]mesh.Vertex
-				for c, v := range t {
-					if v == i || v == j {
-						p[c] = kv
-					} else {
-						p[c] = w.verts[v]
-					}
-				}
-				area := math.Abs(0.5 * ((p[1].X-p[0].X)*(p[2].Y-p[0].Y) - (p[2].X-p[0].X)*(p[1].Y-p[0].Y)))
+				a, b, c := moved(t[0]), moved(t[1]), moved(t[2])
+				area := math.Abs(0.5 * ((b.X-a.X)*(c.Y-a.Y) - (c.X-a.X)*(b.Y-a.Y)))
 				if area < minArea {
 					return false
 				}
@@ -604,8 +581,10 @@ func (w *work) collapse(e mesh.Edge, minArea float64) bool {
 	// Retire triangles on the collapsed edge; re-point the rest, i's
 	// survivors before j's. Two triangles that become the same triangle
 	// merge into one: the later copy dies.
-	for _, ti := range edgeTris {
-		w.triAlive[ti] = false
+	for _, ti := range trisI {
+		if triHas(w.tris[ti], j) {
+			w.triAlive[ti] = false
+		}
 	}
 	first := len(w.triArena)
 	for _, list := range [2][]int32{trisI, trisJ} {
@@ -643,7 +622,7 @@ func (w *work) collapse(e mesh.Edge, minArea float64) bool {
 		w.queue.Push(int(id), w.prio(w.asMesh(), v, k, w.data))
 	}
 	w.links = append(w.links, w.linkArena[first:len(w.linkArena):len(w.linkArena)])
-	if limit := 2*len(w.table.Edges) + w.ring; len(w.linkArena) > 2*limit {
+	if limit := 3*len(w.tris) + w.inputVerts + w.ring; len(w.linkArena) > 2*limit {
 		w.linkArena = repack(w.links, w.vertAlive, limit)
 	}
 	return true
@@ -673,36 +652,28 @@ func repack[T any](lists [][]T, alive []bool, capacity int) []T {
 // indices. Vertices keep their relative order, so output is deterministic.
 // Vertices orphaned by duplicate-triangle merges (alive but referenced by no
 // surviving triangle) are dropped: they carry no interpolatable geometry.
-func (w *work) compact() (*mesh.Mesh, []float64, Restriction) {
-	w.referenced = refill(w.referenced, len(w.verts), len(w.verts), false)
-	w.remap = reuse(w.remap, len(w.verts))[:len(w.verts)]
-	referenced, remap := w.referenced, w.remap
+func (w *work) compact(alive int) (*mesh.Mesh, []float64, Restriction) {
+	// remap[v] is v's index in the output, or -1 if v is dropped; until the
+	// vertex loop assigns indices, 0 marks a referenced vertex.
+	remap := refill(w.remap, len(w.verts), len(w.verts), -1)
+	w.remap = remap
 	ntris := 0
 	for ti, t := range w.tris {
-		if !w.triAlive[ti] {
-			continue
-		}
-		ntris++
-		referenced[t[0]] = true
-		referenced[t[1]] = true
-		referenced[t[2]] = true
-	}
-	nverts := 0
-	for v := range w.verts {
-		if w.vertAlive[v] && referenced[v] {
-			nverts++
+		if w.triAlive[ti] {
+			ntris++
+			remap[t[0]], remap[t[1]], remap[t[2]] = 0, 0, 0
 		}
 	}
-	out := &mesh.Mesh{Verts: make([]mesh.Vertex, 0, nverts), Tris: make([]mesh.Triangle, 0, ntris)}
-	data := make([]float64, 0, nverts)
+	out := &mesh.Mesh{Verts: make([]mesh.Vertex, 0, alive), Tris: make([]mesh.Triangle, 0, ntris)}
+	data := make([]float64, 0, alive)
 	var restriction Restriction
 	var rows []Weight
 	if w.track {
-		restriction = make(Restriction, 0, nverts)
+		restriction = make(Restriction, 0, alive)
 		rows = make([]Weight, 0, w.inputVerts) // an input vertex feeds at most one row
 	}
 	for v := range w.verts {
-		if !w.vertAlive[v] || !referenced[v] {
+		if !w.vertAlive[v] || remap[v] < 0 {
 			remap[v] = -1
 			continue
 		}
@@ -716,10 +687,9 @@ func (w *work) compact() (*mesh.Mesh, []float64, Restriction) {
 		}
 	}
 	for ti, t := range w.tris {
-		if !w.triAlive[ti] {
-			continue
+		if w.triAlive[ti] {
+			out.Tris = append(out.Tris, mesh.Triangle{remap[t[0]], remap[t[1]], remap[t[2]]})
 		}
-		out.Tris = append(out.Tris, mesh.Triangle{remap[t[0]], remap[t[1]], remap[t[2]]})
 	}
 	return out, data, restriction
 }

@@ -131,8 +131,8 @@ func (t *EdgeTable) Build(m *Mesh) {
 	}
 }
 
-// MarkBoundary sets onBoundary[v] for every vertex v incident to an edge
-// contained in exactly one triangle.
+// MarkBoundary sets onBoundary[v] for every vertex v on the mesh boundary:
+// incident to an edge contained in exactly one triangle.
 func (t *EdgeTable) MarkBoundary(onBoundary []bool) {
 	for i, e := range t.Edges {
 		if t.Tris[i] == 1 {
@@ -201,16 +201,6 @@ func (a *Adjacency) Neighbors(m *Mesh, v int32) []int32 {
 		}
 	}
 	return out
-}
-
-// BoundaryVertices flags the vertices that lie on the mesh boundary
-// (incident to an edge contained in exactly one triangle).
-func (m *Mesh) BoundaryVertices() []bool {
-	var t EdgeTable
-	t.Build(m)
-	b := make([]bool, len(m.Verts))
-	t.MarkBoundary(b)
-	return b
 }
 
 // Validate checks structural invariants: vertex indices in range, no

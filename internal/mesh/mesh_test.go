@@ -218,21 +218,26 @@ func TestAdjacency(t *testing.T) {
 	}
 }
 
-func countTrue(b []bool) int {
+// boundaryVertices flags m's boundary vertices and counts them.
+func boundaryVertices(m *Mesh) ([]bool, int) {
+	var et EdgeTable
+	et.Build(m)
+	b := make([]bool, len(m.Verts))
+	et.MarkBoundary(b)
 	n := 0
 	for _, on := range b {
 		if on {
 			n++
 		}
 	}
-	return n
+	return b, n
 }
 
 func TestBoundaryVertices(t *testing.T) {
 	m := Rect(3, 3, 1, 1)
-	b := m.BoundaryVertices()
+	b, n := boundaryVertices(m)
 	// 4x4 lattice: 12 boundary vertices, 4 interior.
-	if n := countTrue(b); n != 12 {
+	if n != 12 {
 		t.Fatalf("boundary count = %d, want 12", n)
 	}
 	// Interior vertex (1,1) of the lattice = index 5 must not be boundary.
@@ -243,8 +248,8 @@ func TestBoundaryVertices(t *testing.T) {
 
 func TestDiskBoundaryIsOuterRing(t *testing.T) {
 	m := Disk(4, 16, 2.0)
-	b := m.BoundaryVertices()
-	if n := countTrue(b); n != 16 {
+	b, n := boundaryVertices(m)
+	if n != 16 {
 		t.Fatalf("disk boundary count = %d, want 16", n)
 	}
 	for v, on := range b {
