@@ -453,11 +453,13 @@ func (w *work) neighbors(v int32, dst []int32) []int32 {
 
 // hasTwin reports whether an alive triangle other than ti has the vertex
 // set of t, the re-pointed form of ti. A twin contains every vertex of t, so
-// the shorter incidence list of the two vertices other than k holds it.
-func (w *work) hasTwin(ti int32, t mesh.Triangle, k int32) bool {
-	var search []int32
+// it is in the incidence list of each: made, the triangles re-pointed at the
+// new vertex so far, or the list of either other vertex, whichever is shortest
+// (made is short unless the new vertex is a hub, and then the others are).
+func (w *work) hasTwin(ti int32, t mesh.Triangle, k int32, made []int32) bool {
+	search := made
 	for _, v := range t {
-		if v != k && (search == nil || len(w.vertTris[v]) < len(search)) {
+		if v != k && len(w.vertTris[v]) < len(search) {
 			search = w.vertTris[v]
 		}
 	}
@@ -598,7 +600,7 @@ func (w *work) collapse(e mesh.Edge, minArea float64) bool {
 					t[c] = k
 				}
 			}
-			if w.hasTwin(ti, t, k) {
+			if w.hasTwin(ti, t, k, w.triArena[first:]) {
 				w.triAlive[ti] = false
 				continue
 			}
