@@ -24,11 +24,9 @@ func TestDecimateAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if perVert := allocs / float64(ds.Mesh.NumVerts()); perVert > 2 {
-			t.Errorf("track=%v: %.2f allocations per input vertex, want <= 2", track, perVert)
-		}
-		if allocs > 64 {
-			t.Errorf("track=%v: a warm pass made %.0f allocations, want only its result (<= 64)", track, allocs)
+		if allocs > 64 { // far inside the 2-per-vertex budget: 42,240 here
+			t.Errorf("track=%v: a warm pass made %.0f allocations (%.4f per input vertex), want only its result (<= 64)",
+				track, allocs, allocs/float64(ds.Mesh.NumVerts()))
 		}
 	}
 }

@@ -262,10 +262,10 @@ type link struct {
 // squeezes the survivors into a fresh mesh at the end.
 //
 // The per-vertex lists (vertTris, links) are carved from shared arenas with
-// their capacity capped at their initial length, so the arenas can grow by
-// append without disturbing lists carved earlier. A list never outgrows its
-// initial length: a vertex's triangles only die, and a collapse replaces two
-// of a surviving vertex's neighbors (or one) by the new vertex, never adds one.
+// their capacity capped, so the arenas can grow by append without disturbing
+// lists carved earlier. A list does not outgrow the room it was carved with:
+// a vertex's triangles only die, and a collapse replaces two of a surviving
+// vertex's neighbors (or one) by the new vertex, never adds one.
 type work struct {
 	verts     []mesh.Vertex
 	data      []float64

@@ -104,29 +104,35 @@ func TestConcurrentChildCreation(t *testing.T) {
 
 // TestDumpWhileTreeGrows snapshots an open trace while other goroutines are
 // still adding spans — the /debug/trace path racing a live retrieval.
+//
+// The grower is paced by the dumper. Left to run free it outgrew it: a dump
+// costs time in proportion to the children already there, so under -race on
+// two CPUs the tree grew faster than it could be dumped and the test ran
+// until it was killed (3 of 4 runs).
 func TestDumpWhileTreeGrows(t *testing.T) {
 	_, root := Trace(context.Background(), "live")
-	stop := make(chan struct{})
+	// One token per span to add. The buffer holds a dump's worth, so the
+	// grower keeps adding spans while the dump it races is in progress.
+	const perDump = 32
+	tokens := make(chan struct{}, perDump)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				root.Child("c").End()
-			}
+		for range tokens {
+			root.Child("c").End()
 		}
 	}()
 	for i := 0; i < 100; i++ {
+		for j := 0; j < perDump; j++ {
+			tokens <- struct{}{}
+		}
 		d := root.Dump()
 		if _, err := json.Marshal(d); err != nil {
 			t.Fatalf("marshal: %v", err)
 		}
 	}
-	close(stop)
+	close(tokens)
 	wg.Wait()
 	root.End()
 }
