@@ -112,16 +112,13 @@ func (t *EdgeTable) Build(m *Mesh) {
 		start[v+1] += start[v]
 	}
 	for _, tri := range m.Tris {
-	nextEdge:
 		for k := 0; k < 3; k++ {
 			e := MakeEdge(tri[k], tri[(k+1)%3])
 			lo := start[e.A]
 			hi := lo + fill[e.A]
-			for p := lo; p < hi; p++ {
-				if other[p] == e.B {
-					t.Tris[index[p]]++
-					continue nextEdge
-				}
+			if p := slices.Index(other[lo:hi], e.B); p >= 0 {
+				t.Tris[index[int(lo)+p]]++
+				continue
 			}
 			other[hi], index[hi] = e.B, int32(len(t.Edges))
 			fill[e.A]++
@@ -187,17 +184,10 @@ func (a *Adjacency) Build(m *Mesh) {
 func (a *Adjacency) Neighbors(m *Mesh, v int32) []int32 {
 	var out []int32
 	for _, ti := range a.VertTris[v] {
-	nextVertex:
 		for _, w := range m.Tris[ti] {
-			if w == v {
-				continue
+			if w != v && !slices.Contains(out, w) {
+				out = append(out, w)
 			}
-			for _, seen := range out {
-				if seen == w {
-					continue nextVertex
-				}
-			}
-			out = append(out, w)
 		}
 	}
 	return out
