@@ -388,6 +388,16 @@ func (r *Reader) Attr(key string) (string, bool) {
 	return v, ok
 }
 
+// AttrKeys lists the file-level attribute keys in sorted order.
+func (r *Reader) AttrKeys() []string {
+	keys := make([]string, 0, len(r.attrs))
+	for k := range r.attrs {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 // Vars lists all variables in write order.
 func (r *Reader) Vars() []VarInfo { return append([]VarInfo(nil), r.vars...) }
 

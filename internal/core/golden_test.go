@@ -6,9 +6,12 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/adios"
+	"repro/internal/bp"
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/storage"
@@ -53,11 +56,15 @@ func checkStored(t *testing.T, name string, aio *adios.IO) {
 	}
 }
 
-func TestWriteStoredBytesGolden(t *testing.T) {
+// goldenStores writes the three configurations the goldens cover — one
+// unamortised write per mode and a 3-step campaign over a hierarchy built
+// once through the TrackRestriction path (the series writer is delta-mode
+// only) — and hands each store to check under its golden name.
+func goldenStores(t *testing.T, check func(name string, aio *adios.IO)) {
+	t.Helper()
 	ctx := context.Background()
 	opts := core.Options{Levels: 4, Chunks: 8, RelTolerance: 1e-4}
 
-	// One unamortised write per mode.
 	ds := sim.XGC1(sim.XGC1Config{}).Dataset
 	for _, mode := range []core.Mode{core.ModeDelta, core.ModeDirect} {
 		aio := adios.NewIO(storage.TitanTwoTier(0), nil)
@@ -66,11 +73,9 @@ func TestWriteStoredBytesGolden(t *testing.T) {
 		if _, err := core.Write(ctx, aio, ds, o); err != nil {
 			t.Fatalf("write %v: %v", mode, err)
 		}
-		checkStored(t, "write/"+mode.String(), aio)
+		check("write/"+mode.String(), aio)
 	}
 
-	// A 3-step campaign over a hierarchy built once through the
-	// TrackRestriction path (the series writer is delta-mode only).
 	steps := sim.XGC1Sequence(sim.XGC1Config{}, 3)
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for _, v := range steps[0].Dataset.Data {
@@ -86,5 +91,81 @@ func TestWriteStoredBytesGolden(t *testing.T) {
 			t.Fatalf("step %d: %v", s, err)
 		}
 	}
-	checkStored(t, "series/delta", aio)
+	check("series/delta", aio)
+}
+
+func TestWriteStoredBytesGolden(t *testing.T) {
+	goldenStores(t, func(name string, aio *adios.IO) { checkStored(t, name, aio) })
+}
+
+// nonGeometryGolden pins everything the write path stores except the mesh
+// geometry encoding: base data, delta tiles and mappings with their variable
+// attributes, and every container attribute except bytes-L<l> (which records
+// container sizes and so moves with the geometry's size). A change to how
+// geometry is encoded must leave these hashes alone.
+var nonGeometryGolden = map[string]string{
+	"write/delta":  "19fd90da1c46886294e9640fdb82c717caf4f2b2515cefeb3d29931699fa0c79",
+	"write/direct": "f19a6a576af35562c86ff804168749bdcca41539254ba93fc7e436659b93899c",
+	"series/delta": "ba76464e1972c0790a0bc6204d3fe747d98ee158e369094dea722582a9313b98",
+}
+
+// hashNonGeometry digests, for every stored container in key order, the
+// container attributes and each non-mesh variable's name, level, attributes
+// and payload.
+func hashNonGeometry(t *testing.T, aio *adios.IO) string {
+	t.Helper()
+	h := sha256.New()
+	var n [8]byte
+	put := func(b []byte) {
+		binary.LittleEndian.PutUint64(n[:], uint64(len(b)))
+		h.Write(n[:])
+		h.Write(b)
+	}
+	for _, k := range aio.H.Keys() {
+		b, _, err := aio.H.Get(context.Background(), k, 1)
+		if err != nil {
+			t.Fatalf("get %q: %v", k, err)
+		}
+		r, err := bp.OpenBytes(b)
+		if err != nil {
+			t.Fatalf("open %q: %v", k, err)
+		}
+		put([]byte(k))
+		for _, ak := range r.AttrKeys() {
+			if strings.HasPrefix(ak, "bytes-L") {
+				continue
+			}
+			av, _ := r.Attr(ak)
+			put([]byte(ak))
+			put([]byte(av))
+		}
+		for _, v := range r.Vars() {
+			if v.Name == "mesh" {
+				continue
+			}
+			payload, err := r.ReadBytes(v)
+			if err != nil {
+				t.Fatalf("read %s of %q: %v", v.Name, k, err)
+			}
+			put([]byte(v.Name))
+			binary.LittleEndian.PutUint64(n[:], uint64(v.Level))
+			h.Write(n[:])
+			attrs := make([]string, 0, len(v.Attrs))
+			for ak, av := range v.Attrs {
+				attrs = append(attrs, ak+"="+av)
+			}
+			sort.Strings(attrs)
+			put([]byte(strings.Join(attrs, "\x00")))
+			put(payload)
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+func TestStoredNonGeometryGolden(t *testing.T) {
+	goldenStores(t, func(name string, aio *adios.IO) {
+		if got, want := hashNonGeometry(t, aio), nonGeometryGolden[name]; got != want {
+			t.Errorf("%s: stored non-geometry content changed:\n got %s\nwant %s", name, got, want)
+		}
+	})
 }
