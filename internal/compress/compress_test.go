@@ -1,6 +1,7 @@
 package compress
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -461,5 +462,48 @@ func BenchmarkFPCEncode(b *testing.B) {
 		if _, err := c.Encode(in); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// InflateInto is the exact-length inflate decoders with a checked size use:
+// the right size round-trips, and a stream that is short, long, truncated or
+// followed by anything is an error, never a partial fill.
+func TestInflateIntoIsExact(t *testing.T) {
+	src := bytes.Repeat([]byte("canopus geometry plane "), 200)
+	z, err := DeflateAppend([]byte("prefix"), src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(z[:6]) != "prefix" {
+		t.Fatal("DeflateAppend clobbered dst")
+	}
+	z = z[6:]
+	dst := make([]byte, len(src))
+	if err := InflateInto(dst, z); err != nil || !bytes.Equal(dst, src) {
+		t.Fatalf("exact inflate: %v", err)
+	}
+	if got, err := InflateAppend(nil, z); err != nil || !bytes.Equal(got, src) {
+		t.Fatalf("InflateAppend: %v", err)
+	}
+	for name, tc := range map[string]struct {
+		n int
+		z []byte
+	}{
+		"stream runs long":  {len(src) - 1, z},
+		"stream ends early": {len(src) + 1, z},
+		"truncated stream":  {len(src), z[:len(z)/2]},
+		"trailing byte":     {len(src), append(append([]byte(nil), z...), 0)},
+		"empty stream":      {0, nil},
+	} {
+		if err := InflateInto(make([]byte, tc.n), tc.z); err == nil {
+			t.Errorf("%s: no error", name)
+		}
+	}
+	empty, err := DeflateAppend(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := InflateInto(nil, empty); err != nil {
+		t.Errorf("empty plane: %v", err)
 	}
 }

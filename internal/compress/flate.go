@@ -32,8 +32,10 @@ func (*Flate) ErrorBound() float64 { return 0 }
 const flateMagic = 0x31464c43 // "CLF1"
 
 // inflater pairs a reusable bytes.Reader with a flate reader reset onto it,
-// so the sz and flate decode paths inflate without rebuilding DEFLATE state
-// (the dominant allocation in a cold flate.NewReader) on every call.
+// so every inflate in the repository (the sz and flate codecs here, geometry
+// planes in internal/mesh, mappings in internal/core) runs without
+// rebuilding DEFLATE state — the dominant allocation in a cold
+// flate.NewReader — on every call.
 type inflater struct {
 	br bytes.Reader
 	fr io.ReadCloser
@@ -47,13 +49,19 @@ var inflaterPool = sync.Pool{
 	},
 }
 
-// inflateAppend decompresses src and appends the result to dst, growing it
-// as needed. Callers typically pass a pooled scratch buffer as dst.
-func inflateAppend(dst, src []byte) ([]byte, error) {
+func (inf *inflater) reset(src []byte) error {
+	inf.br.Reset(src)
+	return inf.fr.(flate.Resetter).Reset(&inf.br, nil)
+}
+
+// InflateAppend decompresses the DEFLATE stream src with a pooled decoder
+// and appends the result to dst, growing it as needed. Bytes after the end
+// of the stream are ignored. Callers that know roughly how large the result
+// is pass a dst with that capacity.
+func InflateAppend(dst, src []byte) ([]byte, error) {
 	inf := inflaterPool.Get().(*inflater)
 	defer inflaterPool.Put(inf)
-	inf.br.Reset(src)
-	if err := inf.fr.(flate.Resetter).Reset(&inf.br, nil); err != nil {
+	if err := inf.reset(src); err != nil {
 		return nil, err
 	}
 	for {
@@ -69,6 +77,40 @@ func inflateAppend(dst, src []byte) ([]byte, error) {
 			return nil, err
 		}
 	}
+}
+
+// InflateInto decompresses src into dst, which the caller sized from a
+// trusted-or-checked length: the stream must inflate to exactly len(dst)
+// bytes and must be all of src. A stream that ends early, runs long, or
+// leaves input unread is an error, so a forged length can neither overrun
+// dst nor smuggle bytes past a decoder.
+func InflateInto(dst, src []byte) error {
+	inf := inflaterPool.Get().(*inflater)
+	defer inflaterPool.Put(inf)
+	if err := inf.reset(src); err != nil {
+		return err
+	}
+	if _, err := io.ReadFull(inf.fr, dst); err != nil {
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			return fmt.Errorf("compress: stream inflates to fewer than %d bytes", len(dst))
+		}
+		return err
+	}
+	// The end-of-stream marker may still be unread; one more Read must
+	// deliver it and nothing else.
+	var extra [1]byte
+	if n, err := inf.fr.Read(extra[:]); n != 0 || err != io.EOF {
+		if err != nil && err != io.EOF {
+			return err
+		}
+		return fmt.Errorf("compress: stream inflates to more than %d bytes", len(dst))
+	}
+	// bytes.Reader is an io.ByteReader, so the decoder reads it directly
+	// and what is left is exactly what the stream did not use.
+	if inf.br.Len() != 0 {
+		return fmt.Errorf("compress: %d bytes after the end of the stream", inf.br.Len())
+	}
+	return nil
 }
 
 // flateWriterPool recycles DEFLATE encoder state (window, hash chains)
@@ -95,6 +137,16 @@ func deflateTo(out io.Writer, src []byte) error {
 		return err
 	}
 	return fw.Close()
+}
+
+// DeflateAppend compresses src at BestSpeed with a pooled encoder and
+// appends the DEFLATE stream to dst. The output depends on src alone.
+func DeflateAppend(dst, src []byte) ([]byte, error) {
+	buf := bytes.NewBuffer(dst)
+	if err := deflateTo(buf, src); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 // Encode implements Codec.
@@ -134,7 +186,7 @@ func (*Flate) DecodeInto(dst []float64, data []byte) ([]float64, error) {
 	off += n
 	scratch := getByteScratch()
 	defer putByteScratch(scratch)
-	raw, err := inflateAppend((*scratch)[:0], data[off:])
+	raw, err := InflateAppend((*scratch)[:0], data[off:])
 	if err != nil {
 		return nil, fmt.Errorf("compress: inflate: %w", err)
 	}

@@ -133,7 +133,7 @@ func (s *SZ) DecodeInto(dst []float64, data []byte) ([]float64, error) {
 	off += 8
 	scratch := getByteScratch()
 	defer putByteScratch(scratch)
-	payload, err := inflateAppend((*scratch)[:0], data[off:])
+	payload, err := InflateAppend((*scratch)[:0], data[off:])
 	if err != nil {
 		return nil, fmt.Errorf("compress: sz inflate: %w", err)
 	}

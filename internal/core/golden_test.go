@@ -19,14 +19,17 @@ import (
 
 // storedGolden pins every byte the write path stores for the paper's XGC1
 // plane: each hash covers all stored keys, in sorted order, with their
-// contents. The values were recorded from the map-based decimation this
-// repository started with; they move only if the hierarchy (collapse order,
-// coarse geometry, restriction weights), the delta, the codec or a container
-// layout changes — i.e. if old archives and new ones would differ.
+// contents. They move only if the hierarchy (collapse order, coarse
+// geometry, restriction weights), the delta, a codec or a container layout
+// changes — i.e. if old archives and new ones would differ. They were first
+// recorded from the map-based decimation this repository started with and
+// re-recorded once, in the change that moved geometry to CMSH version 2
+// (internal/mesh/codec.go); nonGeometryGolden below, untouched by that
+// change, shows everything else stayed where it was.
 var storedGolden = map[string]string{
-	"write/delta":  "f5ed3351bfb7ea109447ea04560d88a13c193edb08d18ad7f86d0f2b52fe62f8",
-	"write/direct": "0f30a2cafe4dd31ef11424d95008446286a4b0cfdd13daa81503afefd0b60951",
-	"series/delta": "1f5f491b8b1345c38fa015711aa9d723448aab1953e1374e7df5bac79ca71cf2",
+	"write/delta":  "730d3f7bb347734d13cfd022c124dc407e7552a9a6ebc9b23e183a5ff715b952",
+	"write/direct": "27c88277193bb94e0c474130bc0c08ba76018b14d065cd1f6978bcd48244c3fb",
+	"series/delta": "4d2984d84d72f0cf48a317b741ed9ab8a578d710acf023b5ae5aa2ef46014926",
 }
 
 // hashStored digests every key in the hierarchy and its stored bytes.

@@ -1,14 +1,14 @@
 package core
 
 import (
-	"bytes"
-	"compress/flate"
+	"context"
 	"fmt"
-	"io"
 	"sort"
 
 	"repro/internal/adios"
 	"repro/internal/bp"
+	"repro/internal/compress"
+	"repro/internal/delta"
 	"repro/internal/engine"
 	"repro/internal/mesh"
 )
@@ -79,54 +79,71 @@ func fetchProduct(h *adios.Handle, level int, kind engine.Kind, chunk int) (engi
 	return p, nil
 }
 
-// deflateBytes losslessly compresses opaque bytes (mesh and mapping
-// encodings).
-func deflateBytes(raw []byte) ([]byte, error) {
-	var buf bytes.Buffer
-	fw, err := flate.NewWriter(&buf, flate.BestSpeed)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := fw.Write(raw); err != nil {
-		return nil, err
-	}
-	if err := fw.Close(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
+// meshCodecV2 tags a geometry variable holding a CMSH version-2 encoding
+// as written (internal/mesh/codec.go compresses its own planes). Archives
+// from before version 2 carry no tag: their geometry is a version-1
+// encoding inside an outer DEFLATE.
+const meshCodecV2 = "cmsh2"
 
-// fetchDeflated reads and inflates a losslessly-stored metadata product.
+// fetchDeflated reads and inflates a losslessly-stored metadata product
+// (mappings, and geometry in archives that predate CMSH version 2).
 func fetchDeflated(h *adios.Handle, level int, kind engine.Kind) ([]byte, error) {
 	p, err := fetchProduct(h, level, kind, 0)
 	if err != nil {
 		return nil, err
 	}
-	raw, err := io.ReadAll(flate.NewReader(bytes.NewReader(p.Payload)))
+	return inflateProduct(p)
+}
+
+// inflateProduct inflates a product's payload. Varint-coded ids deflate to
+// between a half and a fifth of their size, so a destination of four times
+// the payload is rarely grown and never grown twice.
+func inflateProduct(p engine.Product) ([]byte, error) {
+	raw, err := compress.InflateAppend(make([]byte, 0, 4*len(p.Payload)+64), p.Payload)
 	if err != nil {
-		return nil, fmt.Errorf("canopus: inflate %s %d: %w", kind, level, err)
+		return nil, fmt.Errorf("canopus: inflate %s %d: %w", p.Kind, p.Level, err)
 	}
 	return raw, nil
 }
 
-// fetchMesh reads and decodes a level's mesh geometry.
-func fetchMesh(h *adios.Handle, l int) (*mesh.Mesh, error) {
-	raw, err := fetchDeflated(h, l, engine.KindMesh)
+// fetchMesh reads and decodes a level's mesh geometry, its independent
+// planes decoded on pool.
+func fetchMesh(ctx context.Context, pool *engine.Pool, h *adios.Handle, l int) (*mesh.Mesh, error) {
+	p, err := fetchProduct(h, l, engine.KindMesh, 0)
 	if err != nil {
 		return nil, err
 	}
-	m, _, err := mesh.Decode(raw)
+	raw := p.Payload
+	switch p.Codec {
+	case meshCodecV2:
+	case "":
+		if raw, err = inflateProduct(p); err != nil {
+			return nil, err
+		}
+	default:
+		return nil, fmt.Errorf("canopus: mesh %d: unknown geometry codec %q", l, p.Codec)
+	}
+	m, n, err := mesh.DecodeOn(ctx, pool, raw)
 	if err != nil {
 		return nil, fmt.Errorf("canopus: decode mesh %d: %w", l, err)
+	}
+	if n != len(raw) {
+		return nil, fmt.Errorf("canopus: decode mesh %d: %d bytes after the encoding", l, len(raw)-n)
 	}
 	return m, nil
 }
 
 // meshProduct encodes a level's mesh geometry as a product.
-func meshProduct(l int, m *mesh.Mesh) (engine.Product, error) {
-	payload, err := deflateBytes(mesh.Encode(m))
+func meshProduct(l int, m *mesh.Mesh) engine.Product {
+	return engine.Product{Level: l, Kind: engine.KindMesh, Codec: meshCodecV2, Payload: mesh.Encode(m)}
+}
+
+// mappingProduct encodes a level's vertex→coarse-triangle mapping as a
+// product.
+func mappingProduct(l int, mp delta.Mapping) (engine.Product, error) {
+	payload, err := compress.DeflateAppend(nil, mp.Encode())
 	if err != nil {
-		return engine.Product{}, err
+		return engine.Product{}, fmt.Errorf("canopus: deflate mapping %d: %w", l, err)
 	}
-	return engine.Product{Level: l, Kind: engine.KindMesh, Payload: payload}, nil
+	return engine.Product{Level: l, Kind: engine.KindMapping, Payload: payload}, nil
 }

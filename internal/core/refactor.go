@@ -201,11 +201,7 @@ func encodeChunked(ctx context.Context, pool *engine.Pool, c compress.Codec, val
 // large payloads additionally fan out chunk-wise inside encodeChunked.
 func compressLevel(ctx context.Context, pool *engine.Pool, lv *level, l int, isBase bool, mode Mode, codec compress.Codec, chunks, codecChunk int) ([]engine.Product, string, int64, error) {
 	var products []engine.Product
-	mp, err := meshProduct(l, lv.mesh)
-	if err != nil {
-		return nil, "", 0, err
-	}
-	products = append(products, mp)
+	products = append(products, meshProduct(l, lv.mesh))
 
 	var payloadBytes int64
 	var tileFrame string
@@ -243,13 +239,11 @@ func compressLevel(ctx context.Context, pool *engine.Pool, lv *level, l int, isB
 			})
 			payloadBytes += int64(len(payload))
 		}
-		mpBytes, err := deflateBytes(lv.mapping.Encode())
+		mp, err := mappingProduct(l, lv.mapping)
 		if err != nil {
 			return nil, "", 0, err
 		}
-		products = append(products, engine.Product{
-			Level: l, Kind: engine.KindMapping, Payload: mpBytes,
-		})
+		products = append(products, mp)
 	}
 	return products, tileFrame, payloadBytes, nil
 }

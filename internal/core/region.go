@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/adios"
@@ -42,6 +44,10 @@ type RegionView struct {
 	Cost *obs.CostReport
 }
 
+// ErrBadRegion reports a region no retrieval can be run for: a coordinate
+// that is NaN or infinite, or a box whose minimum exceeds its maximum.
+var ErrBadRegion = errors.New("canopus: bad region")
+
 // CountHave reports how many vertices carry valid data.
 func (v *RegionView) CountHave() int {
 	n := 0
@@ -71,8 +77,15 @@ func (r *Reader) RetrieveRegion(ctx context.Context, targetLevel int, minX, minY
 	if targetLevel < 0 || targetLevel >= r.levels {
 		return nil, fmt.Errorf("canopus: level %d out of range [0,%d)", targetLevel, r.levels)
 	}
+	for _, c := range [4]float64{minX, minY, maxX, maxY} {
+		// NaN compares false with everything, so the emptiness test below
+		// would let it through to select no vertex at full cost.
+		if math.IsNaN(c) || math.IsInf(c, 0) {
+			return nil, fmt.Errorf("%w: non-finite coordinate in [%g,%g]x[%g,%g]", ErrBadRegion, minX, maxX, minY, maxY)
+		}
+	}
 	if minX > maxX || minY > maxY {
-		return nil, fmt.Errorf("canopus: empty region [%g,%g]x[%g,%g]", minX, maxX, minY, maxY)
+		return nil, fmt.Errorf("%w: empty [%g,%g]x[%g,%g]", ErrBadRegion, minX, maxX, minY, maxY)
 	}
 	if r.mode != ModeDelta {
 		return nil, fmt.Errorf("canopus: regional retrieval requires delta mode, have %s", r.mode)
@@ -287,15 +300,15 @@ func (r *Reader) openLevelInfo(ctx context.Context, l, base int) (*handleInfo, e
 	if err != nil {
 		return nil, err
 	}
-	m, err := r.readMesh(h, l)
-	if err != nil {
-		return nil, err
+	info := &handleInfo{h: h}
+	units := []engine.Unit{
+		func(ctx context.Context) (err error) { info.mesh, err = r.readMesh(ctx, h, l); return err },
 	}
-	info := &handleInfo{h: h, mesh: m}
 	if l < base {
-		if info.mapping, err = r.readMapping(h, l); err != nil {
-			return nil, err
-		}
+		units = append(units, func(context.Context) (err error) { info.mapping, err = r.readMapping(h, l); return err })
+	}
+	if err := r.pool.Run(ctx, units...); err != nil {
+		return nil, err
 	}
 	return info, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -352,6 +353,33 @@ func TestRetrieveRegionErrors(t *testing.T) {
 	}
 	if _, err := rd.RetrieveRegion(context.Background(), 0, 0, 0, 1, 1); err == nil {
 		t.Error("direct mode accepted regional retrieval")
+	}
+}
+
+// NaN compares false with everything, so a plain min > max test lets it
+// through; the infinities select everything or nothing. All are refused, in
+// every position, as ErrBadRegion.
+func TestRetrieveRegionRejectsNonFinite(t *testing.T) {
+	aio := newIO()
+	if _, err := Write(context.Background(), aio, testDataset("dpot", 12), Options{Levels: 2, Chunks: 2}); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenReader(context.Background(), aio, "dpot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pos := 0; pos < 4; pos++ {
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			box := [4]float64{0, 0, 1, 1}
+			box[pos] = bad
+			_, err := r.RetrieveRegion(context.Background(), 0, box[0], box[1], box[2], box[3])
+			if !errors.Is(err, ErrBadRegion) {
+				t.Errorf("box %v: err = %v, want ErrBadRegion", box, err)
+			}
+		}
+	}
+	if _, err := r.RetrieveRegion(context.Background(), 0, 1, 1, 0, 0); !errors.Is(err, ErrBadRegion) {
+		t.Errorf("inverted box: err = %v, want ErrBadRegion", err)
 	}
 }
 

@@ -262,7 +262,7 @@ func (r *Reader) Base(ctx context.Context) (*View, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, err := r.readMesh(h, l)
+	m, err := r.readMesh(ctx, h, l)
 	if err != nil {
 		return nil, err
 	}
@@ -313,17 +313,29 @@ func (r *Reader) Augment(ctx context.Context, v *View) error {
 		return err
 	}
 	span.SetAttr("tier", h.TierName)
-	mp, err := r.readMapping(h, fineLevel)
+	tb, err := r.tileFrame(h)
 	if err != nil {
 		return err
 	}
-	fineMesh, err := r.readMesh(h, fineLevel)
+	// The level's three inputs are independent until the restore: the
+	// mapping and the geometry decode while the delta tiles are fetched.
+	// The tiles decode afterwards, into a buffer sized by the geometry.
+	var (
+		mp       delta.Mapping
+		fineMesh *mesh.Mesh
+		tiles    *deltaTiles
+	)
+	err = r.pool.Run(ctx,
+		func(context.Context) (err error) { mp, err = r.readMapping(h, fineLevel); return err },
+		func(ctx context.Context) (err error) { fineMesh, err = r.readMesh(ctx, h, fineLevel); return err },
+		func(context.Context) (err error) { tiles, err = fetchDeltaChunks(h, tb, fineLevel, nil); return err },
+	)
 	if err != nil {
 		return err
 	}
 	d := make([]float64, fineMesh.NumVerts())
 	var decompress engine.Counter
-	if err := r.readDeltaChunks(ctx, h, fineLevel, nil, d, nil, &decompress); err != nil {
+	if err := tiles.decodeInto(ctx, r.pool, h, r.codec, d, nil, &decompress); err != nil {
 		return err
 	}
 	v.Timings.addHandleIO(ctx, h)
@@ -504,7 +516,7 @@ func (r *Reader) retrieveDirect(ctx context.Context, l int) (*View, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, err := r.readMesh(h, l)
+	m, err := r.readMesh(ctx, h, l)
 	if err != nil {
 		return nil, err
 	}
@@ -525,7 +537,7 @@ func (r *Reader) retrieveDirect(ctx context.Context, l int) (*View, error) {
 
 // readMesh returns level l's mesh, decoding it at most once across all
 // concurrent retrievals (single-flight on a cache miss).
-func (r *Reader) readMesh(h *adios.Handle, l int) (*mesh.Mesh, error) {
+func (r *Reader) readMesh(ctx context.Context, h *adios.Handle, l int) (*mesh.Mesh, error) {
 	r.mu.RLock()
 	m, ok := r.meshCache[l]
 	r.mu.RUnlock()
@@ -539,7 +551,7 @@ func (r *Reader) readMesh(h *adios.Handle, l int) (*mesh.Mesh, error) {
 		if ok {
 			return m, nil
 		}
-		m, err := fetchMesh(h, l)
+		m, err := fetchMesh(ctx, r.pool, h, l)
 		if err != nil {
 			return nil, err
 		}
@@ -603,6 +615,16 @@ func (r *Reader) readDeltaChunks(ctx context.Context, h *adios.Handle, level int
 	return readDeltaChunksFrom(ctx, r.pool, h, r.codec, tb, level, wantChunks, out, have, decompress)
 }
 
+// readDeltaChunksFrom is the container-agnostic tile reader shared by the
+// single-variable Reader and the SeriesReader: fetch, then decode.
+func readDeltaChunksFrom(ctx context.Context, pool *engine.Pool, h *adios.Handle, codec compress.Codec, tb tileBox, level int, wantChunks []int, out []float64, have []bool, decompress *engine.Counter) error {
+	tiles, err := fetchDeltaChunks(h, tb, level, wantChunks)
+	if err != nil {
+		return err
+	}
+	return tiles.decodeInto(ctx, pool, h, codec, out, have, decompress)
+}
+
 // floatScratchPool recycles the per-shard decode buffers of the tile reader:
 // every shard of the fan-out decodes its tiles into one reused []float64
 // instead of allocating a fresh output per tile.
@@ -613,18 +635,19 @@ var floatScratchPool = sync.Pool{
 	},
 }
 
-// readDeltaChunksFrom is the container-agnostic tile reader shared by the
-// single-variable Reader and the SeriesReader. The I/O happens first, as one
-// planned pass: the wanted tiles' extents are coalesced per the tier's gap
-// threshold and fetched as a few ranged reads (Handle.ReadManyBytes), so the
-// storage layer sees contiguous range requests instead of one operation per
-// tile. Decoding then fans out on the pool, sharded over tiles: tiles cover
-// disjoint vertex id sets, so concurrent scatters into out and have are
-// race-free, and the restored field does not depend on the worker count.
-// When the container holds fewer tiles than the pool has workers (the
-// Chunks=1 layout), the chunked codec container supplies the parallelism
-// instead: each tile's frame fans out chunk-wise on the same pool.
-func readDeltaChunksFrom(ctx context.Context, pool *engine.Pool, h *adios.Handle, codec compress.Codec, tb tileBox, level int, wantChunks []int, out []float64, have []bool, decompress *engine.Counter) error {
+// deltaTiles is one level's delta tiles as fetched: still encoded, in
+// ascending tile order.
+type deltaTiles struct {
+	level    int
+	present  []int // tile index of each payload
+	payloads [][]byte
+}
+
+// fetchDeltaChunks is the I/O half of the tile reader, one planned pass: the
+// wanted tiles' extents are coalesced per the tier's gap threshold and
+// fetched as a few ranged reads (Handle.ReadManyBytes), so the storage layer
+// sees contiguous range requests instead of one operation per tile.
+func fetchDeltaChunks(h *adios.Handle, tb tileBox, level int, wantChunks []int) (*deltaTiles, error) {
 	chunks := wantChunks
 	if chunks == nil {
 		chunks = make([]int, tb.n*tb.n)
@@ -638,7 +661,7 @@ func readDeltaChunksFrom(ctx context.Context, pool *engine.Pool, h *adios.Handle
 		v, ok := h.InqVar(chunkVarName(ci), level)
 		if !ok {
 			if wantChunks != nil {
-				return fmt.Errorf("canopus: level %d missing delta chunk %d", level, ci)
+				return nil, fmt.Errorf("canopus: level %d missing delta chunk %d", level, ci)
 			}
 			continue // empty tile
 		}
@@ -647,8 +670,21 @@ func readDeltaChunksFrom(ctx context.Context, pool *engine.Pool, h *adios.Handle
 	}
 	payloads, err := h.ReadManyBytes(vars)
 	if err != nil {
-		return err
+		return nil, err
 	}
+	return &deltaTiles{level: level, present: present, payloads: payloads}, nil
+}
+
+// decodeInto is the CPU half of the tile reader: it decodes the fetched
+// tiles and scatters the values into out. Decoding fans out on the pool,
+// sharded over tiles: tiles cover disjoint vertex id sets, so concurrent
+// scatters into out and have are race-free, and the restored field does not
+// depend on the worker count. When the container holds fewer tiles than the
+// pool has workers (the Chunks=1 layout), the chunked codec container
+// supplies the parallelism instead: each tile's frame fans out chunk-wise on
+// the same pool.
+func (dt *deltaTiles) decodeInto(ctx context.Context, pool *engine.Pool, h *adios.Handle, codec compress.Codec, out []float64, have []bool, decompress *engine.Counter) error {
+	level, present, payloads := dt.level, dt.present, dt.payloads
 	dspan := obs.FromContext(ctx).Child("core.decompress")
 	dspan.SetAttrInt("tiles", len(present))
 	defer dspan.End()
@@ -673,7 +709,7 @@ func readDeltaChunksFrom(ctx context.Context, pool *engine.Pool, h *adios.Handle
 	key := h.Key()
 	var tileHits, tileMisses atomic.Int64
 	t0 := time.Now()
-	err = pool.RunRange(ctx, len(present), func(start, end int) error {
+	err := pool.RunRange(ctx, len(present), func(start, end int) error {
 		scratch := floatScratchPool.Get().(*[]float64)
 		defer floatScratchPool.Put(scratch)
 		for i := start; i < end; i++ {

@@ -162,20 +162,13 @@ func NewSeriesWriter(ctx context.Context, aio *adios.IO, name string, m *mesh.Me
 
 	// Store the shared hierarchy.
 	for l, lm := range sw.meshes {
-		products := make([]engine.Product, 0, 2)
-		mp, err := meshProduct(l, lm)
-		if err != nil {
-			return nil, err
-		}
-		products = append(products, mp)
+		products := []engine.Product{meshProduct(l, lm)}
 		if l < opts.Levels-1 {
-			mpBytes, err := deflateBytes(sw.mappings[l].Encode())
+			mp, err := mappingProduct(l, sw.mappings[l])
 			if err != nil {
 				return nil, err
 			}
-			products = append(products, engine.Product{
-				Level: l, Kind: engine.KindMapping, Payload: mpBytes,
-			})
+			products = append(products, mp)
 		}
 		w, err := assembleContainer(products, map[string]string{"tile-frame": sw.tiles[l].encode()})
 		if err != nil {
@@ -527,20 +520,27 @@ func (sr *SeriesReader) hier(ctx context.Context, l int) (*mesh.Mesh, delta.Mapp
 		if err != nil {
 			return nil, err
 		}
-		m, err := fetchMesh(h, l)
-		if err != nil {
-			return nil, err
+		var (
+			m  *mesh.Mesh
+			mp delta.Mapping
+		)
+		units := []engine.Unit{
+			func(ctx context.Context) (err error) { m, err = fetchMesh(ctx, sr.pool, h, l); return err },
 		}
-		var mp delta.Mapping
 		if l < sr.levels-1 {
-			raw, err := fetchDeflated(h, l, engine.KindMapping)
-			if err != nil {
-				return nil, err
-			}
-			mp, _, err = delta.DecodeMapping(raw)
-			if err != nil {
-				return nil, fmt.Errorf("canopus: series mapping %d: %w", l, err)
-			}
+			units = append(units, func(context.Context) error {
+				raw, err := fetchDeflated(h, l, engine.KindMapping)
+				if err != nil {
+					return err
+				}
+				if mp, _, err = delta.DecodeMapping(raw); err != nil {
+					return fmt.Errorf("canopus: series mapping %d: %w", l, err)
+				}
+				return nil
+			})
+		}
+		if err := sr.pool.Run(ctx, units...); err != nil {
+			return nil, err
 		}
 		sr.mu.Lock()
 		sr.meshes[l] = m

@@ -9,8 +9,8 @@ import "fmt"
 type Kind uint8
 
 const (
-	// KindMesh is a level's decimated mesh geometry (losslessly
-	// deflated).
+	// KindMesh is a level's decimated mesh geometry (lossless; CMSH
+	// version 2 compresses its own byte planes).
 	KindMesh Kind = iota
 	// KindMapping is a level's vertex->coarse-triangle mapping
 	// (losslessly deflated).
@@ -52,7 +52,8 @@ type Product struct {
 	// otherwise.
 	Chunk int
 	// Codec names the floating-point codec for KindData/KindDelta
-	// payloads; empty for losslessly-deflated metadata kinds.
+	// payloads and the geometry encoding for KindMesh; empty for
+	// losslessly-deflated mappings (and geometry in old archives).
 	Codec string
 	// Tier is the preferred placement tier (0 = fastest); meaningful on
 	// the write path.
@@ -69,8 +70,8 @@ func (p Product) VarName() string {
 	return p.Kind.String()
 }
 
-// Attrs returns the BP variable attributes for the product (the codec tag
-// for compressed payloads), or nil.
+// Attrs returns the BP variable attributes for the product (the codec
+// tag), or nil.
 func (p Product) Attrs() map[string]string {
 	if p.Codec == "" {
 		return nil

@@ -38,6 +38,8 @@ func errCode(err error) int {
 	switch {
 	case errors.As(err, &ae):
 		return ae.code
+	case errors.Is(err, core.ErrBadRegion):
+		return http.StatusBadRequest
 	case errors.Is(err, storage.ErrNotFound):
 		return http.StatusNotFound
 	case errors.Is(err, context.Canceled):

@@ -198,6 +198,20 @@ func TestErrorStatuses(t *testing.T) {
 		{fmt.Sprintf("/v1/read/%s?tolerance=-1", names[0]), http.StatusBadRequest},
 		{fmt.Sprintf("/v1/region/%s?level=0&minx=0", names[0]), http.StatusBadRequest},
 		{fmt.Sprintf("/v1/stream/%s", names[0]), http.StatusBadRequest},
+		{fmt.Sprintf("/v1/region/%s?level=0&minx=1&miny=0&maxx=0&maxy=1", names[0]), http.StatusBadRequest},
+	}
+	// ParseFloat accepts NaN and the infinities; the library refuses them
+	// in every position.
+	for pos := 0; pos < 4; pos++ {
+		for _, bad := range []string{"NaN", "Inf", "-Inf"} {
+			coords := []string{"0", "0", "1", "1"}
+			coords[pos] = bad
+			cases = append(cases, struct {
+				url  string
+				code int
+			}{fmt.Sprintf("/v1/region/%s?level=0&minx=%s&miny=%s&maxx=%s&maxy=%s",
+				names[0], coords[0], coords[1], coords[2], coords[3]), http.StatusBadRequest})
+		}
 	}
 	for _, c := range cases {
 		resp, err := http.Get(ts.URL + c.url)
