@@ -223,6 +223,11 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The injector draws from one seeded sequence in operation order. One
+	// worker keeps that order — and so which read meets which fault — the
+	// same on every run; concurrent reads could hand one of them ten
+	// failures in a row.
+	rd.SetWorkers(1)
 
 	counter := func(name string) int64 { return obs.NewCounter(name).Value() }
 	type baseline struct{ tmpfsBytes, tmpfsOps, lustreBytes, lustreOps, retries int64 }

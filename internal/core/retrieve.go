@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -50,6 +51,9 @@ type Reader struct {
 	// bounds[l] is -1 on hierarchies written before bound recording.
 	bounds     []float64
 	levelBytes []int64
+	// vertCounts[l] is level l's vertex count as recorded at write time,
+	// -1 when the metadata does not carry it.
+	vertCounts []int
 
 	// degrade switches Retrieve/RetrieveRegion to best-effort: stop at the
 	// best restored accuracy on a degradable storage failure instead of
@@ -161,6 +165,13 @@ func OpenReader(ctx context.Context, aio *adios.IO, name string) (*Reader, error
 		r.rawBytes, _ = strconv.ParseInt(raw, 10, 64)
 	}
 	r.bounds, r.levelBytes = readPlanAttrs(h, levels)
+	r.vertCounts = make([]int, levels)
+	for l := range r.vertCounts {
+		r.vertCounts[l] = -1
+		if n, ok := h.AttrInt(fmt.Sprintf("verts-L%d", l)); ok && n >= 0 && n <= math.MaxInt32 {
+			r.vertCounts[l] = int(n)
+		}
+	}
 	return r, nil
 }
 
@@ -317,25 +328,33 @@ func (r *Reader) Augment(ctx context.Context, v *View) error {
 	if err != nil {
 		return err
 	}
-	// The level's three inputs are independent until the restore: the
-	// mapping and the geometry decode while the delta tiles are fetched.
-	// The tiles decode afterwards, into a buffer sized by the geometry.
+	// The level's three inputs are independent until the restore, so they
+	// are fetched and decoded side by side. The tile scatter needs the fine
+	// vertex count before the geometry has decoded; the metadata recorded
+	// it (vertCount).
 	var (
-		mp       delta.Mapping
-		fineMesh *mesh.Mesh
-		tiles    *deltaTiles
+		mp         delta.Mapping
+		fineMesh   *mesh.Mesh
+		d          []float64
+		decompress engine.Counter
 	)
 	err = r.pool.Run(ctx,
 		func(context.Context) (err error) { mp, err = r.readMapping(h, fineLevel); return err },
 		func(ctx context.Context) (err error) { fineMesh, err = r.readMesh(ctx, h, fineLevel); return err },
-		func(context.Context) (err error) { tiles, err = fetchDeltaChunks(h, tb, fineLevel, nil); return err },
+		func(ctx context.Context) error {
+			tiles, err := fetchDeltaChunks(h, tb, fineLevel, nil)
+			if err != nil {
+				return err
+			}
+			n, err := r.vertCount(ctx, h, fineLevel)
+			if err != nil {
+				return err
+			}
+			d = make([]float64, n)
+			return tiles.decodeInto(ctx, r.pool, h, r.codec, d, nil, &decompress)
+		},
 	)
 	if err != nil {
-		return err
-	}
-	d := make([]float64, fineMesh.NumVerts())
-	var decompress engine.Counter
-	if err := tiles.decodeInto(ctx, r.pool, h, r.codec, d, nil, &decompress); err != nil {
 		return err
 	}
 	v.Timings.addHandleIO(ctx, h)
@@ -564,6 +583,21 @@ func (r *Reader) readMesh(ctx context.Context, h *adios.Handle, l int) (*mesh.Me
 		return nil, err
 	}
 	return v.(*mesh.Mesh), nil
+}
+
+// vertCount reports level l's vertex count without waiting for its geometry
+// when the metadata recorded it (verts-L<l>); on archives that did not, it
+// comes from the geometry itself. A count that disagrees with the geometry
+// fails the restore's length check.
+func (r *Reader) vertCount(ctx context.Context, h *adios.Handle, l int) (int, error) {
+	if n := r.vertCounts[l]; n >= 0 {
+		return n, nil
+	}
+	m, err := r.readMesh(ctx, h, l)
+	if err != nil {
+		return 0, err
+	}
+	return m.NumVerts(), nil
 }
 
 // readMapping returns level l's vertex→triangle mapping, decoding it at most
