@@ -85,25 +85,33 @@ func fetchProduct(h *adios.Handle, level int, kind engine.Kind, chunk int) (engi
 // encoding inside an outer DEFLATE.
 const meshCodecV2 = "cmsh2"
 
-// fetchDeflated reads and inflates a losslessly-stored metadata product
-// (mappings, and geometry in archives that predate CMSH version 2).
-func fetchDeflated(h *adios.Handle, level int, kind engine.Kind) ([]byte, error) {
-	p, err := fetchProduct(h, level, kind, 0)
-	if err != nil {
-		return nil, err
-	}
-	return inflateProduct(p)
-}
-
-// inflateProduct inflates a product's payload. Varint-coded ids deflate to
-// between a half and a fifth of their size, so a destination of four times
-// the payload is rarely grown and never grown twice.
+// inflateProduct inflates a losslessly-deflated metadata payload: a mapping,
+// or geometry in an archive that predates CMSH version 2.
 func inflateProduct(p engine.Product) ([]byte, error) {
-	raw, err := compress.InflateAppend(make([]byte, 0, 4*len(p.Payload)+64), p.Payload)
+	// Varint-coded ids and version-1 geometry inflate to between 1.1 and
+	// 3.0 times their stored size, so this destination is rarely grown.
+	raw, err := compress.InflateAppend(make([]byte, 0, 3*len(p.Payload)+64), p.Payload)
 	if err != nil {
 		return nil, fmt.Errorf("canopus: inflate %s %d: %w", p.Kind, p.Level, err)
 	}
 	return raw, nil
+}
+
+// fetchMapping reads and decodes a level's vertex→coarse-triangle mapping.
+func fetchMapping(h *adios.Handle, l int) (delta.Mapping, error) {
+	p, err := fetchProduct(h, l, engine.KindMapping, 0)
+	if err != nil {
+		return nil, err
+	}
+	raw, err := inflateProduct(p)
+	if err != nil {
+		return nil, err
+	}
+	mp, _, err := delta.DecodeMapping(raw)
+	if err != nil {
+		return nil, fmt.Errorf("canopus: mapping %d: %w", l, err)
+	}
+	return mp, nil
 }
 
 // fetchMesh reads and decodes a level's mesh geometry, its independent

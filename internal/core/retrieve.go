@@ -616,13 +616,9 @@ func (r *Reader) readMapping(h *adios.Handle, l int) (delta.Mapping, error) {
 		if ok {
 			return mp, nil
 		}
-		raw, err := fetchDeflated(h, l, engine.KindMapping)
+		mp, err := fetchMapping(h, l)
 		if err != nil {
 			return nil, err
-		}
-		mp, _, err = delta.DecodeMapping(raw)
-		if err != nil {
-			return nil, fmt.Errorf("canopus: mapping %d: %w", l, err)
 		}
 		r.mu.Lock()
 		r.mappingCache[l] = mp

@@ -528,16 +528,7 @@ func (sr *SeriesReader) hier(ctx context.Context, l int) (*mesh.Mesh, delta.Mapp
 			func(ctx context.Context) (err error) { m, err = fetchMesh(ctx, sr.pool, h, l); return err },
 		}
 		if l < sr.levels-1 {
-			units = append(units, func(context.Context) error {
-				raw, err := fetchDeflated(h, l, engine.KindMapping)
-				if err != nil {
-					return err
-				}
-				if mp, _, err = delta.DecodeMapping(raw); err != nil {
-					return fmt.Errorf("canopus: series mapping %d: %w", l, err)
-				}
-				return nil
-			})
+			units = append(units, func(context.Context) (err error) { mp, err = fetchMapping(h, l); return err })
 		}
 		if err := sr.pool.Run(ctx, units...); err != nil {
 			return nil, err

@@ -221,14 +221,17 @@ func decodeV2(ctx context.Context, pool *engine.Pool, data []byte, off int, nVer
 	// be able to hold its share of the counts the header claims, so a
 	// forged header cannot demand more than maxInflateRatio times the
 	// payload.
+	planeSize := func(p int) int {
+		if p < coordPlanes {
+			return nv
+		}
+		return nt
+	}
 	var stored [numPlanes][]byte
 	var deflated [numPlanes]bool
 	inflate := 0
 	for p := range stored {
-		size := nv
-		if p >= coordPlanes {
-			size = nt
-		}
+		size := planeSize(p)
 		if off >= len(data) {
 			return nil, 0, errTruncated
 		}
@@ -269,10 +272,7 @@ func decodeV2(ctx context.Context, pool *engine.Pool, data []byte, off int, nVer
 		if !deflated[p] {
 			continue
 		}
-		size := nv
-		if p >= coordPlanes {
-			size = nt
-		}
+		size := planeSize(p)
 		planes[p], buf = buf[:size:size], buf[size:]
 		units = append(units, func(context.Context) error {
 			if err := compress.InflateInto(planes[p], stored[p]); err != nil {
