@@ -301,10 +301,12 @@ func (r *Reader) openLevelInfo(ctx context.Context, l, base int) (*handleInfo, e
 		return nil, err
 	}
 	info := &handleInfo{h: h}
-	units := []engine.Unit{
-		func(ctx context.Context) (err error) { info.mesh, err = r.readMesh(ctx, h, l); return err },
+	info.mesh, info.mapping = r.cached(l)
+	var units []engine.Unit
+	if info.mesh == nil {
+		units = append(units, func(ctx context.Context) (err error) { info.mesh, err = r.readMesh(ctx, h, l); return err })
 	}
-	if l < base {
+	if l < base && info.mapping == nil {
 		units = append(units, func(context.Context) (err error) { info.mapping, err = r.readMapping(h, l); return err })
 	}
 	if err := r.pool.Run(ctx, units...); err != nil {

@@ -328,33 +328,37 @@ func (r *Reader) Augment(ctx context.Context, v *View) error {
 	if err != nil {
 		return err
 	}
-	// The level's three inputs are independent until the restore, so they
-	// are fetched and decoded side by side. The tile scatter needs the fine
-	// vertex count before the geometry has decoded; the metadata recorded
-	// it (vertCount).
+	// The level's three inputs are independent until the restore, so what
+	// the reader does not already hold is fetched and decoded side by side
+	// with the tiles. The tile scatter needs the fine vertex count before
+	// the geometry has decoded; the metadata recorded it (vertCount). On a
+	// warm reader only the tiles are left, and a lone unit runs in this
+	// goroutine: a server's cached readers pay for no fan-out.
 	var (
-		mp         delta.Mapping
-		fineMesh   *mesh.Mesh
 		d          []float64
 		decompress engine.Counter
 	)
-	err = r.pool.Run(ctx,
-		func(context.Context) (err error) { mp, err = r.readMapping(h, fineLevel); return err },
-		func(ctx context.Context) (err error) { fineMesh, err = r.readMesh(ctx, h, fineLevel); return err },
-		func(ctx context.Context) error {
-			tiles, err := fetchDeltaChunks(h, tb, fineLevel, nil)
-			if err != nil {
-				return err
-			}
-			n, err := r.vertCount(ctx, h, fineLevel)
-			if err != nil {
-				return err
-			}
-			d = make([]float64, n)
-			return tiles.decodeInto(ctx, r.pool, h, r.codec, d, nil, &decompress)
-		},
-	)
-	if err != nil {
+	fineMesh, mp := r.cached(fineLevel)
+	var units []engine.Unit
+	if mp == nil {
+		units = append(units, func(context.Context) (err error) { mp, err = r.readMapping(h, fineLevel); return err })
+	}
+	if fineMesh == nil {
+		units = append(units, func(ctx context.Context) (err error) { fineMesh, err = r.readMesh(ctx, h, fineLevel); return err })
+	}
+	units = append(units, func(ctx context.Context) error {
+		tiles, err := fetchDeltaChunks(h, tb, fineLevel, nil)
+		if err != nil {
+			return err
+		}
+		n, err := r.vertCount(ctx, h, fineLevel)
+		if err != nil {
+			return err
+		}
+		d = make([]float64, n)
+		return tiles.decodeInto(ctx, r.pool, h, r.codec, d, nil, &decompress)
+	})
+	if err := r.pool.Run(ctx, units...); err != nil {
 		return err
 	}
 	v.Timings.addHandleIO(ctx, h)
@@ -552,6 +556,14 @@ func (r *Reader) retrieveDirect(ctx context.Context, l int) (*View, error) {
 		return nil, fmt.Errorf("canopus: decompress level %d: %w", l, err)
 	}
 	return v, nil
+}
+
+// cached returns what the reader already holds of level l: nil for a mesh
+// or a mapping not loaded yet.
+func (r *Reader) cached(l int) (*mesh.Mesh, delta.Mapping) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.meshCache[l], r.mappingCache[l]
 }
 
 // readMesh returns level l's mesh, decoding it at most once across all
