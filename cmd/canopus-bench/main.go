@@ -16,7 +16,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"strings"
 
 	"repro/internal/bench"
@@ -28,11 +27,6 @@ func main() {
 	scale := flag.String("scale", "paper", "dataset scale: paper or quick")
 	ascii := flag.Bool("ascii", false, "render text-art galleries for Figs. 4 and 7")
 	workers := flag.Int("workers", 0, "concurrent pipeline workers (0 = NumCPU, 1 = serial)")
-	obsJSON := flag.String("obs-json", "", "run the fixed observability workload and write span-phase medians to this file")
-	faultSpec := flag.String("fault-spec", "", "run the fault-injection demo under this spec (e.g. seed=1,tier=lustre,read.err=1)")
-	tolJSON := flag.String("tolerance-sweep", "", "run the error-target retrieval sweep and write its acceptance record to this file")
-	placeJSON := flag.String("placement-bench", "", "run the Zipfian static-vs-adaptive placement bench and write its acceptance record to this file")
-	serveJSON := flag.String("serve-bench", "", "run the multi-tenant serving load bench and write its acceptance record to this file")
 	var ocli obs.CLI
 	ocli.Bind(flag.CommandLine)
 	flag.Parse()
@@ -47,41 +41,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "canopus-bench: unknown scale %q (want paper or quick)\n", *scale)
 		os.Exit(2)
 	}
-	// -obs-json, -fault-spec, -tolerance-sweep, -placement-bench, or
-	// -serve-bench alone run just their own workload; an explicit -fig
-	// alongside any of them runs the figures too.
-	figSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "fig" {
-			figSet = true
-		}
-	})
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	ctx, finish, err := ocli.Start(ctx, "canopus-bench")
+	_, finish, err := ocli.Start(context.Background(), "canopus-bench")
 	if err == nil {
 		r := bench.New(os.Stdout, s)
 		r.ASCII = *ascii
 		r.Workers = *workers
-		if (*obsJSON == "" && *faultSpec == "" && *tolJSON == "" && *placeJSON == "" && *serveJSON == "") || figSet {
-			err = r.Run(*fig)
-		}
-		if err == nil && *faultSpec != "" {
-			err = r.FaultDemo(ctx, *faultSpec)
-		}
-		if err == nil && *tolJSON != "" {
-			err = r.ToleranceSweep(ctx, *tolJSON)
-		}
-		if err == nil && *placeJSON != "" {
-			err = r.PlacementBench(ctx, *placeJSON)
-		}
-		if err == nil && *serveJSON != "" {
-			err = r.ServeBench(ctx, *serveJSON)
-		}
-		if err == nil && *obsJSON != "" {
-			err = r.ObsBench(ctx, *obsJSON)
-		}
+		err = r.Run(*fig)
 		if ferr := finish(); err == nil {
 			err = ferr
 		}

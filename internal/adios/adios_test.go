@@ -182,65 +182,3 @@ func TestTransportByName(t *testing.T) {
 		t.Fatal("unknown method accepted")
 	}
 }
-
-func TestParseConfigAndBuild(t *testing.T) {
-	doc := []byte(`
-<adios-config>
-  <transport method="mpi-aggregate" ranks="128" aggregators="4" net-bandwidth="2e9"/>
-  <tier name="nvram" capacity="1048576" read-bw="1e10" write-bw="5e9" latency="1e-6"/>
-  <tier name="pfs" read-bw="3e8" write-bw="3e8" latency="5e-3"/>
-</adios-config>`)
-	c, err := ParseConfig(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, tr, err := c.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.NumTiers() != 2 || h.Tier(0).Name != "nvram" {
-		t.Fatalf("hierarchy misbuilt: %d tiers", h.NumTiers())
-	}
-	agg, ok := tr.(MPIAggregate)
-	if !ok {
-		t.Fatalf("transport = %T, want MPIAggregate", tr)
-	}
-	if agg.Ranks != 128 || agg.Aggregators != 4 || agg.NetBandwidth != 2e9 {
-		t.Fatalf("transport params = %+v", agg)
-	}
-}
-
-func TestBuildDefaults(t *testing.T) {
-	c := &Config{}
-	h, tr, err := c.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.NumTiers() != 2 {
-		t.Fatalf("default hierarchy has %d tiers, want 2 (Titan emulation)", h.NumTiers())
-	}
-	if tr.Name() != "posix" {
-		t.Fatalf("default transport %q, want posix", tr.Name())
-	}
-}
-
-func TestBuildRejectsBadTier(t *testing.T) {
-	c := &Config{Tiers: []TierConfig{{Name: "", ReadBW: 1, WriteBW: 1}}}
-	if _, _, err := c.Build(); err == nil {
-		t.Fatal("accepted tier without name")
-	}
-	c = &Config{Tiers: []TierConfig{{Name: "x", ReadBW: 0, WriteBW: 1}}}
-	if _, _, err := c.Build(); err == nil {
-		t.Fatal("accepted tier without bandwidth")
-	}
-	c = &Config{Transport: TransportConfig{Method: "warp"}}
-	if _, _, err := c.Build(); err == nil {
-		t.Fatal("accepted unknown transport")
-	}
-}
-
-func TestParseConfigRejectsJunk(t *testing.T) {
-	if _, err := ParseConfig([]byte("not xml at all <<<")); err == nil {
-		t.Fatal("accepted junk config")
-	}
-}

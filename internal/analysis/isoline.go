@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/mesh"
 )
@@ -89,17 +88,4 @@ func IsolineLength(segs []Segment) float64 {
 		s += sg.Length()
 	}
 	return s
-}
-
-// IsolineLevels extracts contours at several iso values and reports the
-// total length per value, sorted by iso value — the input to a quick
-// "contour spectrum" comparison between accuracy levels.
-func IsolineLevels(m *mesh.Mesh, data []float64, isos []float64) map[float64]float64 {
-	out := make(map[float64]float64, len(isos))
-	sorted := append([]float64(nil), isos...)
-	sort.Float64s(sorted)
-	for _, iso := range sorted {
-		out[iso] = IsolineLength(Isolines(m, data, iso))
-	}
-	return out
 }

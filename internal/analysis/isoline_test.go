@@ -100,23 +100,6 @@ func TestIsolineStabilityUnderDecimation(t *testing.T) {
 	}
 }
 
-func TestIsolineLevels(t *testing.T) {
-	m := mesh.Rect(12, 12, 1, 1)
-	data := make([]float64, m.NumVerts())
-	for i, v := range m.Verts {
-		data[i] = v.X
-	}
-	out := IsolineLevels(m, data, []float64{0.25, 0.75, 0.5})
-	if len(out) != 3 {
-		t.Fatalf("levels = %v", out)
-	}
-	for iso, l := range out {
-		if math.Abs(l-1) > 1e-9 {
-			t.Fatalf("iso %g length %g, want 1", iso, l)
-		}
-	}
-}
-
 func TestSegmentLength(t *testing.T) {
 	if l := (Segment{0, 0, 3, 4}).Length(); l != 5 {
 		t.Fatalf("Length = %g", l)

@@ -1,10 +1,6 @@
 package analysis
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "fmt"
 
 // Descriptive analytics (§II-D of the paper: "Descriptive, predictive, and
 // prescriptive analytics are widely used to generate actionable results").
@@ -72,79 +68,4 @@ func (h *Histogram) Normalized() []float64 {
 		out[i] = float64(c) / float64(total)
 	}
 	return out
-}
-
-// L1Distance is the total variation distance between two normalized
-// histograms with identical binning — the metric for "has this summary
-// stabilized across accuracy levels?".
-func (h *Histogram) L1Distance(o *Histogram) (float64, error) {
-	if len(h.Counts) != len(o.Counts) || h.Min != o.Min || h.Max != o.Max {
-		return 0, fmt.Errorf("analysis: histograms have different binning")
-	}
-	a, b := h.Normalized(), o.Normalized()
-	var d float64
-	for i := range a {
-		d += math.Abs(a[i] - b[i])
-	}
-	return d / 2, nil
-}
-
-// Moments holds the first four standardized moments of a sample.
-type Moments struct {
-	Mean, Variance, Skewness, Kurtosis float64
-}
-
-// ComputeMoments returns sample moments (population normalization).
-// Skewness and kurtosis are 0 for constant samples.
-func ComputeMoments(data []float64) Moments {
-	n := float64(len(data))
-	if n == 0 {
-		return Moments{}
-	}
-	var m Moments
-	for _, v := range data {
-		m.Mean += v
-	}
-	m.Mean /= n
-	var m2, m3, m4 float64
-	for _, v := range data {
-		d := v - m.Mean
-		m2 += d * d
-		m3 += d * d * d
-		m4 += d * d * d * d
-	}
-	m2 /= n
-	m3 /= n
-	m4 /= n
-	m.Variance = m2
-	if m2 > 0 {
-		m.Skewness = m3 / math.Pow(m2, 1.5)
-		m.Kurtosis = m4/(m2*m2) - 3
-	}
-	return m
-}
-
-// Quantiles returns the values at the requested probabilities (0..1) using
-// linear interpolation over the sorted sample.
-func Quantiles(data []float64, probs []float64) ([]float64, error) {
-	if len(data) == 0 {
-		return nil, fmt.Errorf("analysis: quantiles of empty sample")
-	}
-	sorted := append([]float64(nil), data...)
-	sort.Float64s(sorted)
-	out := make([]float64, len(probs))
-	for i, p := range probs {
-		if p < 0 || p > 1 {
-			return nil, fmt.Errorf("analysis: probability %g outside [0,1]", p)
-		}
-		pos := p * float64(len(sorted)-1)
-		lo := int(pos)
-		frac := pos - float64(lo)
-		if lo+1 < len(sorted) {
-			out[i] = sorted[lo]*(1-frac) + sorted[lo+1]*frac
-		} else {
-			out[i] = sorted[lo]
-		}
-	}
-	return out, nil
 }

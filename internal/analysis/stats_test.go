@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"repro/internal/mesh"
@@ -48,78 +47,6 @@ func TestHistogramErrors(t *testing.T) {
 	}
 }
 
-func TestHistogramL1Distance(t *testing.T) {
-	a, _ := NewHistogram([]float64{0.1, 0.1, 0.9}, 2, 0, 1)
-	b, _ := NewHistogram([]float64{0.1, 0.9, 0.9}, 2, 0, 1)
-	d, err := a.L1Distance(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(d-1.0/3) > 1e-12 {
-		t.Fatalf("L1 = %g, want 1/3", d)
-	}
-	same, err := a.L1Distance(a)
-	if err != nil || same != 0 {
-		t.Fatalf("self distance %g", same)
-	}
-	c, _ := NewHistogram(nil, 3, 0, 1)
-	if _, err := a.L1Distance(c); err == nil {
-		t.Error("accepted mismatched binning")
-	}
-}
-
-func TestMoments(t *testing.T) {
-	m := ComputeMoments([]float64{1, 1, 1})
-	if m.Mean != 1 || m.Variance != 0 || m.Skewness != 0 || m.Kurtosis != 0 {
-		t.Fatalf("constant moments = %+v", m)
-	}
-	m = ComputeMoments([]float64{-1, 1})
-	if m.Mean != 0 || m.Variance != 1 {
-		t.Fatalf("moments = %+v", m)
-	}
-	// Standard normal sample: skewness ~ 0, excess kurtosis ~ 0.
-	rng := rand.New(rand.NewSource(3))
-	data := make([]float64, 200000)
-	for i := range data {
-		data[i] = rng.NormFloat64()
-	}
-	m = ComputeMoments(data)
-	if math.Abs(m.Mean) > 0.02 || math.Abs(m.Variance-1) > 0.03 {
-		t.Fatalf("normal moments = %+v", m)
-	}
-	if math.Abs(m.Skewness) > 0.05 || math.Abs(m.Kurtosis) > 0.1 {
-		t.Fatalf("normal shape moments = %+v", m)
-	}
-	if got := ComputeMoments(nil); got != (Moments{}) {
-		t.Fatalf("empty moments = %+v", got)
-	}
-}
-
-func TestQuantiles(t *testing.T) {
-	data := []float64{4, 1, 3, 2, 5}
-	q, err := Quantiles(data, []float64{0, 0.25, 0.5, 0.75, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{1, 2, 3, 4, 5}
-	for i := range want {
-		if math.Abs(q[i]-want[i]) > 1e-12 {
-			t.Fatalf("quantiles = %v, want %v", q, want)
-		}
-	}
-	// Interpolation between order statistics.
-	q, err = Quantiles([]float64{0, 10}, []float64{0.5})
-	if err != nil || math.Abs(q[0]-5) > 1e-12 {
-		t.Fatalf("median of {0,10} = %v", q)
-	}
-	if _, err := Quantiles(nil, []float64{0.5}); err == nil {
-		t.Error("accepted empty sample")
-	}
-	if _, err := Quantiles(data, []float64{1.5}); err == nil {
-		t.Error("accepted probability > 1")
-	}
-}
-
 func TestHistogramStableAcrossLevels(t *testing.T) {
 	// The §II-D promise: a descriptive summary computed on decimated
 	// data closely matches the full-accuracy one. Compare histograms of
@@ -142,9 +69,11 @@ func TestHistogramStableAcrossLevels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := hFull.L1Distance(hCoarse)
-	if err != nil {
-		t.Fatal(err)
+	// Total variation distance between the normalized histograms.
+	var d float64
+	full, coarseN := hFull.Normalized(), hCoarse.Normalized()
+	for i := range full {
+		d += math.Abs(full[i]-coarseN[i]) / 2
 	}
 	if d > 0.08 {
 		t.Fatalf("histogram drift %g across 4x reduction; summary not stable", d)

@@ -2,16 +2,12 @@ package bench
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"repro/internal/adios"
 	"repro/internal/analysis"
-	"repro/internal/compress"
 	"repro/internal/core"
 	"repro/internal/decimate"
-	"repro/internal/precision"
 	"repro/internal/sim"
 	"repro/internal/storage"
 )
@@ -19,8 +15,7 @@ import (
 // Ablation quantifies the design choices DESIGN.md calls out: the delta
 // estimator form (the paper fixes α=β=γ=1/3 and defers the optimal form),
 // the edge-collapse priority, the delta codec, the placement policy, and
-// the refactoring axis (progressive resolution via decimation vs
-// progressive precision via byte splitting, §III-C's two families).
+// the campaign write path.
 func (r *Runner) Ablation() error {
 	r.header("Ablation: Canopus design choices")
 	if err := r.ablationEstimator(); err != nil {
@@ -33,9 +28,6 @@ func (r *Runner) Ablation() error {
 		return err
 	}
 	if err := r.ablationPlacement(); err != nil {
-		return err
-	}
-	if err := r.ablationProgressiveAxis(); err != nil {
 		return err
 	}
 	return r.ablationSeries()
@@ -243,119 +235,4 @@ func (r *Runner) ablationPlacement() error {
 	}
 	fmt.Fprintln(r.Out, "Fast-tier base placement is what makes quick exploration quick.")
 	return nil
-}
-
-// ablationProgressiveAxis compares the two refactoring families of §III-C
-// on the same field: progressive resolution (mesh decimation, the paper's
-// focus) against progressive precision (byte splitting [19]). Each stage
-// reports cumulative compressed bytes fetched and the resulting field
-// error, so the table shows the accuracy-per-byte trade-off of each axis.
-func (r *Runner) ablationProgressiveAxis() error {
-	fmt.Fprintln(r.Out, "\n-- progressive axis: resolution (decimation) vs precision (byte splitting) --")
-	ds := r.xgc1().Dataset
-
-	// Resolution path: 4 levels through the full pipeline.
-	aio := newIO()
-	rep, err := core.Write(context.Background(), aio, ds, core.Options{Levels: 4, RelTolerance: 1e-6, Workers: r.Workers})
-	if err != nil {
-		return err
-	}
-	rd, err := core.OpenReader(context.Background(), aio, ds.Name)
-	if err != nil {
-		return err
-	}
-	tw := r.table()
-	fmt.Fprintln(tw, "strategy\tstage\tcum. payload\tNRMSE vs full")
-	cum := int64(0)
-	for l := rep.Levels - 1; l >= 0; l-- {
-		cum += rep.PayloadBytes[l]
-		v, err := rd.Retrieve(context.Background(), l)
-		if err != nil {
-			return err
-		}
-		nr, err := nrmseOnCommonRaster(ds, v)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(tw, "resolution\tL%d (%dx)\t%s\t%.5f\n", l, 1<<l, fmtBytes(cum), nr)
-	}
-
-	// Precision path: byte-split groups, each flate-compressed.
-	ref, err := precision.Split(ds.Data, precision.DefaultPlan())
-	if err != nil {
-		return err
-	}
-	fl := compress.NewFlate()
-	cum = 0
-	for k := 1; k <= len(ref.Plan); k++ {
-		grp, err := bytesToFloatsPadded(ref.Groups[k-1])
-		if err != nil {
-			return err
-		}
-		enc, err := fl.Encode(grp)
-		if err != nil {
-			return err
-		}
-		cum += int64(len(enc))
-		rec, err := ref.Reconstruct(k)
-		if err != nil {
-			return err
-		}
-		fe, err := analysis.CompareFields(ds.Data, rec)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(tw, "precision\tG%d (%d bytes/val)\t%s\t%.5f\n",
-			k, cumBytes(ref.Plan, k), fmtBytes(cum), fe.NRMSE)
-	}
-	if err := tw.Flush(); err != nil {
-		return err
-	}
-	fmt.Fprintln(r.Out, "Resolution refactoring reduces data volume far more aggressively per")
-	fmt.Fprintln(r.Out, "stage (1000x-class, §III-C), while precision refactoring converges to")
-	fmt.Fprintln(r.Out, "exact values; they are complementary axes.")
-	return nil
-}
-
-func cumBytes(plan []int, k int) int {
-	n := 0
-	for _, w := range plan[:k] {
-		n += w
-	}
-	return n
-}
-
-// bytesToFloatsPadded reinterprets a byte group as float64s for the flate
-// codec (padding the tail), purely as an entropy-coding vehicle.
-func bytesToFloatsPadded(b []byte) ([]float64, error) {
-	padded := make([]byte, (len(b)+7)/8*8)
-	copy(padded, b)
-	out := make([]float64, len(padded)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(padded[8*i:]))
-	}
-	return out, nil
-}
-
-// nrmseOnCommonRaster compares a restored (possibly coarser) view against
-// the original field by resampling both onto one raster.
-func nrmseOnCommonRaster(ds *core.Dataset, v *core.View) (float64, error) {
-	const n = 128
-	ra, err := analysis.Rasterize(ds.Mesh, ds.Data, n, n)
-	if err != nil {
-		return 0, err
-	}
-	rb, err := analysis.Rasterize(v.Mesh, v.Data, n, n)
-	if err != nil {
-		return 0, err
-	}
-	rms, err := analysis.RMSBetweenLevels(ra, rb)
-	if err != nil {
-		return 0, err
-	}
-	lo, hi := ra.Range()
-	if hi > lo {
-		rms /= hi - lo
-	}
-	return rms, nil
 }

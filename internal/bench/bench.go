@@ -2,8 +2,7 @@
 // evaluation (§IV). Each Fig* function runs the full pipeline — synthetic
 // workload generation, refactoring, placement, retrieval, analytics — and
 // prints the series the paper plots. cmd/canopus-bench is the CLI front
-// end; bench_test.go at the repository root wraps the same drivers in
-// testing.B benchmarks.
+// end; performance is measured by the separate benchmark/ module, not here.
 //
 // Compute phases report real wall time on the host machine; I/O phases
 // report the deterministic simulated time of the storage model, so the

@@ -9,11 +9,11 @@ import (
 )
 
 // Chunked-container benchmarks: encode and decode of one large product
-// through the v2 frame, per codec and worker count. scripts/bench.sh
-// harvests these into BENCH_codec.json. On a single-core box the worker
-// sweep shows the (small) framing overhead; the speedup column only
-// separates on multi-core hardware, while allocs/op — the other half of
-// the intra-product optimization — is hardware-independent.
+// through the v2 frame, per codec and worker count (`go test -bench
+// Chunked ./internal/compress`). On a single-core box the worker sweep
+// shows the (small) framing overhead; the speedup column only separates on
+// multi-core hardware, while allocs/op — the other half of the
+// intra-product optimization — is hardware-independent.
 
 const benchValues = 1 << 18 // 256 Ki float64, 2 MiB raw
 

@@ -18,7 +18,7 @@ import (
 // TestZFP2DBeats1DOnGrids.
 //
 // It does not implement the 1D Codec interface because its payload is a
-// shaped grid, not a flat stream; the grid package is its consumer.
+// shaped grid, not a flat stream.
 type ZFP2D struct {
 	tol float64
 }

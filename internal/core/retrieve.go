@@ -216,15 +216,6 @@ type View struct {
 	Cost *obs.CostReport
 }
 
-// DecimationRatio reports |V^0| / |V^Level| relative to the full mesh, when
-// known (0 when the reader lacks the full vertex count).
-func (v *View) DecimationRatio(fullVerts int) float64 {
-	if v.Mesh.NumVerts() == 0 {
-		return 0
-	}
-	return float64(fullVerts) / float64(v.Mesh.NumVerts())
-}
-
 // decodeProduct decodes one container's whole base/direct data product,
 // serving repeats from the handle's decoded-tile cache when one is attached
 // (keyed under compress.BaseTile). By the time this runs the payload bytes

@@ -23,6 +23,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/engine"
 	"repro/internal/mesh"
@@ -236,8 +237,10 @@ func DecodeMapping(data []byte) (Mapping, int, error) {
 	if off <= 0 {
 		return nil, 0, errors.New("delta: truncated mapping")
 	}
-	if n > uint64(len(data))*10 {
-		return nil, 0, fmt.Errorf("delta: implausible mapping length %d", n)
+	// Every entry takes at least one varint byte, so a count beyond the
+	// remaining bytes is forged; reject it before allocating for it.
+	if n > uint64(len(data)-off) {
+		return nil, 0, fmt.Errorf("delta: mapping length %d exceeds its %d payload bytes", n, len(data)-off)
 	}
 	mp := make(Mapping, n)
 	prev := int64(0)
@@ -247,9 +250,11 @@ func DecodeMapping(data []byte) (Mapping, int, error) {
 			return nil, 0, errors.New("delta: truncated mapping")
 		}
 		off += k
+		// prev is within [0, MaxInt32] here, so an overflowing sum wraps
+		// negative and is caught below rather than truncated into range.
 		prev += d
-		if prev < 0 {
-			return nil, 0, fmt.Errorf("delta: negative triangle index %d", prev)
+		if prev < 0 || prev > math.MaxInt32 {
+			return nil, 0, fmt.Errorf("delta: triangle index %d out of int32 range", prev)
 		}
 		mp[i] = int32(prev)
 	}

@@ -2,7 +2,9 @@ package delta
 
 import (
 	"context"
+	"encoding/binary"
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -234,6 +236,23 @@ func TestDecodeMappingErrors(t *testing.T) {
 	bad[1] = 1                // varint 1 => -1 zig-zag
 	if got, _, err := DecodeMapping(bad); err == nil {
 		t.Errorf("DecodeMapping accepted negative index, got %v", got)
+	}
+	// A count larger than the remaining bytes is rejected before the
+	// decoder allocates for it.
+	forged := append(binary.AppendUvarint(nil, 10<<16), make([]byte, 1<<16)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := DecodeMapping(forged)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Error("DecodeMapping accepted a forged count")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<16 {
+		t.Errorf("forged count over %d bytes allocated %d bytes", len(forged), grew)
+	}
+	// 2^32+5 would wrap to index 5 as an int32 and pass Validate.
+	if got, _, err := DecodeMapping(wrappingIndex); err == nil {
+		t.Errorf("DecodeMapping accepted index 2^32+5, got %v", got)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	// Import every instrumented package so its metric registrations run;
 	// the lint below then covers the real process-wide metric set.
 	_ "repro/internal/adios"
-	_ "repro/internal/bench"
 	_ "repro/internal/core"
 	_ "repro/internal/engine"
 	_ "repro/internal/place"

@@ -16,8 +16,8 @@ import (
 // injects the failure modes real HPC tiers exhibit — transient I/O errors,
 // added latency, truncated reads, flipped bits, crashed writes — with
 // per-operation probabilities drawn from a seeded PRNG, so a failing run
-// replays exactly. Specs come in as a flat string (the -fault-spec flag on
-// canopus-bench uses the same grammar):
+// replays exactly. Specs come in as a flat string, the grammar
+// Hierarchy.InjectFaults takes:
 //
 //	seed=7,tier=lustre,read.err=0.05,read.corrupt=0.01,read.delay=2ms
 //
@@ -124,9 +124,6 @@ type FaultBackend struct {
 func NewFaultBackend(inner Backend, spec FaultSpec) *FaultBackend {
 	return &FaultBackend{inner: inner, spec: spec, rng: rand.New(rand.NewSource(spec.Seed))}
 }
-
-// Inner returns the wrapped backend.
-func (f *FaultBackend) Inner() Backend { return f.inner }
 
 // roll draws a uniform [0,1) sample under the rng lock.
 func (f *FaultBackend) roll() float64 {
