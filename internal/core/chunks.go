@@ -148,48 +148,23 @@ func encodeChunkPayload(ids []int32, enc []byte) []byte {
 
 var errChunkTrunc = errors.New("canopus: truncated delta chunk")
 
-// chunkRuns is a validated, zero-allocation view of a chunk payload's id-run
-// region. parseChunkPayload builds it; forEachRun re-walks the runs without
-// ever materializing the id list — the hot read path scatters decoded values
-// straight through the runs, which eliminated the dominant per-retrieval
-// allocation (one append per covered vertex id).
-type chunkRuns struct {
-	region []byte
-	nRuns  uint64
-	total  int
-}
+// idRun is one decoded (start, length) run of a chunk payload's vertex ids.
+type idRun struct{ start, n int64 }
 
-// count reports the number of vertex ids the runs cover.
-func (cr chunkRuns) count() int { return cr.total }
-
-// forEachRun calls fn for every (start, length) run in order. The payload was
-// validated by parseChunkPayload, so decoding cannot fail here.
-func (cr chunkRuns) forEachRun(fn func(start, length int64)) {
-	off := 0
-	prev := int64(0)
-	for i := uint64(0); i < cr.nRuns; i++ {
-		d, n := binary.Varint(cr.region[off:])
-		off += n
-		start := prev + d
-		length, n := binary.Uvarint(cr.region[off:])
-		off += n
-		fn(start, int64(length))
-		prev = start
-	}
-}
-
-// parseChunkPayload validates a chunk payload and returns the id runs plus
-// the codec-encoded value bytes. It allocates nothing: runs stay in their
-// serialized form behind a chunkRuns view.
-func parseChunkPayload(data []byte) (chunkRuns, []byte, error) {
+// parseChunkPayload validates a chunk payload and decodes its id runs into
+// runs[:0], returning them with the number of ids they cover and the
+// codec-encoded value bytes. The runs are decoded once, here: the read path
+// scatters through them without re-walking the varints, and callers pool
+// the runs buffer so steady-state reads never materialize an id list.
+func parseChunkPayload(data []byte, runs []idRun) ([]idRun, int, []byte, error) {
+	runs = runs[:0]
 	nRuns, off := binary.Uvarint(data)
 	if off <= 0 {
-		return chunkRuns{}, nil, errChunkTrunc
+		return runs, 0, nil, errChunkTrunc
 	}
 	if nRuns > uint64(len(data)) {
-		return chunkRuns{}, nil, fmt.Errorf("canopus: implausible chunk run count %d", nRuns)
+		return runs, 0, nil, fmt.Errorf("canopus: implausible chunk run count %d", nRuns)
 	}
-	runStart := off
 	prev := int64(0)
 	// Cap the total decoded ids against what the value payload could
 	// plausibly cover; otherwise a corrupt run list is a memory DoS.
@@ -198,48 +173,62 @@ func parseChunkPayload(data []byte) (chunkRuns, []byte, error) {
 	for i := uint64(0); i < nRuns; i++ {
 		d, n := binary.Varint(data[off:])
 		if n <= 0 {
-			return chunkRuns{}, nil, errChunkTrunc
+			return runs, 0, nil, errChunkTrunc
 		}
 		off += n
 		start := prev + d
 		length, n := binary.Uvarint(data[off:])
 		if n <= 0 {
-			return chunkRuns{}, nil, errChunkTrunc
+			return runs, 0, nil, errChunkTrunc
 		}
 		off += n
 		total += length
 		if start < 0 || total > maxIDs {
-			return chunkRuns{}, nil, fmt.Errorf("canopus: invalid chunk run (%d, %d)", start, length)
+			return runs, 0, nil, fmt.Errorf("canopus: invalid chunk run (%d, %d)", start, length)
 		}
+		runs = append(runs, idRun{start, int64(length)})
 		prev = start
 	}
-	cr := chunkRuns{region: data[runStart:off], nRuns: nRuns, total: int(total)}
 	encLen, n := binary.Uvarint(data[off:])
 	if n <= 0 {
-		return chunkRuns{}, nil, errChunkTrunc
+		return runs, 0, nil, errChunkTrunc
 	}
 	off += n
 	if uint64(len(data)-off) < encLen {
-		return chunkRuns{}, nil, errChunkTrunc
+		return runs, 0, nil, errChunkTrunc
 	}
-	return cr, data[off : off+int(encLen)], nil
+	return runs, int(total), data[off : off+int(encLen)], nil
 }
 
-// decodeChunkPayload materializes the id list of a chunk payload. The hot
-// path uses parseChunkPayload directly; this form serves callers that want
-// the ids as a slice.
-func decodeChunkPayload(data []byte) (ids []int32, enc []byte, err error) {
-	cr, enc, err := parseChunkPayload(data)
-	if err != nil {
-		return nil, nil, err
-	}
-	ids = make([]int32, 0, cr.count())
-	cr.forEachRun(func(start, length int64) {
-		for j := int64(0); j < length; j++ {
-			ids = append(ids, int32(start+j))
+// scatterRuns copies vals, in id order, to the ids the runs cover in out and
+// marks those ids in have when it is non-nil. vals must hold exactly as many
+// values as the runs cover. Single-id runs, the common case on fine levels,
+// are assigned directly. It stops at the first run that does not fit in out
+// and returns that run's last id and false.
+func scatterRuns(runs []idRun, vals, out []float64, have []bool) (int64, bool) {
+	j := 0
+	for _, r := range runs {
+		if r.start > int64(len(out))-r.n {
+			return r.start + r.n - 1, false
 		}
-	})
-	return ids, enc, nil
+		if r.n == 1 {
+			out[r.start] = vals[j]
+			if have != nil {
+				have[r.start] = true
+			}
+			j++
+			continue
+		}
+		s, e := int(r.start), int(r.start+r.n)
+		copy(out[s:e], vals[j:])
+		j += int(r.n)
+		if have != nil {
+			for k := s; k < e; k++ {
+				have[k] = true
+			}
+		}
+	}
+	return 0, true
 }
 
 // chunkVarNames caches the "delta.c<i>" variable names: retrieval paths

@@ -193,16 +193,18 @@ func (r *Reader) RetrieveRegion(ctx context.Context, targetLevel int, minX, minY
 		if err != nil {
 			return nil, err
 		}
-		chunkSet := map[int]bool{}
+		chunkSet := make([]bool, tb.n*tb.n)
 		for vi, want := range needed[l] {
 			if want {
 				v := fine.mesh.Verts[vi]
 				chunkSet[tb.tileOf(v.X, v.Y)] = true
 			}
 		}
-		chunks := make([]int, 0, len(chunkSet))
-		for ci := 0; ci < tb.n*tb.n; ci++ {
-			if chunkSet[ci] {
+		// Non-nil even when empty: a nil list asks readDeltaChunks for
+		// every tile.
+		chunks := []int{}
+		for ci, want := range chunkSet {
+			if want {
 				chunks = append(chunks, ci)
 			}
 		}

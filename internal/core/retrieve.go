@@ -658,13 +658,19 @@ func readDeltaChunksFrom(ctx context.Context, pool *engine.Pool, h *adios.Handle
 	return tiles.decodeInto(ctx, pool, h, codec, out, have, decompress)
 }
 
-// floatScratchPool recycles the per-shard decode buffers of the tile reader:
-// every shard of the fan-out decodes its tiles into one reused []float64
-// instead of allocating a fresh output per tile.
-var floatScratchPool = sync.Pool{
+// tileScratch is one shard's reusable decode state in the tile reader: the
+// decoded values and the decoded id runs of the tile in hand.
+type tileScratch struct {
+	vals []float64
+	runs []idRun
+}
+
+// tileScratchPool recycles the per-shard decode buffers of the tile reader:
+// every shard of the fan-out decodes its tiles' values and id runs into one
+// reused tileScratch instead of allocating fresh buffers per tile.
+var tileScratchPool = sync.Pool{
 	New: func() any {
-		s := make([]float64, 0, 4096)
-		return &s
+		return &tileScratch{vals: make([]float64, 0, 4096), runs: make([]idRun, 0, 1024)}
 	},
 }
 
@@ -743,11 +749,12 @@ func (dt *deltaTiles) decodeInto(ctx context.Context, pool *engine.Pool, h *adio
 	var tileHits, tileMisses atomic.Int64
 	t0 := time.Now()
 	err := pool.RunRange(ctx, len(present), func(start, end int) error {
-		scratch := floatScratchPool.Get().(*[]float64)
-		defer floatScratchPool.Put(scratch)
+		scratch := tileScratchPool.Get().(*tileScratch)
+		defer tileScratchPool.Put(scratch)
 		for i := start; i < end; i++ {
 			ci := present[i]
-			runs, enc, err := parseChunkPayload(payloads[i])
+			runs, total, enc, err := parseChunkPayload(payloads[i], scratch.runs)
+			scratch.runs = runs
 			if err != nil {
 				return fmt.Errorf("canopus: level %d chunk %d: %w", level, ci, err)
 			}
@@ -763,35 +770,18 @@ func (dt *deltaTiles) decodeInto(ctx context.Context, pool *engine.Pool, h *adio
 					tileMisses.Add(1)
 				}
 			} else {
-				vals, err = compress.ChunkedDecodeInto(ctx, innerPool, codec, (*scratch)[:0], enc)
-				if err == nil && cap(vals) > cap(*scratch) {
-					*scratch = vals[:0]
+				vals, err = compress.ChunkedDecodeInto(ctx, innerPool, codec, scratch.vals[:0], enc)
+				if err == nil && cap(vals) > cap(scratch.vals) {
+					scratch.vals = vals[:0]
 				}
 			}
 			if err != nil {
 				return fmt.Errorf("canopus: decompress delta %d chunk %d: %w", level, ci, err)
 			}
-			if len(vals) != runs.count() {
-				return fmt.Errorf("canopus: level %d chunk %d: %d values for %d ids", level, ci, len(vals), runs.count())
+			if len(vals) != total {
+				return fmt.Errorf("canopus: level %d chunk %d: %d values for %d ids", level, ci, len(vals), total)
 			}
-			var bad int64 = -1
-			j := 0
-			runs.forEachRun(func(rstart, rlen int64) {
-				if rstart+rlen > int64(len(out)) {
-					if bad < 0 {
-						bad = rstart + rlen - 1
-					}
-					return
-				}
-				copy(out[rstart:rstart+rlen], vals[j:j+int(rlen)])
-				j += int(rlen)
-				if have != nil {
-					for k := rstart; k < rstart+rlen; k++ {
-						have[k] = true
-					}
-				}
-			})
-			if bad >= 0 {
+			if bad, ok := scatterRuns(runs, vals, out, have); !ok {
 				return fmt.Errorf("canopus: level %d chunk %d: vertex id %d out of range", level, ci, bad)
 			}
 		}

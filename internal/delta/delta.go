@@ -12,6 +12,13 @@
 // package provides that mean estimator plus a barycentric-weighted one for
 // the ablation bench.
 //
+// Only the barycentric estimator needs geometry. The mean estimator reads
+// the mapping, the coarse triangles' corner indices and the coarse values,
+// never a vertex coordinate, so restoring a mean-estimated level is a
+// corner gather: (L_i + L_j + L_k) / 3 per fine vertex. Compute, Restore and
+// EstimateVertex take that path whenever the estimator is MeanEstimator, and
+// the generic barycentric path otherwise.
+//
 // Because adjacent levels are highly correlated, the deltas are much
 // smoother than the levels themselves — that smoothness is what makes the
 // Canopus layout compress better than direct multi-level compression
@@ -113,10 +120,30 @@ func EstimatorByName(name string) (Estimator, error) {
 }
 
 // EstimateVertex computes the Estimate(·) prediction for one fine vertex.
-// Compute, Restore, and the focused-retrieval path all funnel through this
-// single function, which guarantees that restoration — full or regional —
-// reproduces the exact estimates used during refactoring.
+// Compute, Restore, and the focused-retrieval path all reduce to the same
+// two per-vertex functions, meanAt and estimateGeneric, which guarantees
+// that restoration — full or regional — reproduces the exact estimates used
+// during refactoring.
 func EstimateVertex(fine, coarse *mesh.Mesh, coarseData []float64, mp Mapping, est Estimator, vi int32) float64 {
+	if _, ok := est.(MeanEstimator); ok {
+		return meanAt(coarse, coarseData, mp, vi)
+	}
+	return estimateGeneric(fine, coarse, coarseData, mp, est, vi)
+}
+
+// meanAt is MeanEstimator's prediction for fine vertex vi, gathered from
+// the corners of its coarse triangle without computing the barycentric
+// coordinates the mean ignores. The operands and their order are those of
+// MeanEstimator.Estimate, so the result is bit-identical to the generic
+// path's.
+func meanAt(coarse *mesh.Mesh, coarseData []float64, mp Mapping, vi int32) float64 {
+	t := coarse.Tris[mp[vi]]
+	return (coarseData[t[0]] + coarseData[t[1]] + coarseData[t[2]]) / 3
+}
+
+// estimateGeneric predicts fine vertex vi through est from the corner values
+// and the vertex's clamped barycentric coordinates in its coarse triangle.
+func estimateGeneric(fine, coarse *mesh.Mesh, coarseData []float64, mp Mapping, est Estimator, vi int32) float64 {
 	t := coarse.Tris[mp[vi]]
 	li, lj, lk := coarseData[t[0]], coarseData[t[1]], coarseData[t[2]]
 	p := fine.Verts[vi]
@@ -169,9 +196,16 @@ func ComputeInto(ctx context.Context, pool *engine.Pool, fine *mesh.Mesh, fineDa
 		return nil, err
 	}
 	out := sizeOut(dst, len(fineData))
+	_, mean := est.(MeanEstimator)
 	err := pool.RunRange(ctx, len(out), func(start, end int) error {
+		if mean {
+			for vi := start; vi < end; vi++ {
+				out[vi] = fineData[vi] - meanAt(coarse, coarseData, mp, int32(vi))
+			}
+			return nil
+		}
 		for vi := start; vi < end; vi++ {
-			out[vi] = fineData[vi] - EstimateVertex(fine, coarse, coarseData, mp, est, int32(vi))
+			out[vi] = fineData[vi] - estimateGeneric(fine, coarse, coarseData, mp, est, int32(vi))
 		}
 		return nil
 	})
@@ -205,9 +239,16 @@ func RestoreInto(ctx context.Context, pool *engine.Pool, fine *mesh.Mesh, coarse
 		return nil, err
 	}
 	out := sizeOut(dst, len(deltas))
+	_, mean := est.(MeanEstimator)
 	err := pool.RunRange(ctx, len(out), func(start, end int) error {
+		if mean {
+			for vi := start; vi < end; vi++ {
+				out[vi] = deltas[vi] + meanAt(coarse, coarseData, mp, int32(vi))
+			}
+			return nil
+		}
 		for vi := start; vi < end; vi++ {
-			out[vi] = deltas[vi] + EstimateVertex(fine, coarse, coarseData, mp, est, int32(vi))
+			out[vi] = deltas[vi] + estimateGeneric(fine, coarse, coarseData, mp, est, int32(vi))
 		}
 		return nil
 	})

@@ -251,6 +251,9 @@ func (s *Server) handleRegion(w http.ResponseWriter, r *http.Request, sh *shard,
 			return badRequest("level %q: %v", ls, err)
 		}
 	}
+	if level < 0 || level >= rd.Levels() {
+		return badRequest("level %d out of range [0,%d)", level, rd.Levels())
+	}
 	coords := make([]float64, 4)
 	for i, key := range []string{"minx", "miny", "maxx", "maxy"} {
 		s := q.Get(key)

@@ -199,6 +199,8 @@ func TestErrorStatuses(t *testing.T) {
 		{fmt.Sprintf("/v1/region/%s?level=0&minx=0", names[0]), http.StatusBadRequest},
 		{fmt.Sprintf("/v1/stream/%s", names[0]), http.StatusBadRequest},
 		{fmt.Sprintf("/v1/region/%s?level=0&minx=1&miny=0&maxx=0&maxy=1", names[0]), http.StatusBadRequest},
+		{fmt.Sprintf("/v1/region/%s?level=99&minx=0&miny=0&maxx=1&maxy=1", names[0]), http.StatusBadRequest},
+		{fmt.Sprintf("/v1/region/%s?level=-1&minx=0&miny=0&maxx=1&maxy=1", names[0]), http.StatusBadRequest},
 	}
 	// ParseFloat accepts NaN and the infinities; the library refuses them
 	// in every position.
