@@ -152,8 +152,8 @@ func (o Options) withDefaults() Options {
 }
 
 func (o Options) validate() error {
-	if o.Levels < 1 {
-		return fmt.Errorf("canopus: Levels %d < 1", o.Levels)
+	if o.Levels < 1 || o.Levels > maxLevels {
+		return fmt.Errorf("canopus: Levels %d out of range [1,%d]", o.Levels, maxLevels)
 	}
 	if o.RatioPerLevel <= 1 && o.Levels > 1 {
 		return fmt.Errorf("canopus: RatioPerLevel %g must exceed 1", o.RatioPerLevel)
@@ -167,8 +167,8 @@ func (o Options) validate() error {
 	if o.Mode != ModeDelta && o.Mode != ModeDirect {
 		return fmt.Errorf("canopus: invalid mode %d", int(o.Mode))
 	}
-	if o.Chunks < 1 || o.Chunks > 64 {
-		return fmt.Errorf("canopus: Chunks %d out of range [1,64]", o.Chunks)
+	if o.Chunks < 1 || o.Chunks > maxChunks {
+		return fmt.Errorf("canopus: Chunks %d out of range [1,%d]", o.Chunks, maxChunks)
 	}
 	return nil
 }

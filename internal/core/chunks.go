@@ -23,6 +23,11 @@ import (
 // variable. Regional retrieval then fetches only the tiles that intersect
 // the region of interest (see region.go).
 
+// maxChunks bounds the tiles per axis a writer produces and a reader
+// believes: a full-level read enumerates n*n tiles, so a forged frame must
+// not size that list.
+const maxChunks = 64
+
 // tileBox is the tiling frame: the fine mesh's bounding box at write time,
 // recorded in container metadata so readers assign vertices to the same
 // tiles the writer did.
@@ -91,7 +96,7 @@ func parseTileBox(s string) (tileBox, error) {
 	if tb.h, err = strconv.ParseFloat(parts[3], 64); err != nil {
 		return tileBox{}, fmt.Errorf("canopus: malformed tile frame %q", s)
 	}
-	if tb.n, err = strconv.Atoi(parts[4]); err != nil || tb.n < 1 {
+	if tb.n, err = strconv.Atoi(parts[4]); err != nil || tb.n < 1 || tb.n > maxChunks {
 		return tileBox{}, fmt.Errorf("canopus: malformed tile frame %q", s)
 	}
 	return tb, nil

@@ -328,3 +328,64 @@ func TestConcurrentMixedReadersOneIO(t *testing.T) {
 		}
 	}
 }
+
+// TestConcurrentFollowerOutlivesCancelledLeader: two refinements of one
+// level race on a fresh reader, so the second joins the first's geometry
+// load. The first caller gives up mid-load; the second, whose own ctx is
+// live, must still get its view instead of the first caller's
+// context.Canceled.
+func TestConcurrentFollowerOutlivesCancelledLeader(t *testing.T) {
+	aio := newIO()
+	ds := testDataset("dpot", 32)
+	if _, err := Write(context.Background(), aio, ds, Options{Levels: 3, Chunks: 4, RelTolerance: 1e-6}); err != nil {
+		t.Fatal(err)
+	}
+	// Another reader warms the IO's index cache, so opening a container
+	// reads nothing from the slowed tiers below; its level-1 view is the
+	// reference.
+	ref, err := OpenReader(context.Background(), aio, "dpot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Retrieve(context.Background(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd, err := OpenReader(context.Background(), aio, "dpot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	leader, err := rd.Base(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	follower, err := rd.Base(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < aio.H.NumTiers(); i++ {
+		tier := aio.H.Tier(i)
+		tier.Backend = slowBackend{Backend: tier.Backend, delay: 150 * time.Millisecond}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	timer := time.AfterFunc(60*time.Millisecond, cancel)
+	defer timer.Stop()
+	leaderErr := make(chan error, 1)
+	go func() { leaderErr <- rd.Augment(ctx, leader) }()
+	time.Sleep(20 * time.Millisecond)
+	err = rd.Augment(context.Background(), follower)
+	if lerr := <-leaderErr; !errors.Is(lerr, context.Canceled) {
+		t.Fatalf("leader Augment: err = %v, want context.Canceled", lerr)
+	}
+	if err != nil {
+		t.Fatalf("follower Augment failed with its leader's cancellation: %v", err)
+	}
+	if follower.Level != 1 {
+		t.Fatalf("follower at level %d, want 1", follower.Level)
+	}
+	for i, x := range follower.Data {
+		if math.Float64bits(x) != math.Float64bits(want.Data[i]) {
+			t.Fatalf("follower vertex %d: %g != reference %g", i, x, want.Data[i])
+		}
+	}
+}

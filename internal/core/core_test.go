@@ -275,6 +275,9 @@ func TestWriteValidation(t *testing.T) {
 	if _, err := Write(context.Background(), aio, ds, Options{Levels: -1}); err == nil {
 		t.Error("accepted negative levels")
 	}
+	if _, err := Write(context.Background(), aio, ds, Options{Levels: 65}); err == nil {
+		t.Error("accepted 65 levels")
+	}
 	if _, err := Write(context.Background(), aio, ds, Options{Levels: 2, RatioPerLevel: 0.5}); err == nil {
 		t.Error("accepted ratio <= 1")
 	}

@@ -45,6 +45,7 @@ func TestOpenReaderRejectsCorruptMetadata(t *testing.T) {
 		{"bad mode", "", map[string]string{"mode": "sideways"}, "unknown mode"},
 		{"bad levels", "", map[string]string{"levels": "zero"}, "bad levels"},
 		{"negative levels", "", map[string]string{"levels": "-2"}, "bad levels"},
+		{"too many levels", "", map[string]string{"levels": "65"}, "bad levels"},
 		{"bad tolerance", "", map[string]string{"tolerance": "wat"}, "bad tolerance"},
 		{"bad codec", "", map[string]string{"codec": "lzma"}, "unknown codec"},
 		{"bad estimator", "", map[string]string{"estimator": "cubic"}, "unknown estimator"},

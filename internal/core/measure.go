@@ -27,9 +27,8 @@ func (r *Reader) ProlongToFinest(ctx context.Context, v *View) ([]float64, error
 		return nil, fmt.Errorf("canopus: level %d out of range [0,%d)", v.Level, r.levels)
 	}
 	data, m := v.Data, v.Mesh
-	base := r.levels - 1
 	for l := v.Level; l > 0; l-- {
-		fine, err := r.openLevelInfo(ctx, l-1, base)
+		_, fine, err := r.open(ctx, 0, l-1)
 		if err != nil {
 			return nil, err
 		}

@@ -77,60 +77,36 @@ func tierOf(aio *adios.IO, key string) plan.Tier {
 	}
 }
 
-// newPlanner assembles a planner over one hierarchy's product set; key maps
-// an accuracy level to the storage key of its container, so the same helper
-// serves single-variable readers (level containers) and series readers
-// (per-step containers).
-func newPlanner(mode plan.Mode, bounds []float64, levelBytes []int64, aio *adios.IO, key func(l int) string) (*plan.Planner, error) {
-	prods := make([]plan.Product, len(bounds))
+// planFor builds the retrieval planner over step's product placement (step
+// is ignored for a single write). Plans are rebuilt per retrieval: placement
+// can change between calls (tier faults, migration), and construction is
+// cheap. The recorded bounds are campaign-wide for a campaign (running
+// maxima over every written step), so only the pricing depends on the step.
+func (a *archive) planFor(step int) (*plan.Planner, error) {
+	prods := make([]plan.Product, a.levels)
 	for l := range prods {
 		prods[l] = plan.Product{
 			Level: l,
-			Bound: bounds[l],
-			Bytes: levelBytes[l],
-			Tier:  tierOf(aio, key(l)),
+			Bound: a.bounds[l],
+			Bytes: a.levelBytes[l],
+			Tier:  tierOf(a.aio, a.payloadKey(step, l)),
 		}
 	}
-	return plan.New(mode, prods)
+	return plan.New(planMode(a.mode), prods)
 }
 
-// planner builds the retrieval planner for the reader's current product
-// placement. Plans are rebuilt per retrieval: placement can change between
-// calls (tier faults, future migration), and construction is cheap.
-func (r *Reader) planner() (*plan.Planner, error) {
-	return newPlanner(planMode(r.mode), r.bounds, r.levelBytes, r.aio, func(l int) string {
-		return levelKey(r.name, l)
-	})
-}
+// planner builds the retrieval planner for a single write.
+func (r *Reader) planner() (*plan.Planner, error) { return r.planFor(0) }
 
 // boundAt is the composed absolute error bound of a view at level l, from
 // the bounds recorded at write time. Legacy hierarchies know only the
 // finest level's codec bound; every other level reports -1 (unknown).
-func (r *Reader) boundAt(l int) float64 {
-	if l >= 0 && l < len(r.bounds) && r.bounds[l] >= 0 {
-		return r.bounds[l]
+func (a *archive) boundAt(l int) float64 {
+	if l >= 0 && l < len(a.bounds) && a.bounds[l] >= 0 {
+		return a.bounds[l]
 	}
 	if l == 0 {
-		return r.tolerance
-	}
-	return -1
-}
-
-// planner builds the retrieval planner for one step's product placement.
-func (sr *SeriesReader) planner(step int) (*plan.Planner, error) {
-	return newPlanner(plan.Progressive, sr.bounds, sr.levelBytes, sr.aio, func(l int) string {
-		return stepKey(sr.name, step, l)
-	})
-}
-
-// boundAt mirrors Reader.boundAt for campaign views: the recorded bounds
-// are campaign-wide (running maxima over every written step).
-func (sr *SeriesReader) boundAt(l int) float64 {
-	if l >= 0 && l < len(sr.bounds) && sr.bounds[l] >= 0 {
-		return sr.bounds[l]
-	}
-	if l == 0 {
-		return sr.tolerance
+		return a.tolerance
 	}
 	return -1
 }

@@ -18,9 +18,9 @@ import (
 // described by an engine.Product, and this file is the single place that
 // maps products onto BP containers. The write paths (refactor.go,
 // series.go) emit products and assemble them into containers here; the read
-// paths (retrieve.go, region.go, series.go) fetch variables back as
-// products. Before the engine refactor each of those files carried its own
-// key/byte-slice handling; they now share one descriptor and one layout.
+// paths (retrieve.go, region.go) fetch variables back as products. Before
+// the engine refactor each of those files carried its own key/byte-slice
+// handling; they now share one descriptor and one layout.
 
 // productRank fixes the canonical variable order inside a level container:
 // mesh geometry first (metadata), then the data payload, then delta tiles

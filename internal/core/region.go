@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/adios"
 	"repro/internal/delta"
@@ -109,19 +108,18 @@ func (r *Reader) RetrieveRegion(ctx context.Context, targetLevel int, minX, minY
 		return nil, err
 	}
 
-	out := &RegionView{Level: targetLevel}
-
-	// Open the planned containers base-down, loading meshes and mappings
-	// (cached across calls). The order matters for degradation: the base
-	// must open (there is nothing coarser to fall back to), and a
-	// degradable failure at a finer level truncates the active plan to the
-	// finest level whose metadata is intact.
+	// Open the planned containers base-down with their geometry (cached
+	// across calls). The order matters for degradation: the base must open
+	// (there is nothing coarser to fall back to), and a degradable failure
+	// at a finer level truncates the active plan to the finest level whose
+	// metadata is intact.
 	base := r.levels - 1
 	var deg *Degradation
 	active := pl.Steps
-	handles := make([]*handleInfo, base+1)
+	handles := make([]*adios.Handle, base+1)
+	geo := make([]*levelGeo, base+1)
 	for i, st := range pl.Steps {
-		info, err := r.openLevelInfo(ctx, st.Level, base)
+		h, g, err := r.open(ctx, 0, st.Level)
 		if err != nil {
 			if i > 0 && degrade && degradable(err) {
 				achieved := pl.Steps[i-1].Level
@@ -131,7 +129,7 @@ func (r *Reader) RetrieveRegion(ctx context.Context, targetLevel int, minX, minY
 			}
 			return nil, err
 		}
-		handles[st.Level] = info
+		handles[st.Level], geo[st.Level] = h, g
 	}
 	effTarget := active[len(active)-1].Level
 
@@ -139,22 +137,21 @@ func (r *Reader) RetrieveRegion(ctx context.Context, targetLevel int, minX, minY
 	// base: needed corners at level l+1 are the triangle corners the
 	// mapping assigns to needed vertices at level l.
 	needed := make([][]bool, base+1)
-	needed[effTarget] = make([]bool, handles[effTarget].mesh.NumVerts())
-	for vi, v := range handles[effTarget].mesh.Verts {
+	needed[effTarget] = make([]bool, geo[effTarget].mesh.NumVerts())
+	for vi, v := range geo[effTarget].mesh.Verts {
 		if v.X >= minX && v.X <= maxX && v.Y >= minY && v.Y <= maxY {
 			needed[effTarget][vi] = true
 		}
 	}
 	for i := len(active) - 1; i > 0; i-- {
 		l := active[i].Level
-		fine := handles[l]
-		coarseMesh := handles[l+1].mesh
+		coarseMesh := geo[l+1].mesh
 		needed[l+1] = make([]bool, coarseMesh.NumVerts())
 		for vi, want := range needed[l] {
 			if !want {
 				continue
 			}
-			t := coarseMesh.Tris[fine.mapping[vi]]
+			t := coarseMesh.Tris[geo[l].mapping[vi]]
 			needed[l+1][t[0]] = true
 			needed[l+1][t[1]] = true
 			needed[l+1][t[2]] = true
@@ -162,45 +159,27 @@ func (r *Reader) RetrieveRegion(ctx context.Context, targetLevel int, minX, minY
 	}
 
 	// Base: read in full (small, fast tier).
-	hBase := handles[base].h
-	pBase, err := fetchProduct(hBase, base, engine.KindData, 0)
+	bv, err := r.whole(ctx, handles[base], geo[base], base)
 	if err != nil {
 		return nil, err
 	}
-	dspan := span.Child("core.decompress")
-	t0 := time.Now()
-	baseData, err := decodeProduct(ctx, r.pool, r.codec, hBase, base, pBase.Payload)
-	baseDecSecs := time.Since(t0).Seconds()
-	dspan.End()
-	out.Timings.DecompressSeconds += baseDecSecs
-	metricDecompressSeconds.Add(baseDecSecs)
-	req.AddDecompress(baseDecSecs)
-	if err != nil {
-		return nil, fmt.Errorf("canopus: decompress base: %w", err)
-	}
-	if len(baseData) != handles[base].mesh.NumVerts() {
-		return nil, fmt.Errorf("canopus: base data %d values for %d vertices", len(baseData), handles[base].mesh.NumVerts())
-	}
+	out := &RegionView{Timings: bv.Timings}
+	data := bv.Data
 
 	// Restore along the plan coarse-to-fine, needed vertices only, fetching
 	// only the delta tiles that hold them. A degradable fetch failure stops
 	// the refinement with the coarser level's data intact.
-	data := baseData
 	for i := 1; i < len(active); i++ {
 		l := active[i].Level
-		fine := handles[l]
-		tb, err := r.tileFrame(fine.h)
-		if err != nil {
-			return nil, err
-		}
-		chunkSet := make([]bool, tb.n*tb.n)
+		fine, h := geo[l], handles[l]
+		chunkSet := make([]bool, fine.tiles.n*fine.tiles.n)
 		for vi, want := range needed[l] {
 			if want {
 				v := fine.mesh.Verts[vi]
-				chunkSet[tb.tileOf(v.X, v.Y)] = true
+				chunkSet[fine.tiles.tileOf(v.X, v.Y)] = true
 			}
 		}
-		// Non-nil even when empty: a nil list asks readDeltaChunks for
+		// Non-nil even when empty: a nil list asks fetchDeltaChunks for
 		// every tile.
 		chunks := []int{}
 		for ci, want := range chunkSet {
@@ -211,7 +190,11 @@ func (r *Reader) RetrieveRegion(ctx context.Context, targetLevel int, minX, minY
 		deltas := make([]float64, fine.mesh.NumVerts())
 		haveDelta := make([]bool, fine.mesh.NumVerts())
 		var decompress engine.Counter
-		if err := r.readDeltaChunks(ctx, fine.h, l, chunks, deltas, haveDelta, &decompress); err != nil {
+		tiles, err := fetchDeltaChunks(h, fine.tiles, l, chunks)
+		if err == nil {
+			err = tiles.decodeInto(ctx, r.pool, h, r.codec, deltas, haveDelta, &decompress)
+		}
+		if err != nil {
 			if degrade && degradable(err) {
 				deg = newDegradation(targetLevel, l+1, err, r.boundAt(l+1))
 				effTarget = l + 1
@@ -222,46 +205,41 @@ func (r *Reader) RetrieveRegion(ctx context.Context, targetLevel int, minX, minY
 		}
 		out.Timings.DecompressSeconds += decompress.Value()
 
-		rspan := span.Child("core.restore")
-		rspan.SetAttrInt("level", l)
-		t0 = time.Now()
 		fineData := make([]float64, fine.mesh.NumVerts())
-		coarseMesh := handles[l+1].mesh
+		coarseMesh := geo[l+1].mesh
 		// Needed vertices are restored independently, so the sparse loop
 		// shards over the pool like the full restore; writes target
 		// disjoint indices and the result is identical at every worker
 		// count (the first missing-delta error, by index, wins).
 		want := needed[l]
-		err = r.pool.RunRange(ctx, len(want), func(start, end int) error {
-			for vi := start; vi < end; vi++ {
-				if !want[vi] {
-					continue
+		err = restorePhase(ctx, &out.Timings, l, func() error {
+			return r.pool.RunRange(ctx, len(want), func(start, end int) error {
+				for vi := start; vi < end; vi++ {
+					if !want[vi] {
+						continue
+					}
+					if !haveDelta[vi] {
+						return fmt.Errorf("canopus: level %d vertex %d missing from fetched chunks", l, vi)
+					}
+					fineData[vi] = deltas[vi] + delta.EstimateVertex(
+						fine.mesh, coarseMesh, data, fine.mapping, r.estimator, int32(vi))
 				}
-				if !haveDelta[vi] {
-					return fmt.Errorf("canopus: level %d vertex %d missing from fetched chunks", l, vi)
-				}
-				fineData[vi] = deltas[vi] + delta.EstimateVertex(
-					fine.mesh, coarseMesh, data, fine.mapping, r.estimator, int32(vi))
-			}
-			return nil
+				return nil
+			})
 		})
-		restoreSecs := time.Since(t0).Seconds()
-		rspan.End()
 		if err != nil {
 			return nil, err
 		}
-		out.Timings.RestoreSeconds += restoreSecs
-		metricRestoreSeconds.Add(restoreSecs)
-		req.AddRestore(restoreSecs)
 		data = fineData
 	}
 
-	// Accumulate I/O from every handle the active plan touched.
-	for _, st := range active {
-		out.Timings.addHandleIO(ctx, handles[st.Level].h)
+	// Accumulate I/O from every refinement handle the active plan touched
+	// (the base's was billed with its data).
+	for _, st := range active[1:] {
+		out.Timings.addHandleIO(ctx, handles[st.Level])
 	}
 	out.Level = effTarget
-	out.Mesh = handles[effTarget].mesh
+	out.Mesh = geo[effTarget].mesh
 	out.Data = data
 	out.ErrorBound = r.boundAt(effTarget)
 	if effTarget == base {
@@ -287,32 +265,4 @@ func (r *Reader) RetrieveRegion(ctx context.Context, targetLevel int, minX, minY
 		out.Cost = rep
 	}
 	return out, nil
-}
-
-type handleInfo struct {
-	h       *adios.Handle
-	mesh    *mesh.Mesh
-	mapping delta.Mapping
-}
-
-// openLevelInfo opens one level container and loads its cached mesh (and,
-// for non-base levels, mapping).
-func (r *Reader) openLevelInfo(ctx context.Context, l, base int) (*handleInfo, error) {
-	h, err := r.aio.Open(ctx, levelKey(r.name, l), 1)
-	if err != nil {
-		return nil, err
-	}
-	info := &handleInfo{h: h}
-	info.mesh, info.mapping = r.cached(l)
-	var units []engine.Unit
-	if info.mesh == nil {
-		units = append(units, func(ctx context.Context) (err error) { info.mesh, err = r.readMesh(ctx, h, l); return err })
-	}
-	if l < base && info.mapping == nil {
-		units = append(units, func(context.Context) (err error) { info.mapping, err = r.readMapping(h, l); return err })
-	}
-	if err := r.pool.Run(ctx, units...); err != nil {
-		return nil, err
-	}
-	return info, nil
 }

@@ -53,7 +53,7 @@ func TestTileBoxEncodeParseRoundTrip(t *testing.T) {
 	if got != tb {
 		t.Fatalf("round trip %+v != %+v", got, tb)
 	}
-	for _, bad := range []string{"", "1,2,3", "a,b,c,d,e", "1,2,3,4,0", "1,2,3,4,x"} {
+	for _, bad := range []string{"", "1,2,3", "a,b,c,d,e", "1,2,3,4,0", "1,2,3,4,x", "1,2,3,4,65", "0,0,1,1,100000"} {
 		if _, err := parseTileBox(bad); err == nil {
 			t.Errorf("parseTileBox(%q) accepted", bad)
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -20,31 +21,35 @@ import (
 	"repro/internal/storage"
 )
 
-// Reader retrieves refactored variables progressively (§III-E, Fig. 1 right
-// of the pyramid). Opening a reader touches only the small metadata
-// container on the fastest tier.
+// maxLevels bounds the level count a writer accepts and a reader believes.
+// Readers size per-level state from the metadata before reading anything
+// else, so a forged count must not allocate; 64 halvings exceed any mesh.
+const maxLevels = 64
+
+// archive is the read side of one stored hierarchy, shared by Reader (a
+// single write) and SeriesReader (a campaign): the metadata, parsed once;
+// the worker pool; the degrade flag; and a per-level cache of geometry —
+// mesh, mapping, tile frame — loaded at most once behind one single-flight.
+// The two readers differ only in where a level's containers live. A single
+// write keeps geometry and payload in one container, levelKey. A campaign
+// keeps each level's geometry in hierKey, shared by every step, and a
+// step's payload in stepKey. One level walker serves both: a whole-product
+// read (whole), a refine step (refine) and a plan walk (run).
 //
-// The reader caches decoded mesh geometry and vertex→triangle mappings per
-// level: in the paper's workloads the mesh hierarchy is static while the
-// field evolves over many timesteps and many analysis passes, so a session
-// pays mesh I/O once and subsequent retrievals charge only the data/delta
-// payloads. Retrieval timings on a warm reader therefore reflect the
-// steady-state analysis cost the paper measures.
-//
-// A Reader is safe for concurrent use: many goroutines may Retrieve (or
-// Base/Augment distinct views) at once. The caches are mutex-guarded and a
-// cache miss decodes each level's mesh and mapping exactly once even when
-// several retrievals race to it. Independent delta tiles within one
-// retrieval are fetched and decompressed on the reader's worker pool.
-type Reader struct {
+// The paper's workloads keep the mesh hierarchy static while the field
+// evolves over many timesteps and analysis passes, so a reader pays for a
+// level's geometry once and later retrievals charge only the payloads.
+// Geometry read through a payload container is billed to the view that
+// needed it first; a campaign's geometry is billed to HierarchyCost.
+type archive struct {
 	aio       *adios.IO
 	name      string
+	campaign  bool
 	mode      Mode
 	levels    int
 	codec     compress.Codec
 	estimator delta.Estimator
 	tolerance float64
-	rawBytes  int64
 
 	// bounds and levelBytes are the planner inputs recorded at write time:
 	// composed absolute error bound and modeled container size per level.
@@ -52,22 +57,137 @@ type Reader struct {
 	bounds     []float64
 	levelBytes []int64
 	// vertCounts[l] is level l's vertex count as recorded at write time,
-	// -1 when the metadata does not carry it.
+	// -1 when the metadata does not carry it (campaigns never do).
 	vertCounts []int
-
-	// degrade switches Retrieve/RetrieveRegion to best-effort: stop at the
-	// best restored accuracy on a degradable storage failure instead of
-	// erroring (see degrade.go). Guarded by mu so SetDegrade is safe against
-	// concurrent retrievals.
-	degrade bool
 
 	pool *engine.Pool
 
-	mu           sync.RWMutex // guards the caches below
-	meshCache    map[int]*mesh.Mesh
-	mappingCache map[int]delta.Mapping
-	flight       engine.Group
+	mu sync.RWMutex // guards degrade, geo and hierCost
+	// degrade switches reads to best-effort: stop at the best restored
+	// accuracy on a degradable storage failure instead of erroring (see
+	// degrade.go).
+	degrade  bool
+	geo      []*levelGeo // per level, nil until loaded
+	hierCost storage.Cost
+	flight   engine.Group
 }
+
+// levelGeo is one level's geometry as the walker holds it. mapping and
+// tiles are set on the levels that store a delta: every level but the base
+// of a delta hierarchy.
+type levelGeo struct {
+	mesh    *mesh.Mesh
+	mapping delta.Mapping
+	tiles   tileBox
+}
+
+// openArchive parses the metadata container of a single write, or of a
+// campaign, and returns it with a lookup of the container's attributes.
+func openArchive(ctx context.Context, aio *adios.IO, name string, campaign bool) (*archive, func(string) (string, error), error) {
+	what, key := "metadata", metaKey(name)
+	if campaign {
+		what, key = "series metadata", seriesMetaKey(name)
+	}
+	h, err := aio.Open(ctx, key, 1)
+	if err != nil {
+		return nil, nil, fmt.Errorf("canopus: open %s for %q: %w", what, name, err)
+	}
+	attr := func(key string) (string, error) {
+		v, ok := h.BP.Attr(key)
+		if !ok {
+			return "", fmt.Errorf("canopus: %s for %q missing %s", what, name, key)
+		}
+		return v, nil
+	}
+	levelsStr, err := attr("levels")
+	if err != nil {
+		return nil, nil, err
+	}
+	levels, err := strconv.Atoi(levelsStr)
+	if err != nil || levels < 1 || levels > maxLevels {
+		return nil, nil, fmt.Errorf("canopus: bad levels attribute %q", levelsStr)
+	}
+	codecName, err := attr("codec")
+	if err != nil {
+		return nil, nil, err
+	}
+	tolStr, err := attr("tolerance")
+	if err != nil {
+		return nil, nil, err
+	}
+	tol, err := strconv.ParseFloat(tolStr, 64)
+	if err != nil {
+		return nil, nil, fmt.Errorf("canopus: bad tolerance attribute %q", tolStr)
+	}
+	codec, err := compress.New(codecName, tol)
+	if err != nil {
+		return nil, nil, err
+	}
+	estName, err := attr("estimator")
+	if err != nil {
+		return nil, nil, err
+	}
+	est, err := delta.EstimatorByName(estName)
+	if err != nil {
+		return nil, nil, err
+	}
+	a := &archive{
+		aio:        aio,
+		name:       name,
+		campaign:   campaign,
+		levels:     levels,
+		codec:      codec,
+		estimator:  est,
+		tolerance:  tol,
+		pool:       engine.NewPool(0),
+		geo:        make([]*levelGeo, levels),
+		vertCounts: make([]int, levels),
+	}
+	a.bounds, a.levelBytes = readPlanAttrs(h, levels)
+	for l := range a.vertCounts {
+		a.vertCounts[l] = -1
+		if n, ok := h.AttrInt(fmt.Sprintf("verts-L%d", l)); ok && n >= 0 && n <= math.MaxInt32 {
+			a.vertCounts[l] = int(n)
+		}
+	}
+	return a, attr, nil
+}
+
+// SetDegrade toggles graceful degradation on the reader (see
+// Options.Degrade). Safe to call concurrently with retrievals; in-flight
+// retrievals may use either setting.
+func (a *archive) SetDegrade(on bool) {
+	a.mu.Lock()
+	a.degrade = on
+	a.mu.Unlock()
+}
+
+func (a *archive) degradeOn() bool {
+	a.mu.RLock()
+	defer a.mu.RUnlock()
+	return a.degrade
+}
+
+// SetWorkers resizes the reader's worker pool (n <= 0 means NumCPU). It must
+// not be called concurrently with retrievals.
+func (a *archive) SetWorkers(n int) { a.pool = engine.NewPool(n) }
+
+// Levels reports the total number of stored accuracy levels N.
+func (a *archive) Levels() int { return a.levels }
+
+// Tolerance reports the absolute codec error bound used at write time.
+func (a *archive) Tolerance() float64 { return a.tolerance }
+
+// Reader retrieves refactored variables progressively (§III-E, Fig. 1 right
+// of the pyramid). Opening a reader touches only the small metadata
+// container on the fastest tier.
+//
+// A Reader is safe for concurrent use: many goroutines may Retrieve (or
+// Base/Augment distinct views) at once. A cache miss loads each level's
+// geometry exactly once even when several retrievals race to it. Independent
+// delta tiles within one retrieval are fetched and decompressed on the
+// reader's worker pool.
+type Reader struct{ *archive }
 
 // OpenReaderWith loads the metadata for a refactored variable and applies
 // the read-side options (currently only opts.Degrade; layout options come
@@ -81,112 +201,24 @@ func OpenReaderWith(ctx context.Context, aio *adios.IO, name string, opts Option
 	return r, nil
 }
 
-// SetDegrade toggles graceful degradation on the reader (see
-// Options.Degrade). Safe to call concurrently with retrievals; in-flight
-// retrievals may use either setting.
-func (r *Reader) SetDegrade(on bool) {
-	r.mu.Lock()
-	r.degrade = on
-	r.mu.Unlock()
-}
-
-func (r *Reader) degradeOn() bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.degrade
-}
-
 // OpenReader loads the metadata for a refactored variable.
 func OpenReader(ctx context.Context, aio *adios.IO, name string) (*Reader, error) {
-	h, err := aio.Open(ctx, metaKey(name), 1)
+	a, attr, err := openArchive(ctx, aio, name, false)
 	if err != nil {
-		return nil, fmt.Errorf("canopus: open metadata for %q: %w", name, err)
-	}
-	attr := func(key string) (string, error) {
-		v, ok := h.BP.Attr(key)
-		if !ok {
-			return "", fmt.Errorf("canopus: metadata for %q missing %s", name, key)
-		}
-		return v, nil
+		return nil, err
 	}
 	modeStr, err := attr("mode")
+	if err == nil {
+		a.mode, err = ModeByName(modeStr)
+	}
 	if err != nil {
 		return nil, err
 	}
-	mode, err := ModeByName(modeStr)
-	if err != nil {
-		return nil, err
-	}
-	levelsStr, err := attr("levels")
-	if err != nil {
-		return nil, err
-	}
-	levels, err := strconv.Atoi(levelsStr)
-	if err != nil || levels < 1 {
-		return nil, fmt.Errorf("canopus: bad levels attribute %q", levelsStr)
-	}
-	codecName, err := attr("codec")
-	if err != nil {
-		return nil, err
-	}
-	tolStr, err := attr("tolerance")
-	if err != nil {
-		return nil, err
-	}
-	tol, err := strconv.ParseFloat(tolStr, 64)
-	if err != nil {
-		return nil, fmt.Errorf("canopus: bad tolerance attribute %q", tolStr)
-	}
-	codec, err := compress.New(codecName, tol)
-	if err != nil {
-		return nil, err
-	}
-	estName, err := attr("estimator")
-	if err != nil {
-		return nil, err
-	}
-	est, err := delta.EstimatorByName(estName)
-	if err != nil {
-		return nil, err
-	}
-	r := &Reader{
-		aio:          aio,
-		name:         name,
-		mode:         mode,
-		levels:       levels,
-		codec:        codec,
-		estimator:    est,
-		tolerance:    tol,
-		pool:         engine.NewPool(0),
-		meshCache:    make(map[int]*mesh.Mesh),
-		mappingCache: make(map[int]delta.Mapping),
-	}
-	if raw, ok := h.BP.Attr("raw-bytes"); ok {
-		r.rawBytes, _ = strconv.ParseInt(raw, 10, 64)
-	}
-	r.bounds, r.levelBytes = readPlanAttrs(h, levels)
-	r.vertCounts = make([]int, levels)
-	for l := range r.vertCounts {
-		r.vertCounts[l] = -1
-		if n, ok := h.AttrInt(fmt.Sprintf("verts-L%d", l)); ok && n >= 0 && n <= math.MaxInt32 {
-			r.vertCounts[l] = int(n)
-		}
-	}
-	return r, nil
+	return &Reader{a}, nil
 }
-
-// SetWorkers resizes the reader's worker pool (n <= 0 means NumCPU). It must
-// not be called concurrently with retrievals.
-func (r *Reader) SetWorkers(n int) { r.pool = engine.NewPool(n) }
-
-// Levels reports the total number of stored accuracy levels N.
-func (r *Reader) Levels() int { return r.levels }
 
 // Mode reports the stored refactoring mode.
 func (r *Reader) Mode() Mode { return r.mode }
-
-// Tolerance reports the absolute codec error bound used at write time.
-func (r *Reader) Tolerance() float64 { return r.tolerance }
 
 // View is data restored to some accuracy level, plus the accumulated cost
 // of producing it. Augment refines it in place, one level at a time. A View
@@ -247,132 +279,23 @@ func decodeProduct(ctx context.Context, pool *engine.Pool, codec compress.Codec,
 // Base retrieves the lowest-accuracy view: read L^(N-1) from the fast tier
 // and decompress — option (1) in §III-B's walkthrough.
 func (r *Reader) Base(ctx context.Context) (*View, error) {
-	l := r.levels - 1
-	if r.mode == ModeDirect {
-		return r.retrieveDirect(ctx, l)
-	}
-	ctx, span := obs.StartSpan(ctx, "core.base")
-	span.SetAttr("name", r.name)
-	span.SetAttrInt("level", l)
-	defer span.End()
-	h, err := r.aio.Open(ctx, levelKey(r.name, l), 1)
-	if err != nil {
-		return nil, err
-	}
-	span.SetAttr("tier", h.TierName)
-	p, err := fetchProduct(h, l, engine.KindData, 0)
-	if err != nil {
-		return nil, err
-	}
-	m, err := r.readMesh(ctx, h, l)
-	if err != nil {
-		return nil, err
-	}
-	v := &View{Level: l, Mesh: m, ErrorBound: r.boundAt(l)}
-	v.Timings.addHandleIO(ctx, h)
-
-	dspan := span.Child("core.decompress")
-	t0 := time.Now()
-	v.Data, err = decodeProduct(ctx, r.pool, r.codec, h, l, p.Payload)
-	v.Timings.DecompressSeconds = time.Since(t0).Seconds()
-	dspan.End()
-	metricDecompressSeconds.Add(v.Timings.DecompressSeconds)
-	obs.RequestFrom(ctx).AddDecompress(v.Timings.DecompressSeconds)
-	if err != nil {
-		return nil, fmt.Errorf("canopus: decompress base: %w", err)
-	}
-	if len(v.Data) != m.NumVerts() {
-		return nil, fmt.Errorf("canopus: base data %d values for %d vertices", len(v.Data), m.NumVerts())
-	}
-	return v, nil
+	return r.advance(ctx, 0, nil, r.levels-1)
 }
 
 // Augment refines v by one level (toward full accuracy): it retrieves
 // delta^((Level-1)-(Level)) and the finer mesh from storage, then applies
 // Algorithm 3. The paper's progressive exploration loop is Base() followed
-// by Augment() until the accuracy satisfies the analysis.
+// by Augment() until the accuracy satisfies the analysis. A failed Augment
+// leaves v as it was.
 func (r *Reader) Augment(ctx context.Context, v *View) error {
 	if v.Level == 0 {
 		return fmt.Errorf("canopus: %q already at full accuracy", r.name)
 	}
-	fineLevel := v.Level - 1
-	if r.mode == ModeDirect {
-		nv, err := r.retrieveDirect(ctx, fineLevel)
-		if err != nil {
-			return err
-		}
-		nv.Timings.Add(v.Timings)
-		*v = *nv
-		return nil
-	}
-	ctx, span := obs.StartSpan(ctx, "core.augment")
-	span.SetAttr("name", r.name)
-	span.SetAttrInt("level", fineLevel)
-	defer span.End()
-	metricAugments.Inc()
-	h, err := r.aio.Open(ctx, levelKey(r.name, fineLevel), 1)
+	nv, err := r.advance(ctx, 0, v, v.Level-1)
 	if err != nil {
 		return err
 	}
-	span.SetAttr("tier", h.TierName)
-	tb, err := r.tileFrame(h)
-	if err != nil {
-		return err
-	}
-	// The level's three inputs are independent until the restore, so what
-	// the reader does not already hold is fetched and decoded side by side
-	// with the tiles. The tile scatter needs the fine vertex count before
-	// the geometry has decoded; the metadata recorded it (vertCount). On a
-	// warm reader only the tiles are left, and a lone unit runs in this
-	// goroutine: a server's cached readers pay for no fan-out.
-	var (
-		d          []float64
-		decompress engine.Counter
-	)
-	fineMesh, mp := r.cached(fineLevel)
-	var units []engine.Unit
-	if mp == nil {
-		units = append(units, func(context.Context) (err error) { mp, err = r.readMapping(h, fineLevel); return err })
-	}
-	if fineMesh == nil {
-		units = append(units, func(ctx context.Context) (err error) { fineMesh, err = r.readMesh(ctx, h, fineLevel); return err })
-	}
-	units = append(units, func(ctx context.Context) error {
-		tiles, err := fetchDeltaChunks(h, tb, fineLevel, nil)
-		if err != nil {
-			return err
-		}
-		n, err := r.vertCount(ctx, h, fineLevel)
-		if err != nil {
-			return err
-		}
-		d = make([]float64, n)
-		return tiles.decodeInto(ctx, r.pool, h, r.codec, d, nil, &decompress)
-	})
-	if err := r.pool.Run(ctx, units...); err != nil {
-		return err
-	}
-	v.Timings.addHandleIO(ctx, h)
-	v.Timings.DecompressSeconds += decompress.Value()
-
-	rspan := span.Child("core.restore")
-	t0 := time.Now()
-	// In-place restore: the delta buffer becomes the fine data, and the
-	// per-vertex loop shards over the reader's pool.
-	fineData, err := delta.RestoreInto(ctx, r.pool, fineMesh, v.Mesh, v.Data, mp, d, r.estimator, d)
-	restoreSecs := time.Since(t0).Seconds()
-	rspan.End()
-	v.Timings.RestoreSeconds += restoreSecs
-	metricRestoreSeconds.Add(restoreSecs)
-	obs.RequestFrom(ctx).AddRestore(restoreSecs)
-	if err != nil {
-		return fmt.Errorf("canopus: restore level %d: %w", fineLevel, err)
-	}
-
-	v.Level = fineLevel
-	v.Mesh = fineMesh
-	v.Data = fineData
-	v.ErrorBound = r.boundAt(fineLevel)
+	*v = *nv
 	return nil
 }
 
@@ -387,15 +310,7 @@ func (r *Reader) Retrieve(ctx context.Context, targetLevel int) (*View, error) {
 	if targetLevel < 0 || targetLevel >= r.levels {
 		return nil, fmt.Errorf("canopus: level %d out of range [0,%d)", targetLevel, r.levels)
 	}
-	p, err := r.planner()
-	if err != nil {
-		return nil, err
-	}
-	pl, err := p.ForLevel(targetLevel)
-	if err != nil {
-		return nil, err
-	}
-	return r.execute(ctx, pl)
+	return r.runPlan(ctx, 0, func(p *plan.Planner) (*plan.Plan, error) { return p.ForLevel(targetLevel) })
 }
 
 // RetrieveToTolerance restores the variable to the cheapest accuracy whose
@@ -407,23 +322,7 @@ func (r *Reader) Retrieve(ctx context.Context, targetLevel int) (*View, error) {
 // recorded bound retrieves full accuracy and reports how close it got via
 // View.Degradation (RequestedTolerance set, Reason explains the gap).
 func (r *Reader) RetrieveToTolerance(ctx context.Context, eps float64) (*View, error) {
-	p, err := r.planner()
-	if err != nil {
-		return nil, err
-	}
-	pl, err := p.ForTolerance(eps)
-	if err != nil {
-		return nil, err
-	}
-	metricToleranceRetrievals.Inc()
-	ctx, req, owned := obs.BeginRequest(ctx, "core.retrieve")
-	v, err := r.execute(ctx, pl)
-	if err != nil {
-		return nil, err
-	}
-	finishTolerance(ctx, v, pl)
-	finishView(v, req, owned, obs.FromContext(ctx), metricRetrieveSeconds)
-	return v, nil
+	return r.runPlan(ctx, 0, func(p *plan.Planner) (*plan.Plan, error) { return p.ForTolerance(eps) })
 }
 
 // finishTolerance attaches the tolerance context to a tolerance-driven
@@ -447,98 +346,139 @@ func finishTolerance(ctx context.Context, v *View, pl *plan.Plan) {
 	}
 }
 
-// execute walks a planner-produced Plan: progressive plans apply the steps
-// coarse-to-fine (base first, then each delta), direct plans fetch their
-// single product and fall back along pl.Fallbacks under degradation. All
-// level selection lives in the plan; execute only follows it.
-func (r *Reader) execute(ctx context.Context, pl *plan.Plan) (*View, error) {
-	ctx, req, owned := obs.BeginRequest(ctx, "core.retrieve")
-	ctx, span := obs.StartSpan(ctx, "core.retrieve")
-	span.SetAttr("name", r.name)
-	span.SetAttrInt("target_level", pl.Target)
-	if pl.Tolerance > 0 {
-		span.SetAttr("tolerance", strconv.FormatFloat(pl.Tolerance, 'g', -1, 64))
-	}
-	defer span.End()
-	metricRetrievals.Inc()
-	if pl.Mode == plan.Direct {
-		v, err := r.executeDirect(ctx, span, pl)
-		if err != nil {
-			return nil, err
-		}
-		finishView(v, req, owned, span, metricRetrieveSeconds)
-		return v, nil
-	}
-	v, err := r.Base(ctx)
+// runPlan builds the planner over step's products, asks it for a plan and
+// walks the plan.
+func (a *archive) runPlan(ctx context.Context, step int, makePlan func(*plan.Planner) (*plan.Plan, error)) (*View, error) {
+	p, err := a.planFor(step)
 	if err != nil {
 		return nil, err
 	}
-	for range pl.Steps[1:] {
-		if err := r.Augment(ctx, v); err != nil {
-			if r.degradeOn() && degradable(err) {
-				v.Degradation = newDegradation(pl.Target, v.Level, err, r.boundAt(v.Level))
-				countDegradation(ctx, v.Degradation)
-				span.SetAttrInt("achieved_level", v.Level)
-				span.SetAttr("degraded", "true")
-				finishView(v, req, owned, span, metricRetrieveSeconds)
-				return v, nil
-			}
+	pl, err := makePlan(p)
+	if err != nil {
+		return nil, err
+	}
+	return a.run(ctx, step, pl)
+}
+
+// run walks a planner-produced plan over step's containers. A progressive
+// plan reads the base, then refines one level per step; a degradable
+// failure under degradation keeps the last level that restored cleanly. A
+// direct plan reads its single product and, under degradation, falls back
+// along pl.Fallbacks — coarser levels, nearest first — until one reads
+// cleanly. All level selection lives in the plan; run only follows it.
+func (a *archive) run(ctx context.Context, step int, pl *plan.Plan) (*View, error) {
+	op, count, latency := "core.retrieve", metricRetrievals, metricRetrieveSeconds
+	if a.campaign {
+		op, count, latency = "core.retrieve_step", metricSeriesSteps, metricRetrieveStepSeconds
+	}
+	ctx, req, owned := obs.BeginRequest(ctx, op)
+	ctx, span := obs.StartSpan(ctx, op)
+	span.SetAttr("name", a.name)
+	if a.campaign {
+		span.SetAttrInt("step", step)
+	}
+	span.SetAttrInt("target_level", pl.Target)
+	if pl.Tolerance > 0 {
+		metricToleranceRetrievals.Inc()
+		span.SetAttr("tolerance", strconv.FormatFloat(pl.Tolerance, 'g', -1, 64))
+	}
+	defer span.End()
+	count.Inc()
+	var (
+		v   *View
+		err error
+	)
+	for _, st := range pl.Steps {
+		var nv *View
+		if nv, err = a.advance(ctx, step, v, st.Level); err != nil {
+			break
+		}
+		v = nv
+	}
+	if err != nil {
+		if !a.degradeOn() || !degradable(err) {
 			return nil, err
 		}
+		for _, l := range pl.Fallbacks {
+			nv, ferr := a.readLevel(ctx, step, l)
+			if ferr == nil {
+				v = nv
+				break
+			}
+			if !degradable(ferr) {
+				return nil, ferr
+			}
+		}
+		if v == nil {
+			return nil, err
+		}
+		a.degradeAt(ctx, span, v, pl, err)
 	}
-	finishView(v, req, owned, span, metricRetrieveSeconds)
+	if pl.Tolerance > 0 {
+		finishTolerance(ctx, v, pl)
+	}
+	finishView(v, req, owned, span, latency)
 	return v, nil
 }
 
-// executeDirect is execute's direct-mode body: each level is an
-// independently stored product, so degradation walks the plan's fallback
-// order — coarser levels, nearest first — until one reads cleanly.
-func (r *Reader) executeDirect(ctx context.Context, span *obs.Span, pl *plan.Plan) (*View, error) {
-	v, err := r.retrieveDirect(ctx, pl.Steps[0].Level)
-	if err == nil || !r.degradeOn() || !degradable(err) {
-		return v, err
-	}
-	firstErr := err
-	for _, l := range pl.Fallbacks {
-		v, lerr := r.retrieveDirect(ctx, l)
-		if lerr == nil {
-			v.Degradation = newDegradation(pl.Target, l, firstErr, r.boundAt(l))
-			countDegradation(ctx, v.Degradation)
-			span.SetAttrInt("achieved_level", l)
-			span.SetAttr("degraded", "true")
-			return v, nil
-		}
-		if !degradable(lerr) {
-			return nil, lerr
-		}
-	}
-	return nil, firstErr
+// degradeAt records on v, on the request carried by ctx and on span that
+// the walk toward pl's target stopped at v.Level because of err.
+func (a *archive) degradeAt(ctx context.Context, span *obs.Span, v *View, pl *plan.Plan, err error) {
+	v.Degradation = newDegradation(pl.Target, v.Level, err, a.boundAt(v.Level))
+	countDegradation(ctx, v.Degradation)
+	span.SetAttrInt("achieved_level", v.Level)
+	span.SetAttr("degraded", "true")
 }
 
-// retrieveDirect reads level l compressed directly (the §II-B baseline).
-func (r *Reader) retrieveDirect(ctx context.Context, l int) (*View, error) {
-	ctx, span := obs.StartSpan(ctx, "core.direct")
-	span.SetAttr("name", r.name)
+// advance takes one step of a walk over step's containers, to level l: a
+// refinement of v (l is then v.Level-1) in a delta hierarchy; otherwise —
+// the first step of a walk, or any step over a direct hierarchy — a
+// whole-product read that carries v's costs forward. On error v is left as
+// it was.
+func (a *archive) advance(ctx context.Context, step int, v *View, l int) (*View, error) {
+	if v != nil && a.mode == ModeDelta {
+		return v, a.refine(ctx, step, v)
+	}
+	nv, err := a.readLevel(ctx, step, l)
+	if err == nil && v != nil {
+		nv.Timings.Add(v.Timings)
+	}
+	return nv, err
+}
+
+// readLevel reads level l's whole data product from step's payload
+// container: the base of a delta hierarchy, or any level of a direct one
+// (the §II-B baseline).
+func (a *archive) readLevel(ctx context.Context, step, l int) (*View, error) {
+	name := "core.base"
+	if a.mode == ModeDirect {
+		name = "core.direct"
+	}
+	ctx, span := obs.StartSpan(ctx, name)
+	span.SetAttr("name", a.name)
 	span.SetAttrInt("level", l)
 	defer span.End()
-	h, err := r.aio.Open(ctx, levelKey(r.name, l), 1)
+	h, g, err := a.open(ctx, step, l)
 	if err != nil {
 		return nil, err
 	}
 	span.SetAttr("tier", h.TierName)
+	return a.whole(ctx, h, g, l)
+}
+
+// whole decodes level l's whole data product from its open payload
+// container h into a view over the level's geometry g, billing h's I/O to
+// the view.
+func (a *archive) whole(ctx context.Context, h *adios.Handle, g *levelGeo, l int) (*View, error) {
 	p, err := fetchProduct(h, l, engine.KindData, 0)
 	if err != nil {
 		return nil, err
 	}
-	m, err := r.readMesh(ctx, h, l)
-	if err != nil {
-		return nil, err
-	}
-	v := &View{Level: l, Mesh: m, ErrorBound: r.boundAt(l)}
+	v := &View{Level: l, Mesh: g.mesh, ErrorBound: a.boundAt(l)}
 	v.Timings.addHandleIO(ctx, h)
-	dspan := span.Child("core.decompress")
+	dspan := obs.FromContext(ctx).Child("core.decompress")
 	t0 := time.Now()
-	v.Data, err = decodeProduct(ctx, r.pool, r.codec, h, l, p.Payload)
+	v.Data, err = decodeProduct(ctx, a.pool, a.codec, h, l, p.Payload)
 	v.Timings.DecompressSeconds = time.Since(t0).Seconds()
 	dspan.End()
 	metricDecompressSeconds.Add(v.Timings.DecompressSeconds)
@@ -546,116 +486,194 @@ func (r *Reader) retrieveDirect(ctx context.Context, l int) (*View, error) {
 	if err != nil {
 		return nil, fmt.Errorf("canopus: decompress level %d: %w", l, err)
 	}
+	if len(v.Data) != g.mesh.NumVerts() {
+		return nil, fmt.Errorf("canopus: level %d data %d values for %d vertices", l, len(v.Data), g.mesh.NumVerts())
+	}
 	return v, nil
 }
 
-// cached returns what the reader already holds of level l: nil for a mesh
-// or a mapping not loaded yet.
-func (r *Reader) cached(l int) (*mesh.Mesh, delta.Mapping) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.meshCache[l], r.mappingCache[l]
-}
-
-// readMesh returns level l's mesh, decoding it at most once across all
-// concurrent retrievals (single-flight on a cache miss).
-func (r *Reader) readMesh(ctx context.Context, h *adios.Handle, l int) (*mesh.Mesh, error) {
-	r.mu.RLock()
-	m, ok := r.meshCache[l]
-	r.mu.RUnlock()
-	if ok {
-		return m, nil
-	}
-	v, err := r.flight.Do(fmt.Sprintf("mesh/%d", l), func() (any, error) {
-		r.mu.RLock()
-		m, ok := r.meshCache[l]
-		r.mu.RUnlock()
-		if ok {
-			return m, nil
-		}
-		m, err := fetchMesh(ctx, r.pool, h, l)
-		if err != nil {
-			return nil, err
-		}
-		r.mu.Lock()
-		r.meshCache[l] = m
-		r.mu.Unlock()
-		return m, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*mesh.Mesh), nil
-}
-
-// vertCount reports level l's vertex count without waiting for its geometry
-// when the metadata recorded it (verts-L<l>); on archives that did not, it
-// comes from the geometry itself. A count that disagrees with the geometry
-// fails the restore's length check.
-func (r *Reader) vertCount(ctx context.Context, h *adios.Handle, l int) (int, error) {
-	if n := r.vertCounts[l]; n >= 0 {
-		return n, nil
-	}
-	m, err := r.readMesh(ctx, h, l)
-	if err != nil {
-		return 0, err
-	}
-	return m.NumVerts(), nil
-}
-
-// readMapping returns level l's vertex→triangle mapping, decoding it at most
-// once across all concurrent retrievals.
-func (r *Reader) readMapping(h *adios.Handle, l int) (delta.Mapping, error) {
-	r.mu.RLock()
-	mp, ok := r.mappingCache[l]
-	r.mu.RUnlock()
-	if ok {
-		return mp, nil
-	}
-	v, err := r.flight.Do(fmt.Sprintf("mapping/%d", l), func() (any, error) {
-		r.mu.RLock()
-		mp, ok := r.mappingCache[l]
-		r.mu.RUnlock()
-		if ok {
-			return mp, nil
-		}
-		mp, err := fetchMapping(h, l)
-		if err != nil {
-			return nil, err
-		}
-		r.mu.Lock()
-		r.mappingCache[l] = mp
-		r.mu.Unlock()
-		return mp, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(delta.Mapping), nil
-}
-
-// readDeltaChunks reads delta tiles from an open level container and
-// scatters the decoded values into out (sized to the fine vertex count).
-// When wantChunks is nil every stored tile is read (full augmentation);
-// otherwise only the listed tile indices are fetched — the focused-read
-// path. have, when non-nil, is marked true for each vertex whose delta was
-// loaded. Decompression time accumulates into decompress.
-func (r *Reader) readDeltaChunks(ctx context.Context, h *adios.Handle, level int, wantChunks []int, out []float64, have []bool, decompress *engine.Counter) error {
-	tb, err := r.tileFrame(h)
+// refine applies delta^((v.Level-1)-(v.Level)) from step's payload
+// container to v (Algorithm 3). v changes only on success, so a failed
+// refinement leaves a complete view of the coarser level — what degradation
+// returns.
+func (a *archive) refine(ctx context.Context, step int, v *View) error {
+	l := v.Level - 1
+	ctx, span := obs.StartSpan(ctx, "core.augment")
+	span.SetAttr("name", a.name)
+	span.SetAttrInt("level", l)
+	defer span.End()
+	metricAugments.Inc()
+	h, err := a.aio.Open(ctx, a.payloadKey(step, l), 1)
 	if err != nil {
 		return err
 	}
-	return readDeltaChunksFrom(ctx, r.pool, h, r.codec, tb, level, wantChunks, out, have, decompress)
-}
-
-// readDeltaChunksFrom is the container-agnostic tile reader shared by the
-// single-variable Reader and the SeriesReader: fetch, then decode.
-func readDeltaChunksFrom(ctx context.Context, pool *engine.Pool, h *adios.Handle, codec compress.Codec, tb tileBox, level int, wantChunks []int, out []float64, have []bool, decompress *engine.Counter) error {
-	tiles, err := fetchDeltaChunks(h, tb, level, wantChunks)
-	if err != nil {
+	span.SetAttr("tier", h.TierName)
+	// The level's geometry and its delta tiles are independent until the
+	// restore, so what the reader does not already hold is loaded side by
+	// side with the tiles. On a warm reader only the tiles are left, and a
+	// lone unit runs in this goroutine: a server's cached readers pay for
+	// no fan-out.
+	var (
+		d          []float64
+		decompress engine.Counter
+	)
+	g := a.cached(l)
+	warm := g
+	var units []engine.Unit
+	if g == nil {
+		units = append(units, func(ctx context.Context) (err error) { g, err = a.level(ctx, h, l); return err })
+	}
+	units = append(units, func(ctx context.Context) error {
+		tb, n, err := a.tileInputs(ctx, h, l, warm)
+		if err != nil {
+			return err
+		}
+		tiles, err := fetchDeltaChunks(h, tb, l, nil)
+		if err != nil {
+			return err
+		}
+		d = make([]float64, n)
+		return tiles.decodeInto(ctx, a.pool, h, a.codec, d, nil, &decompress)
+	})
+	if err := a.pool.Run(ctx, units...); err != nil {
 		return err
 	}
-	return tiles.decodeInto(ctx, pool, h, codec, out, have, decompress)
+	v.Timings.addHandleIO(ctx, h)
+	v.Timings.DecompressSeconds += decompress.Value()
+	// In-place restore: the delta buffer becomes the fine data, and the
+	// per-vertex loop shards over the reader's pool.
+	err = restorePhase(ctx, &v.Timings, l, func() (err error) {
+		d, err = delta.RestoreInto(ctx, a.pool, g.mesh, v.Mesh, v.Data, g.mapping, d, a.estimator, d)
+		return err
+	})
+	if err != nil {
+		return fmt.Errorf("canopus: restore level %d: %w", l, err)
+	}
+	v.Level, v.Mesh, v.Data, v.ErrorBound = l, g.mesh, d, a.boundAt(l)
+	return nil
+}
+
+// tileInputs returns what level l's tile scatter needs: the tile frame and
+// the vertex count. A single write records both beside the payload — the
+// frame on the container, the count in the metadata (verts-L<l>) — so a
+// cold level's tiles need not wait for its geometry. Otherwise they come
+// with the geometry; a count that disagrees with the geometry fails the
+// restore's length check.
+func (a *archive) tileInputs(ctx context.Context, h *adios.Handle, l int, g *levelGeo) (tileBox, int, error) {
+	if g == nil && !a.campaign && a.vertCounts[l] >= 0 {
+		tb, err := tileFrame(h)
+		return tb, a.vertCounts[l], err
+	}
+	if g == nil {
+		var err error
+		if g, err = a.level(ctx, h, l); err != nil {
+			return tileBox{}, 0, err
+		}
+	}
+	return g.tiles, g.mesh.NumVerts(), nil
+}
+
+// restorePhase runs fn, one level's Algorithm 3 restore, as the read path's
+// restore phase: under a core.restore span, with its wall time folded into
+// t, the process counter and the request carried by ctx.
+func restorePhase(ctx context.Context, t *PhaseTimings, l int, fn func() error) error {
+	span := obs.FromContext(ctx).Child("core.restore")
+	span.SetAttrInt("level", l)
+	t0 := time.Now()
+	err := fn()
+	secs := time.Since(t0).Seconds()
+	span.End()
+	t.RestoreSeconds += secs
+	metricRestoreSeconds.Add(secs)
+	obs.RequestFrom(ctx).AddRestore(secs)
+	return err
+}
+
+// payloadKey names the container holding level l's data product or delta
+// tiles: the level container of a single write, or one campaign step's.
+func (a *archive) payloadKey(step, l int) string {
+	if a.campaign {
+		return stepKey(a.name, step, l)
+	}
+	return levelKey(a.name, l)
+}
+
+// open opens level l's payload container for step and returns it with the
+// level's geometry.
+func (a *archive) open(ctx context.Context, step, l int) (*adios.Handle, *levelGeo, error) {
+	h, err := a.aio.Open(ctx, a.payloadKey(step, l), 1)
+	if err != nil {
+		return nil, nil, err
+	}
+	g, err := a.level(ctx, h, l)
+	return h, g, err
+}
+
+// cached returns level l's geometry if the reader holds it, else nil.
+func (a *archive) cached(l int) *levelGeo {
+	a.mu.RLock()
+	defer a.mu.RUnlock()
+	return a.geo[l]
+}
+
+// level returns level l's geometry, loading it at most once across
+// concurrent retrievals; h is the caller's open payload container. Callers
+// that miss together share one load, run under the first caller's ctx. If
+// that caller gives up mid-load, the others receive its cancellation; one
+// whose own ctx is still live loads the level again instead of failing.
+func (a *archive) level(ctx context.Context, h *adios.Handle, l int) (*levelGeo, error) {
+	for {
+		if g := a.cached(l); g != nil {
+			return g, nil
+		}
+		led := false
+		v, err := a.flight.Do(strconv.Itoa(l), func() (any, error) {
+			led = true
+			if g := a.cached(l); g != nil {
+				return g, nil
+			}
+			return a.loadLevel(ctx, h, l)
+		})
+		if err == nil {
+			return v.(*levelGeo), nil
+		}
+		if led || ctx.Err() != nil || !(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+			return nil, err
+		}
+	}
+}
+
+// loadLevel reads level l's geometry — mesh, and on delta levels the
+// mapping and tile frame — decoding the mesh and the mapping side by side.
+// A single write's geometry is read through the payload container h and
+// billed to it; a campaign's comes from its shared hierarchy container,
+// billed to hierCost.
+func (a *archive) loadLevel(ctx context.Context, h *adios.Handle, l int) (*levelGeo, error) {
+	if a.campaign {
+		var err error
+		if h, err = a.aio.Open(ctx, hierKey(a.name, l), 1); err != nil {
+			return nil, err
+		}
+	}
+	g := &levelGeo{}
+	units := []engine.Unit{func(ctx context.Context) (err error) { g.mesh, err = fetchMesh(ctx, a.pool, h, l); return err }}
+	if a.mode == ModeDelta && l < a.levels-1 {
+		var err error
+		if g.tiles, err = tileFrame(h); err != nil {
+			return nil, err
+		}
+		units = append(units, func(context.Context) (err error) { g.mapping, err = fetchMapping(h, l); return err })
+	}
+	if err := a.pool.Run(ctx, units...); err != nil {
+		return nil, err
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.geo[l] = g
+	if a.campaign {
+		a.hierCost.Add(h.Cost())
+	}
+	return g, nil
 }
 
 // tileScratch is one shard's reusable decode state in the tile reader: the
@@ -800,11 +818,11 @@ func (dt *deltaTiles) decodeInto(ctx context.Context, pool *engine.Pool, h *adio
 	return err
 }
 
-// tileFrame parses the tiling frame recorded in a level container.
-func (r *Reader) tileFrame(h *adios.Handle) (tileBox, error) {
+// tileFrame parses the tiling frame recorded on a container.
+func tileFrame(h *adios.Handle) (tileBox, error) {
 	s, ok := h.BP.Attr("tile-frame")
 	if !ok {
-		return tileBox{}, fmt.Errorf("canopus: container missing tile-frame attribute")
+		return tileBox{}, fmt.Errorf("canopus: container %s missing tile-frame attribute", h.Key())
 	}
 	return parseTileBox(s)
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/adios"
@@ -14,7 +13,6 @@ import (
 	"repro/internal/delta"
 	"repro/internal/engine"
 	"repro/internal/mesh"
-	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/storage"
 )
@@ -350,31 +348,8 @@ func (sw *SeriesWriter) WriteStep(ctx context.Context, data []float64) (*SeriesR
 // cached mesh hierarchy across every step. It is safe for concurrent use:
 // goroutines may retrieve different (or the same) steps in parallel.
 type SeriesReader struct {
-	aio       *adios.IO
-	name      string
-	levels    int
-	steps     int
-	codec     compress.Codec
-	estimator delta.Estimator
-	tolerance float64
-	pool      *engine.Pool
-
-	// bounds and levelBytes are the campaign-wide planner inputs recorded
-	// by the writer; bounds[l] is -1 on campaigns written before bound
-	// recording.
-	bounds     []float64
-	levelBytes []int64
-
-	// degrade switches RetrieveStep to best-effort on delta failures
-	// (see degrade.go). Guarded by mu.
-	degrade bool
-
-	mu       sync.Mutex // guards the hierarchy caches, hierCost and degrade
-	meshes   map[int]*mesh.Mesh
-	mappings map[int]delta.Mapping
-	tiles    map[int]tileBox
-	hierCost storage.Cost
-	flight   engine.Group
+	*archive
+	steps int
 }
 
 // OpenSeriesReaderWith loads a campaign's metadata and applies the
@@ -388,40 +363,11 @@ func OpenSeriesReaderWith(ctx context.Context, aio *adios.IO, name string, opts 
 	return sr, nil
 }
 
-// SetDegrade toggles graceful degradation on the series reader (see
-// Options.Degrade). Safe to call concurrently with retrievals.
-func (sr *SeriesReader) SetDegrade(on bool) {
-	sr.mu.Lock()
-	sr.degrade = on
-	sr.mu.Unlock()
-}
-
-func (sr *SeriesReader) degradeOn() bool {
-	sr.mu.Lock()
-	defer sr.mu.Unlock()
-	return sr.degrade
-}
-
 // OpenSeriesReader loads a campaign's metadata.
 func OpenSeriesReader(ctx context.Context, aio *adios.IO, name string) (*SeriesReader, error) {
-	h, err := aio.Open(ctx, seriesMetaKey(name), 1)
-	if err != nil {
-		return nil, fmt.Errorf("canopus: open series metadata for %q: %w", name, err)
-	}
-	attr := func(key string) (string, error) {
-		v, ok := h.BP.Attr(key)
-		if !ok {
-			return "", fmt.Errorf("canopus: series metadata for %q missing %s", name, key)
-		}
-		return v, nil
-	}
-	levelsStr, err := attr("levels")
+	a, attr, err := openArchive(ctx, aio, name, true)
 	if err != nil {
 		return nil, err
-	}
-	levels, err := strconv.Atoi(levelsStr)
-	if err != nil || levels < 1 {
-		return nil, fmt.Errorf("canopus: bad levels attribute %q", levelsStr)
 	}
 	stepsStr, err := attr("steps")
 	if err != nil {
@@ -431,122 +377,11 @@ func OpenSeriesReader(ctx context.Context, aio *adios.IO, name string) (*SeriesR
 	if err != nil || steps < 0 {
 		return nil, fmt.Errorf("canopus: bad steps attribute %q", stepsStr)
 	}
-	codecName, err := attr("codec")
-	if err != nil {
-		return nil, err
-	}
-	tolStr, err := attr("tolerance")
-	if err != nil {
-		return nil, err
-	}
-	tol, err := strconv.ParseFloat(tolStr, 64)
-	if err != nil {
-		return nil, fmt.Errorf("canopus: bad tolerance attribute %q", tolStr)
-	}
-	codec, err := compress.New(codecName, tol)
-	if err != nil {
-		return nil, err
-	}
-	estName, err := attr("estimator")
-	if err != nil {
-		return nil, err
-	}
-	est, err := delta.EstimatorByName(estName)
-	if err != nil {
-		return nil, err
-	}
-	sr := &SeriesReader{
-		aio: aio, name: name, levels: levels, steps: steps,
-		codec: codec, estimator: est, tolerance: tol,
-		pool:     engine.NewPool(0),
-		meshes:   map[int]*mesh.Mesh{},
-		mappings: map[int]delta.Mapping{},
-		tiles:    map[int]tileBox{},
-	}
-	sr.bounds, sr.levelBytes = readPlanAttrs(h, levels)
-	return sr, nil
+	return &SeriesReader{archive: a, steps: steps}, nil
 }
-
-// SetWorkers resizes the reader's worker pool (n <= 0 means NumCPU). It must
-// not be called concurrently with retrievals.
-func (sr *SeriesReader) SetWorkers(n int) { sr.pool = engine.NewPool(n) }
-
-// Levels reports the level count; Steps the number of stored timesteps.
-func (sr *SeriesReader) Levels() int { return sr.levels }
 
 // Steps reports the number of stored timesteps.
 func (sr *SeriesReader) Steps() int { return sr.steps }
-
-// Tolerance reports the campaign's absolute codec error bound.
-func (sr *SeriesReader) Tolerance() float64 { return sr.tolerance }
-
-// hierLevel is one cached rung of the shared hierarchy.
-type hierLevel struct {
-	mesh    *mesh.Mesh
-	mapping delta.Mapping
-	tb      tileBox
-}
-
-// hier loads (and caches) the shared hierarchy pieces for one level,
-// fetching each level at most once across concurrent retrievals.
-func (sr *SeriesReader) hier(ctx context.Context, l int) (*mesh.Mesh, delta.Mapping, tileBox, error) {
-	sr.mu.Lock()
-	m, ok := sr.meshes[l]
-	if ok {
-		mp, tb := sr.mappings[l], sr.tiles[l]
-		sr.mu.Unlock()
-		return m, mp, tb, nil
-	}
-	sr.mu.Unlock()
-
-	v, err := sr.flight.Do(fmt.Sprintf("hier/%d", l), func() (any, error) {
-		sr.mu.Lock()
-		if m, ok := sr.meshes[l]; ok {
-			hl := &hierLevel{mesh: m, mapping: sr.mappings[l], tb: sr.tiles[l]}
-			sr.mu.Unlock()
-			return hl, nil
-		}
-		sr.mu.Unlock()
-
-		h, err := sr.aio.Open(ctx, hierKey(sr.name, l), 1)
-		if err != nil {
-			return nil, err
-		}
-		tfStr, ok := h.BP.Attr("tile-frame")
-		if !ok {
-			return nil, fmt.Errorf("canopus: hierarchy level %d missing tile-frame", l)
-		}
-		tb, err := parseTileBox(tfStr)
-		if err != nil {
-			return nil, err
-		}
-		var (
-			m  *mesh.Mesh
-			mp delta.Mapping
-		)
-		units := []engine.Unit{
-			func(ctx context.Context) (err error) { m, err = fetchMesh(ctx, sr.pool, h, l); return err },
-		}
-		if l < sr.levels-1 {
-			units = append(units, func(context.Context) (err error) { mp, err = fetchMapping(h, l); return err })
-		}
-		if err := sr.pool.Run(ctx, units...); err != nil {
-			return nil, err
-		}
-		sr.mu.Lock()
-		sr.meshes[l] = m
-		sr.mappings[l] = mp
-		sr.tiles[l] = tb
-		sr.hierCost.Add(h.Cost())
-		sr.mu.Unlock()
-		return &hierLevel{mesh: m, mapping: mp, tb: tb}, nil
-	})
-	if err != nil {
-		return nil, nil, tileBox{}, err
-	}
-	hl := v.(*hierLevel)
-	return hl.mesh, hl.mapping, hl.tb, nil
-}
 
 // RetrieveStep restores one timestep to the target level. The retrieval
 // planner resolves the level into the base-plus-deltas fetch plan for the
@@ -559,15 +394,7 @@ func (sr *SeriesReader) RetrieveStep(ctx context.Context, step, targetLevel int)
 	if targetLevel < 0 || targetLevel >= sr.levels {
 		return nil, fmt.Errorf("canopus: level %d out of range [0,%d)", targetLevel, sr.levels)
 	}
-	p, err := sr.planner(step)
-	if err != nil {
-		return nil, err
-	}
-	pl, err := p.ForLevel(targetLevel)
-	if err != nil {
-		return nil, err
-	}
-	return sr.executeStep(ctx, step, pl)
+	return sr.runPlan(ctx, step, func(p *plan.Planner) (*plan.Plan, error) { return p.ForLevel(targetLevel) })
 }
 
 // RetrieveStepToTolerance restores one timestep to the cheapest accuracy
@@ -578,130 +405,13 @@ func (sr *SeriesReader) RetrieveStepToTolerance(ctx context.Context, step int, e
 	if step < 0 || step >= sr.steps {
 		return nil, fmt.Errorf("canopus: step %d out of range [0,%d)", step, sr.steps)
 	}
-	p, err := sr.planner(step)
-	if err != nil {
-		return nil, err
-	}
-	pl, err := p.ForTolerance(eps)
-	if err != nil {
-		return nil, err
-	}
-	metricToleranceRetrievals.Inc()
-	ctx, req, owned := obs.BeginRequest(ctx, "core.retrieve_step")
-	v, err := sr.executeStep(ctx, step, pl)
-	if err != nil {
-		return nil, err
-	}
-	finishTolerance(ctx, v, pl)
-	finishView(v, req, owned, obs.FromContext(ctx), metricRetrieveStepSeconds)
-	return v, nil
-}
-
-// executeStep walks a planner-produced plan over one step's containers:
-// base fetch first, then each planned delta, keeping the last cleanly
-// restored level on a degradable failure. All level selection lives in the
-// plan.
-func (sr *SeriesReader) executeStep(ctx context.Context, step int, pl *plan.Plan) (*View, error) {
-	ctx, req, owned := obs.BeginRequest(ctx, "core.retrieve_step")
-	ctx, span := obs.StartSpan(ctx, "core.retrieve_step")
-	span.SetAttr("name", sr.name)
-	span.SetAttrInt("step", step)
-	span.SetAttrInt("target_level", pl.Target)
-	defer span.End()
-	metricSeriesSteps.Inc()
-	base := sr.levels - 1
-	baseMesh, _, _, err := sr.hier(ctx, base)
-	if err != nil {
-		return nil, err
-	}
-	h, err := sr.aio.Open(ctx, stepKey(sr.name, step, base), 1)
-	if err != nil {
-		return nil, err
-	}
-	p, err := fetchProduct(h, base, engine.KindData, 0)
-	if err != nil {
-		return nil, err
-	}
-	v := &View{Level: base, Mesh: baseMesh, ErrorBound: sr.boundAt(base)}
-	v.Timings.addHandleIO(ctx, h)
-	dspan := span.Child("core.decompress")
-	t0 := time.Now()
-	v.Data, err = decodeProduct(ctx, sr.pool, sr.codec, h, base, p.Payload)
-	v.Timings.DecompressSeconds = time.Since(t0).Seconds()
-	dspan.End()
-	metricDecompressSeconds.Add(v.Timings.DecompressSeconds)
-	obs.RequestFrom(ctx).AddDecompress(v.Timings.DecompressSeconds)
-	if err != nil {
-		return nil, fmt.Errorf("canopus: step %d decompress base: %w", step, err)
-	}
-	if len(v.Data) != baseMesh.NumVerts() {
-		return nil, fmt.Errorf("canopus: step %d base data %d values for %d vertices",
-			step, len(v.Data), baseMesh.NumVerts())
-	}
-
-	degrade := sr.degradeOn()
-	for _, st := range pl.Steps[1:] {
-		if err := sr.augmentStep(ctx, span, step, st.Level, v); err != nil {
-			if degrade && degradable(err) {
-				v.Degradation = newDegradation(pl.Target, v.Level, err, sr.boundAt(v.Level))
-				countDegradation(ctx, v.Degradation)
-				span.SetAttrInt("achieved_level", v.Level)
-				span.SetAttr("degraded", "true")
-				finishView(v, req, owned, span, metricRetrieveStepSeconds)
-				return v, nil
-			}
-			return nil, err
-		}
-	}
-	finishView(v, req, owned, span, metricRetrieveStepSeconds)
-	return v, nil
-}
-
-// augmentStep refines a step view by one level: fetch the level's delta
-// container for the step and restore against the already-held coarse data.
-// The view is only mutated on success, so a failed refinement leaves it a
-// complete, valid view of the coarser level — what degradation returns.
-func (sr *SeriesReader) augmentStep(ctx context.Context, span *obs.Span, step, l int, v *View) error {
-	fineMesh, mp, tb, err := sr.hier(ctx, l)
-	if err != nil {
-		return err
-	}
-	hs, err := sr.aio.Open(ctx, stepKey(sr.name, step, l), 1)
-	if err != nil {
-		return err
-	}
-	d := make([]float64, fineMesh.NumVerts())
-	var decompress engine.Counter
-	if err := readDeltaChunksFrom(ctx, sr.pool, hs, sr.codec, tb, l, nil, d, nil, &decompress); err != nil {
-		return err
-	}
-	v.Timings.addHandleIO(ctx, hs)
-	v.Timings.DecompressSeconds += decompress.Value()
-
-	rspan := span.Child("core.restore")
-	rspan.SetAttrInt("level", l)
-	t0 := time.Now()
-	// In-place parallel restore: the delta buffer becomes the step data.
-	fineData, err := delta.RestoreInto(ctx, sr.pool, fineMesh, v.Mesh, v.Data, mp, d, sr.estimator, d)
-	restoreSecs := time.Since(t0).Seconds()
-	rspan.End()
-	v.Timings.RestoreSeconds += restoreSecs
-	metricRestoreSeconds.Add(restoreSecs)
-	obs.RequestFrom(ctx).AddRestore(restoreSecs)
-	if err != nil {
-		return fmt.Errorf("canopus: step %d restore level %d: %w", step, l, err)
-	}
-	v.Level = l
-	v.Mesh = fineMesh
-	v.Data = fineData
-	v.ErrorBound = sr.boundAt(l)
-	return nil
+	return sr.runPlan(ctx, step, func(p *plan.Planner) (*plan.Plan, error) { return p.ForTolerance(eps) })
 }
 
 // HierarchyCost reports the accumulated one-time cost of loading the shared
 // mesh hierarchy in this reader.
 func (sr *SeriesReader) HierarchyCost() storage.Cost {
-	sr.mu.Lock()
-	defer sr.mu.Unlock()
+	sr.mu.RLock()
+	defer sr.mu.RUnlock()
 	return sr.hierCost
 }

@@ -3,8 +3,10 @@ package core
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 
+	"repro/internal/bp"
 	"repro/internal/mesh"
 )
 
@@ -224,6 +226,17 @@ func TestSeriesReaderErrors(t *testing.T) {
 	}
 	if _, err := sr.RetrieveStep(context.Background(), 0, 9); err == nil {
 		t.Error("accepted bad level")
+	}
+	// A forged level count must be refused before anything is sized by it.
+	forged := bp.NewWriter()
+	for k, v := range map[string]string{"levels": "65", "steps": "1", "codec": "zfp", "tolerance": "1e-6", "estimator": "mean"} {
+		forged.SetAttr(k, v)
+	}
+	if _, err := sw.aio.H.Put(context.Background(), seriesMetaKey("dpot"), forged.Bytes(), 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenSeriesReader(context.Background(), sw.aio, "dpot"); err == nil || !strings.Contains(err.Error(), "bad levels") {
+		t.Errorf("opened a series with 65 levels: err = %v", err)
 	}
 }
 

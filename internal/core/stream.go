@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/obs"
 	"repro/internal/plan"
@@ -82,64 +81,31 @@ func (r *Reader) stream(ctx context.Context, pl *plan.Plan, ch chan<- *View) {
 
 	var v *View
 	for i, st := range pl.Steps {
-		var err error
-		switch {
-		case r.mode == ModeDirect:
-			// Direct-mode refinement replaces the view wholesale: each
-			// level is an independently stored product.
-			var nv *View
-			nv, err = r.retrieveDirect(ctx, st.Level)
-			if err == nil {
-				if v != nil {
-					nv.Timings.Add(v.Timings)
-				}
-				v = nv
-			}
-		case i == 0:
-			v, err = r.Base(ctx)
-		default:
-			err = r.Augment(ctx, v)
+		nv, err := r.advance(ctx, 0, v, st.Level)
+		if err != nil && (ctx.Err() != nil || v == nil || !degradable(err)) {
+			// Cancelled, base failure, or a non-storage bug: nothing more
+			// to deliver.
+			return
 		}
+		if err == nil {
+			v = nv
+		}
+		out := snapshotView(v)
 		if err != nil {
-			if ctx.Err() != nil || v == nil || !degradable(err) {
-				// Cancelled, base failure, or a non-storage bug: nothing
-				// more to deliver.
-				return
-			}
 			// Refinement failed but every delivered view is valid: end the
 			// stream with a terminal degradation report at the accuracy
 			// achieved.
 			metricStreamFaults.Inc()
-			d := newDegradation(pl.Target, v.Level, err, r.boundAt(v.Level))
-			d.RequestedTolerance = pl.Tolerance
-			countDegradation(ctx, d)
-			span.SetAttrInt("achieved_level", v.Level)
-			span.SetAttr("degraded", "true")
-			final := snapshotView(v)
-			final.Degradation = d
-			finishView(final, req, owned, span, metricSubscribeSeconds)
-			send(final)
-			return
+			r.degradeAt(ctx, span, out, pl, err)
 		}
-		out := snapshotView(v)
-		if i == len(pl.Steps)-1 {
-			if pl.Unreachable {
-				// The plan already knew eps undercuts the finest recorded
-				// bound: the terminal view reports how close the stream got.
-				out.Degradation = &Degradation{
-					RequestedLevel:     pl.Target,
-					AchievedLevel:      v.Level,
-					RequestedTolerance: pl.Tolerance,
-					Reason: fmt.Sprintf("tolerance %g unreachable: finest recorded bound is %g",
-						pl.Tolerance, v.ErrorBound),
-					ErrorBound: v.ErrorBound,
-				}
-				countDegradation(ctx, out.Degradation)
-			}
-			// The terminal view carries the whole stream's bill.
+		last := err != nil || i == len(pl.Steps)-1
+		if last {
+			// The terminal view reports an eps the plan already knew was
+			// unreachable, and carries the whole stream's bill.
+			finishTolerance(ctx, out, pl)
 			finishView(out, req, owned, span, metricSubscribeSeconds)
 		}
-		if !send(out) {
+		if !send(out) || last {
 			return
 		}
 	}
