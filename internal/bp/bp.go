@@ -70,12 +70,19 @@ type Writer struct {
 	payload bytes.Buffer
 	vars    []VarInfo
 	attrs   map[string]string
-	seen    map[string]bool
+	seen    map[varID]bool
+}
+
+// varID names a variable inside a writer's duplicate check; a struct key
+// costs no per-variable string formatting.
+type varID struct {
+	name  string
+	level int
 }
 
 // NewWriter returns an empty container writer.
 func NewWriter() *Writer {
-	return &Writer{attrs: map[string]string{}, seen: map[string]bool{}}
+	return &Writer{attrs: map[string]string{}, seen: map[varID]bool{}}
 }
 
 // SetAttr sets a file-level attribute.
@@ -102,7 +109,7 @@ func (w *Writer) put(name string, level int, t DataType, count int64, raw []byte
 	if name == "" {
 		return errors.New("bp: empty variable name")
 	}
-	key := varKey(name, level)
+	key := varID{name, level}
 	if w.seen[key] {
 		return fmt.Errorf("bp: duplicate variable %s level %d", name, level)
 	}

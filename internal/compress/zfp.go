@@ -89,18 +89,84 @@ func minPlaneFor(tol float64, e int) int {
 	return p
 }
 
-// Encode implements Codec. The bit writer (and its grown buffer) comes from
-// a pool and the finished stream is copied out exactly-sized, so a steady
-// encode loop allocates once per call — the returned payload.
+// zfpScale returns factors s1, s2 with v*s1*s2 == v * 2^(zfpQ-e) exactly
+// for every |v| < 2^e: the block-floating-point scale. One factor suffices
+// down to e = -971; below it 2^(zfpQ-e) overflows float64, so the scale is
+// applied in two power-of-two steps, each exact because the scaled value
+// only grows and stays under 2^zfpQ.
+func zfpScale(e int) (s1, s2 float64) {
+	if zfpQ-e <= 1023 {
+		return math.Ldexp(1, zfpQ-e), 1
+	}
+	return math.Ldexp(1, 1023), math.Ldexp(1, zfpQ-e-1023)
+}
+
+// invScale returns factors a, b with float64(q)*a*b == float64(q) *
+// 2^(e-zfpQ-logDiv) rounded once: the inverse of zfpScale divided by the
+// transform gain 2^logDiv. A normal-range result is built directly from its
+// biased exponent (Ldexp's normalize/clamp path costs ~5% of a decode) and b
+// is 1. Below 2^-1022 the single factor would be subnormal or underflow to
+// zero, so a = 2^(exp+128) keeps the product normal and exact and b = 2^-128
+// rounds it once. Exponents only corrupt headers reach above 1023 keep the
+// plain Ldexp expression so every decoder agrees on them.
+func invScale(e, logDiv int) (a, b float64) {
+	exp := e - zfpQ - logDiv
+	switch {
+	case exp < -1022:
+		return math.Ldexp(1, exp+128), 0x1p-128
+	case e-zfpQ <= 1023:
+		return math.Float64frombits(uint64(exp+1023) << 52), 1
+	}
+	return math.Ldexp(1, e-zfpQ) / float64(int64(1)<<logDiv), 1
+}
+
+// clampFinite replaces infinities by the largest finite value of the same
+// sign. Only a block with e = 1024 decodes past MaxFloat64 — its top
+// coefficient rounded up to 2^zfpQ, or truncation pushed a sample over — and
+// the clamp moves such a sample toward its finite original. Decoders apply
+// it to every block with e > 1023, so corrupt exponents clamp alike.
+func clampFinite(f []float64) {
+	for i, v := range f {
+		if math.IsInf(v, 0) {
+			f[i] = math.Copysign(math.MaxFloat64, v)
+		}
+	}
+}
+
+// Encode implements Codec through the batch bit-plane encoder
+// (zfpEncodeBlocks in zfp_batch.go), which writes exactly the bytes of the
+// scalar reference encodeScalar. The bit writer (and its grown buffer) comes
+// from a pool and the finished stream is copied out exactly-sized, so a
+// steady encode loop allocates once per call — the returned payload.
 func (z *ZFP) Encode(vals []float64) ([]byte, error) {
 	if err := checkFinite(vals); err != nil {
 		return nil, err
 	}
-	w := getBitWriter()
+	w := z.startStream(len(vals))
 	defer putBitWriter(w)
+	zfpEncodeBlocks(w, vals, z.tol)
+	return w.finish(), nil
+}
+
+// startStream returns a pooled writer holding the stream header.
+func (z *ZFP) startStream(count int) *bitWriter {
+	w := getBitWriter()
 	w.buf = binary.LittleEndian.AppendUint32(w.buf, zfpMagic)
-	w.buf = binary.AppendUvarint(w.buf, uint64(len(vals)))
+	w.buf = binary.AppendUvarint(w.buf, uint64(count))
 	w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(z.tol))
+	return w
+}
+
+// encodeScalar is the retained scalar encoder: one writeBit per group and
+// run bit, one block at a time. It is the reference the batch encoder is
+// fuzzed against (FuzzZFPBatchEncodeVsScalar) and takes no part in the
+// production write path.
+func (z *ZFP) encodeScalar(vals []float64) ([]byte, error) {
+	if err := checkFinite(vals); err != nil {
+		return nil, err
+	}
+	w := z.startStream(len(vals))
+	defer putBitWriter(w)
 
 	var block [4]float64
 	for i := 0; i < len(vals); i += 4 {
@@ -123,10 +189,10 @@ func encodeZFPBlock(w *bitWriter, f [4]float64, tol float64) {
 	}
 	// Shared exponent: amax < 2^e.
 	_, e := math.Frexp(amax) // amax = frac * 2^e, frac in [0.5, 1)
-	scale := math.Ldexp(1, zfpQ-e)
+	s1, s2 := zfpScale(e)
 	var q [4]int64
 	for i, v := range f {
-		q[i] = int64(math.RoundToEven(v * scale))
+		q[i] = int64(math.RoundToEven(v * s1 * s2))
 	}
 	// Sequency-ordered 4-point Hadamard.
 	c := [4]int64{
@@ -333,9 +399,12 @@ func decodeZFPBlock(r *bitReader, tol float64) ([4]float64, error) {
 		c[0] - c[1] - c[2] + c[3],
 		c[0] - c[1] + c[2] - c[3],
 	}
-	inv := math.Ldexp(1, e-zfpQ) / 4
+	a, b := invScale(e, 2)
 	for i := range f {
-		f[i] = float64(q[i]) * inv
+		f[i] = float64(q[i]) * a * b
+	}
+	if e > 1023 {
+		clampFinite(f[:])
 	}
 	return f, nil
 }

@@ -95,10 +95,10 @@ func encodeZFP2DBlock(w *bitWriter, f *[16]float64, tol float64) {
 		return
 	}
 	_, e := math.Frexp(amax)
-	scale := math.Ldexp(1, zfpQ-e)
+	s1, s2 := zfpScale(e)
 	var q [16]int64
 	for i, v := range f {
-		q[i] = int64(math.RoundToEven(v * scale))
+		q[i] = int64(math.RoundToEven(v * s1 * s2))
 	}
 	// Separable sequency-ordered Hadamard: rows, then columns. Total
 	// gain 16, so |c| <= 16 * 2^52 = 2^56 fits comfortably in int64.
@@ -355,9 +355,12 @@ func decodeZFP2DBlock(r *bitReader, tol float64, f *[16]float64) error {
 	for r := 0; r < 4; r++ {
 		invHadamard4(q[4*r : 4*r+4])
 	}
-	inv := math.Ldexp(1, e-zfpQ) / 16
+	a, b := invScale(e, 4)
 	for i := range f {
-		f[i] = float64(q[i]) * inv
+		f[i] = float64(q[i]) * a * b
+	}
+	if e > 1023 {
+		clampFinite(f[:])
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -122,33 +123,52 @@ func partitionVerts(m *mesh.Mesh, tb tileBox) [][]int32 {
 //	uvarint encLen
 //	enc bytes
 
-// idRuns compresses a sorted id list into (start, length) runs.
-func idRuns(ids []int32) [][2]int64 {
-	var runs [][2]int64
+// chunkHeader encodes the id part of a chunk payload — the run count and
+// the runs of a sorted id list. It depends only on the tile's vertex ids, so
+// a campaign writer encodes it once per tile for every step.
+func chunkHeader(ids []int32) []byte {
+	var body []byte
+	nRuns := 0
+	prev := int64(0)
 	for i := 0; i < len(ids); {
 		start := int64(ids[i])
-		n := int64(1)
-		for i+int(n) < len(ids) && int64(ids[i+int(n)]) == start+n {
+		n := 1
+		for i+n < len(ids) && int64(ids[i+n]) == start+int64(n) {
 			n++
 		}
-		runs = append(runs, [2]int64{start, n})
-		i += int(n)
+		body = binary.AppendVarint(body, start-prev)
+		body = binary.AppendUvarint(body, uint64(n))
+		prev = start
+		nRuns++
+		i += n
 	}
-	return runs
+	out := binary.AppendUvarint(make([]byte, 0, binary.MaxVarintLen64+len(body)), uint64(nRuns))
+	return append(out, body...)
+}
+
+// chunkPayload joins a tile's chunkHeader and its codec-encoded values into
+// the stored chunk payload.
+func chunkPayload(header, enc []byte) []byte {
+	out := make([]byte, 0, len(header)+binary.MaxVarintLen64+len(enc))
+	out = append(out, header...)
+	out = binary.AppendUvarint(out, uint64(len(enc)))
+	return append(out, enc...)
+}
+
+// gatherTile copies vals at a tile's ids, in id order, into buf — grown only
+// when the tile is larger than any before it — and returns the filled
+// prefix. A compress unit passes one buffer through all its tiles; the codec
+// encodes from it and keeps no reference.
+func gatherTile(buf, vals []float64, ids []int32) []float64 {
+	buf = slices.Grow(buf[:0], len(ids))[:len(ids)]
+	for j, id := range ids {
+		buf[j] = vals[id]
+	}
+	return buf
 }
 
 func encodeChunkPayload(ids []int32, enc []byte) []byte {
-	runs := idRuns(ids)
-	out := make([]byte, 0, len(runs)*4+len(enc)+16)
-	out = binary.AppendUvarint(out, uint64(len(runs)))
-	prev := int64(0)
-	for _, r := range runs {
-		out = binary.AppendVarint(out, r[0]-prev)
-		out = binary.AppendUvarint(out, uint64(r[1]))
-		prev = r[0]
-	}
-	out = binary.AppendUvarint(out, uint64(len(enc)))
-	return append(out, enc...)
+	return chunkPayload(chunkHeader(ids), enc)
 }
 
 var errChunkTrunc = errors.New("canopus: truncated delta chunk")

@@ -221,14 +221,12 @@ func compressLevel(ctx context.Context, pool *engine.Pool, lv *level, l int, isB
 		// can fetch only the tiles a zoomed-in analysis needs.
 		tb := newTileBox(lv.mesh, chunks)
 		tileFrame = tb.encode()
+		var sub []float64
 		for ci, ids := range partitionVerts(lv.mesh, tb) {
 			if len(ids) == 0 {
 				continue
 			}
-			sub := make([]float64, len(ids))
-			for j, id := range ids {
-				sub[j] = lv.deltaTo[id]
-			}
+			sub = gatherTile(sub, lv.deltaTo, ids)
 			enc, err := encodeChunked(ctx, pool, codec, sub, codecChunk)
 			if err != nil {
 				return nil, "", 0, fmt.Errorf("canopus: compress delta %d chunk %d: %w", l, ci, err)

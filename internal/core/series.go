@@ -57,6 +57,11 @@ type SeriesWriter struct {
 	mappings     []delta.Mapping
 	tiles        []tileBox
 	tilesIDs     [][][]int32 // per level, per tile, vertex ids
+	// tileHeaders[l][ci] is the chunkHeader of tilesIDs[l][ci], encoded
+	// once: the ids never change after construction. gather[l] is level
+	// l's compress unit's tile buffer, reused across tiles and steps.
+	tileHeaders [][][]byte
+	gather      [][]float64
 
 	steps     int
 	hierBytes int64
@@ -148,13 +153,19 @@ func NewSeriesWriter(ctx context.Context, aio *adios.IO, name string, m *mesh.Me
 		}
 		sw.mappings = append(sw.mappings, mp)
 	}
+	sw.tilesIDs = make([][][]int32, opts.Levels)
+	sw.tileHeaders = make([][][]byte, opts.Levels)
+	sw.gather = make([][]float64, opts.Levels)
 	for l, lm := range sw.meshes {
 		tb := newTileBox(lm, opts.Chunks)
 		sw.tiles = append(sw.tiles, tb)
-		if l < opts.Levels-1 {
-			sw.tilesIDs = append(sw.tilesIDs, partitionVerts(lm, tb))
-		} else {
-			sw.tilesIDs = append(sw.tilesIDs, nil)
+		if l == opts.Levels-1 {
+			continue
+		}
+		sw.tilesIDs[l] = partitionVerts(lm, tb)
+		sw.tileHeaders[l] = make([][]byte, len(sw.tilesIDs[l]))
+		for ci, ids := range sw.tilesIDs[l] {
+			sw.tileHeaders[l][ci] = chunkHeader(ids)
 		}
 	}
 
@@ -295,17 +306,14 @@ func (sw *SeriesWriter) WriteStep(ctx context.Context, data []float64) (*SeriesR
 					if len(ids) == 0 {
 						continue
 					}
-					sub := make([]float64, len(ids))
-					for j, id := range ids {
-						sub[j] = deltas[l][id]
-					}
-					enc, err := encodeChunked(ctx, sw.pool, sw.codec, sub, sw.opts.CodecChunk)
+					sw.gather[l] = gatherTile(sw.gather[l], deltas[l], ids)
+					enc, err := encodeChunked(ctx, sw.pool, sw.codec, sw.gather[l], sw.opts.CodecChunk)
 					if err != nil {
 						return fmt.Errorf("canopus: step %d compress delta %d: %w", sw.steps, l, err)
 					}
 					products = append(products, engine.Product{
 						Level: l, Kind: engine.KindDelta, Chunk: ci,
-						Payload: encodeChunkPayload(ids, enc),
+						Payload: chunkPayload(sw.tileHeaders[l][ci], enc),
 					})
 				}
 			}
