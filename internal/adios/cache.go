@@ -1,41 +1,30 @@
 package adios
 
 import (
-	"container/list"
 	"fmt"
-	"strings"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/engine"
 	"repro/internal/obs"
 )
 
-// Process-wide cache metrics, aggregated across every PageCache instance
-// (per-cache numbers stay available through Stats). Merges count readers
-// that piggybacked on another reader's in-flight fill instead of fetching;
-// fills count actual backend fetches, so misses = fills + merges once all
-// in-flight reads settle.
-var (
-	metricCacheHits          = obs.NewCounter("canopus_adios_cache_hits_total")
-	metricCacheMisses        = obs.NewCounter("canopus_adios_cache_misses_total")
-	metricCacheMerges        = obs.NewCounter("canopus_adios_cache_merges_total")
-	metricCacheFills         = obs.NewCounter("canopus_adios_cache_fills_total")
-	metricCacheEvictions     = obs.NewCounter("canopus_adios_cache_evictions_total")
-	metricCacheInvalidations = obs.NewCounter("canopus_adios_cache_invalidations_total")
-)
-
-// evCacheEvict records LRU page evictions in the flight recorder — a stream
-// of these for one hot key is the "cache too small for the working set"
-// signal the eviction counter alone cannot localize.
-var evCacheEvict = obs.RegisterEventType("cache_evict")
+// pageCacheMetrics aggregate every PageCache instance; fills are backend
+// fetches. A stream of cache_evict events for one hot key is the "cache too
+// small for the working set" signal the eviction counter cannot localize.
+var pageCacheMetrics = engine.CacheMetrics{
+	Hits:          obs.NewCounter("canopus_adios_cache_hits_total"),
+	Misses:        obs.NewCounter("canopus_adios_cache_misses_total"),
+	Merges:        obs.NewCounter("canopus_adios_cache_merges_total"),
+	Fills:         obs.NewCounter("canopus_adios_cache_fills_total"),
+	Evictions:     obs.NewCounter("canopus_adios_cache_evictions_total"),
+	Invalidations: obs.NewCounter("canopus_adios_cache_invalidations_total"),
+	Evict:         obs.RegisterEventType("cache_evict"),
+}
 
 // PageCache is an optional fixed-size read cache shared by every handle of
-// one IO. Containers are cached as aligned pages keyed by (storage key, page
-// index); concurrent readers missing the same page trigger exactly one
-// backend fetch (single-flight, the internal/engine pattern), so a storm of
-// analysis clients opening the same hot base container does not multiply
-// tier traffic. Eviction is LRU over whole pages.
+// one IO: an engine.Cache of aligned pages keyed by (storage key, page
+// index). Concurrent readers missing the same page trigger one backend
+// fetch, so a storm of clients opening the same hot base container does not
+// multiply tier traffic.
 //
 // The cache serves *real* bytes only: the simulated cost model still charges
 // each handle for the extents it touches, so experiment timings stay
@@ -43,26 +32,7 @@ var evCacheEvict = obs.RegisterEventType("cache_evict")
 // is the actual bytes moved out of the backend (Handle.RealBytes).
 type PageCache struct {
 	pageSize int64
-	maxPages int
-
-	mu    sync.Mutex
-	pages map[string]*list.Element
-	lru   *list.List // front = most recent; values are *cachePage
-	// gens maps a storage key to its invalidation generation. The
-	// generation is part of the page key, so a fill that was already in
-	// flight when Invalidate ran inserts under a dead generation and can
-	// never serve stale bytes to a later reader.
-	gens map[string]uint64
-
-	flight engine.Group
-
-	hits   atomic.Int64
-	misses atomic.Int64
-}
-
-type cachePage struct {
-	key  string
-	data []byte
+	pages    *engine.Cache[int64, []byte]
 }
 
 // DefaultPageSize is the page granularity when NewPageCache is given none.
@@ -75,91 +45,18 @@ func NewPageCache(capacity, pageSize int64) *PageCache {
 	if pageSize <= 0 {
 		pageSize = DefaultPageSize
 	}
-	maxPages := int(capacity / pageSize)
-	if maxPages < 1 {
-		maxPages = 1
-	}
-	return &PageCache{
-		pageSize: pageSize,
-		maxPages: maxPages,
-		pages:    make(map[string]*list.Element),
-		lru:      list.New(),
-		gens:     make(map[string]uint64),
-	}
+	// Every page costs a whole pageSize, short tail pages included, so the
+	// cache holds capacity/pageSize pages whatever their lengths.
+	cost := func([]byte) int64 { return pageSize }
+	return &PageCache{pageSize, engine.NewCache[int64](capacity/pageSize*pageSize, cost, pageCacheMetrics)}
 }
 
 // Stats reports cache page hits and misses since construction.
-func (c *PageCache) Stats() (hits, misses int64) {
-	return c.hits.Load(), c.misses.Load()
-}
+func (c *PageCache) Stats() (hits, misses int64) { return c.pages.Stats() }
 
-func pageCacheKey(key string, gen uint64, idx int64) string {
-	return fmt.Sprintf("%s\x00%d\x00%d", key, gen, idx)
-}
-
-// generation reads the current invalidation generation of a storage key.
-func (c *PageCache) generation(key string) uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.gens[key]
-}
-
-// lookup returns the cached page and bumps its recency, or nil.
-func (c *PageCache) lookup(pk string) []byte {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.pages[pk]
-	if !ok {
-		return nil
-	}
-	c.lru.MoveToFront(el)
-	return el.Value.(*cachePage).data
-}
-
-// insert stores a page and evicts LRU pages past capacity.
-func (c *PageCache) insert(pk string, data []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.pages[pk]; ok {
-		c.lru.MoveToFront(el)
-		el.Value.(*cachePage).data = data
-		return
-	}
-	c.pages[pk] = c.lru.PushFront(&cachePage{key: pk, data: data})
-	for c.lru.Len() > c.maxPages {
-		last := c.lru.Back()
-		c.lru.Remove(last)
-		victim := last.Value.(*cachePage).key
-		delete(c.pages, victim)
-		metricCacheEvictions.Inc()
-		// The page key is storagekey\x00gen\x00idx; attribute the eviction
-		// to the storage key.
-		if i := strings.IndexByte(victim, 0); i > 0 {
-			victim = victim[:i]
-		}
-		evCacheEvict.Emit("key", victim)
-	}
-}
-
-// Invalidate drops every cached page of one storage key and bumps its
-// generation. Writers call it when a key is overwritten so readers never see
-// stale pages; fills already in flight land under the dead generation.
-func (c *PageCache) Invalidate(key string) {
-	prefix := key + "\x00"
-	metricCacheInvalidations.Inc()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.gens[key]++
-	for el := c.lru.Front(); el != nil; {
-		next := el.Next()
-		p := el.Value.(*cachePage)
-		if len(p.key) > len(prefix) && p.key[:len(prefix)] == prefix {
-			c.lru.Remove(el)
-			delete(c.pages, p.key)
-		}
-		el = next
-	}
-}
+// Invalidate drops every cached page of one storage key. Writers call it
+// when a key is overwritten so readers never see stale pages.
+func (c *PageCache) Invalidate(key string) { c.pages.Invalidate(key) }
 
 // readAt copies [off, off+len(p)) of the container `key` (of total length
 // size) into p, filling missing pages through fetch. fetch reads an exact
@@ -168,47 +65,20 @@ func (c *PageCache) Invalidate(key string) {
 // call's alone, so callers (the per-handle cost tracker) can attribute
 // cache behavior to the request that caused it.
 func (c *PageCache) readAt(key string, size int64, p []byte, off int64, fetch func(off, n int64) ([]byte, error)) (hits, misses int64, err error) {
-	gen := c.generation(key)
 	for done := int64(0); done < int64(len(p)); {
 		pos := off + done
-		idx := pos / c.pageSize
-		pk := pageCacheKey(key, gen, idx)
-		page := c.lookup(pk)
-		if page != nil {
+		pageOff := pos - pos%c.pageSize
+		page, hit, err := c.pages.Get(key, pos/c.pageSize, func() ([]byte, error) {
+			return fetch(pageOff, min(c.pageSize, size-pageOff))
+		})
+		if hit {
 			hits++
-			c.hits.Add(1)
-			metricCacheHits.Inc()
 		} else {
 			misses++
-			c.misses.Add(1)
-			metricCacheMisses.Inc()
-			fetched := false
-			v, ferr := c.flight.Do(pk, func() (any, error) {
-				if page := c.lookup(pk); page != nil {
-					return page, nil // raced with another fill
-				}
-				pageOff := idx * c.pageSize
-				n := min(c.pageSize, size-pageOff)
-				data, err := fetch(pageOff, n)
-				if err != nil {
-					return nil, err
-				}
-				fetched = true
-				metricCacheFills.Inc()
-				c.insert(pk, data)
-				return data, nil
-			})
-			if ferr != nil {
-				return hits, misses, ferr
-			}
-			if !fetched {
-				// This miss rode another reader's in-flight fill (or a fill
-				// that landed between lookup and Do) — a single-flight merge.
-				metricCacheMerges.Inc()
-			}
-			page = v.([]byte)
 		}
-		pageOff := idx * c.pageSize
+		if err != nil {
+			return hits, misses, err
+		}
 		n := copy(p[done:], page[pos-pageOff:])
 		if n == 0 {
 			return hits, misses, fmt.Errorf("adios: page cache: empty copy at %d of %q", pos, key)

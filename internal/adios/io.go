@@ -43,10 +43,8 @@ type IO struct {
 	// Attach one with SetCache before issuing reads.
 	Cache *PageCache
 	// Tiles, when non-nil, is the shared decoded-tile cache handed to
-	// every handle opened through this IO: the tile read path in
-	// internal/core serves repeated decodes of the same tile from it.
-	// Writers invalidate overwritten keys the same way the page cache is
-	// invalidated. Attach one with SetTileCache before issuing reads.
+	// every handle opened through this IO, invalidated alongside Cache.
+	// Attach one with SetTileCache before issuing reads.
 	Tiles *compress.TileCache
 
 	// idxMu guards idxCache, the parsed-index cache: re-opening an
@@ -98,15 +96,7 @@ func (io *IO) SetTileCache(c *compress.TileCache) *IO {
 // tier pref. A cancelled ctx aborts the write. Cached pages of an overwritten
 // key are invalidated before the bytes land.
 func (io *IO) WriteContainer(ctx context.Context, key string, w *bp.Writer, pref int) (storage.Placement, error) {
-	if io.Cache != nil {
-		io.Cache.Invalidate(key)
-	}
-	if io.Tiles != nil {
-		io.Tiles.Invalidate(key)
-	}
-	io.idxMu.Lock()
-	delete(io.idxCache, key)
-	io.idxMu.Unlock()
+	io.dropCaches(key)
 	return io.Transport.Write(ctx, io.H, key, w.Bytes(), pref)
 }
 

@@ -1,28 +1,20 @@
 package compress
 
 import (
-	"container/list"
-	"fmt"
-	"sync"
-	"sync/atomic"
-
 	"repro/internal/engine"
 	"repro/internal/obs"
 )
 
-// Process-wide tile-cache metrics, aggregated across every TileCache
-// instance (per-cache numbers stay available through Stats). Merges count
-// readers that piggybacked on another reader's in-flight decode; fills count
-// actual decodes, so misses = fills + merges once in-flight work settles.
-var (
-	metricTileCacheHits          = obs.NewCounter("canopus_compress_tile_cache_hits_total")
-	metricTileCacheMisses        = obs.NewCounter("canopus_compress_tile_cache_misses_total")
-	metricTileCacheMerges        = obs.NewCounter("canopus_compress_tile_cache_merges_total")
-	metricTileCacheFills         = obs.NewCounter("canopus_compress_tile_cache_fills_total")
-	metricTileCacheEvictions     = obs.NewCounter("canopus_compress_tile_cache_evictions_total")
-	metricTileCacheInvalidations = obs.NewCounter("canopus_compress_tile_cache_invalidations_total")
-	metricTileCacheBytes         = obs.NewGauge("canopus_compress_tile_cache_bytes")
-)
+// tileCacheMetrics aggregate every TileCache instance; fills are decodes.
+var tileCacheMetrics = engine.CacheMetrics{
+	Hits:          obs.NewCounter("canopus_compress_tile_cache_hits_total"),
+	Misses:        obs.NewCounter("canopus_compress_tile_cache_misses_total"),
+	Merges:        obs.NewCounter("canopus_compress_tile_cache_merges_total"),
+	Fills:         obs.NewCounter("canopus_compress_tile_cache_fills_total"),
+	Evictions:     obs.NewCounter("canopus_compress_tile_cache_evictions_total"),
+	Invalidations: obs.NewCounter("canopus_compress_tile_cache_invalidations_total"),
+	Bytes:         obs.NewGauge("canopus_compress_tile_cache_bytes"),
+}
 
 // TileCache is an optional byte-budgeted cache of *decoded* tiles, shared
 // across requests: repeated analytics over the same region pay the bit-plane
@@ -34,36 +26,19 @@ var (
 // invariant the page cache keeps), so a cache hit shows up as ~0 decompress
 // seconds in CostReport while the I/O columns are unchanged.
 //
-// Keys are (storage key, generation, level, tile index); the generation is
-// baked into the key and bumped by Invalidate, so decodes that were already
-// in flight when a writer invalidated the key land under a dead generation
-// and can never serve stale floats (the page cache's invalidation rule,
-// DESIGN.md §14). Concurrent readers missing the same tile trigger exactly
-// one decode (single-flight). Eviction is LRU over whole tiles by byte size.
+// It is an engine.Cache keyed by (storage key, level, tile index), each
+// tile costing its decoded bytes.
 //
 // Cached slices are shared between callers and MUST be treated read-only;
 // callers that hand decoded values to mutating consumers copy out first.
 type TileCache struct {
-	maxBytes int64
-
-	mu    sync.Mutex
-	tiles map[tileKey]*list.Element
-	lru   *list.List // front = most recent; values are *tileEntry
-	gens  map[string]uint64
-	bytes int64
-
-	flight engine.Group
-
-	hits   atomic.Int64
-	misses atomic.Int64
+	tiles *engine.Cache[tileKey, []float64]
 }
 
-// tileKey addresses one decoded tile. ci is the tile (chunk) index within
-// the container; BaseTile (-1) addresses a container's whole base/direct
+// tileKey addresses one decoded tile within a container. ci is the tile
+// (chunk) index; BaseTile (-1) addresses a container's whole base/direct
 // product.
 type tileKey struct {
-	key   string
-	gen   uint64
 	level int
 	ci    int
 }
@@ -72,137 +47,27 @@ type tileKey struct {
 // base/direct product is cached.
 const BaseTile = -1
 
-type tileEntry struct {
-	k    tileKey
-	vals []float64
-}
-
 // NewTileCache builds a cache bounded to capacity bytes of decoded values.
 // It holds at least one tile regardless of capacity.
 func NewTileCache(capacity int64) *TileCache {
-	return &TileCache{
-		maxBytes: capacity,
-		tiles:    make(map[tileKey]*list.Element),
-		lru:      list.New(),
-		gens:     make(map[string]uint64),
-	}
+	cost := func(vals []float64) int64 { return 8 * int64(len(vals)) }
+	return &TileCache{tiles: engine.NewCache[tileKey](capacity, cost, tileCacheMetrics)}
 }
 
 // Stats reports tile hits and misses since construction.
-func (c *TileCache) Stats() (hits, misses int64) {
-	return c.hits.Load(), c.misses.Load()
-}
+func (c *TileCache) Stats() (hits, misses int64) { return c.tiles.Stats() }
 
 // SizeBytes reports the bytes of decoded values currently held.
-func (c *TileCache) SizeBytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bytes
-}
+func (c *TileCache) SizeBytes() int64 { return c.tiles.Size() }
 
-func (c *TileCache) generation(key string) uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.gens[key]
-}
-
-// lookup returns the cached tile and bumps its recency, or nil.
-func (c *TileCache) lookup(k tileKey) []float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.tiles[k]
-	if !ok {
-		return nil
-	}
-	c.lru.MoveToFront(el)
-	return el.Value.(*tileEntry).vals
-}
-
-// insert stores a decoded tile and evicts LRU tiles past the byte budget.
-func (c *TileCache) insert(k tileKey, vals []float64) {
-	sz := int64(len(vals)) * 8
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.tiles[k]; ok {
-		e := el.Value.(*tileEntry)
-		c.bytes += sz - int64(len(e.vals))*8
-		e.vals = vals
-		c.lru.MoveToFront(el)
-	} else {
-		c.tiles[k] = c.lru.PushFront(&tileEntry{k: k, vals: vals})
-		c.bytes += sz
-	}
-	for c.bytes > c.maxBytes && c.lru.Len() > 1 {
-		last := c.lru.Back()
-		c.lru.Remove(last)
-		victim := last.Value.(*tileEntry)
-		delete(c.tiles, victim.k)
-		c.bytes -= int64(len(victim.vals)) * 8
-		metricTileCacheEvictions.Inc()
-	}
-	metricTileCacheBytes.Set(c.bytes)
-}
-
-// Invalidate drops every cached tile of one storage key and bumps its
-// generation. Writers call it when a key is overwritten so readers never
-// see stale decoded values; decodes already in flight land under the dead
-// generation.
-func (c *TileCache) Invalidate(key string) {
-	metricTileCacheInvalidations.Inc()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.gens[key]++
-	for el := c.lru.Front(); el != nil; {
-		next := el.Next()
-		e := el.Value.(*tileEntry)
-		if e.k.key == key {
-			c.lru.Remove(el)
-			delete(c.tiles, e.k)
-			c.bytes -= int64(len(e.vals)) * 8
-		}
-		el = next
-	}
-	metricTileCacheBytes.Set(c.bytes)
-}
+// Invalidate drops every cached tile of one storage key. Writers call it
+// when a key is overwritten so readers never see stale decoded values.
+func (c *TileCache) Invalidate(key string) { c.tiles.Invalidate(key) }
 
 // GetOrDecode returns the decoded tile (level, ci) of container key, running
-// decode on a miss with at most one decode in flight per tile across all
-// concurrent readers. hit reports whether this call was served from cache
-// without waiting on a decode it triggered itself; single-flight merges
-// count as misses for attribution (the caller did wait on decode latency).
-// The hit path performs no allocations. The returned slice is shared and
-// read-only.
+// decode on a miss with at most one decode in flight per tile. A caller that
+// waited on another's decode missed. The hit path performs no allocations.
+// The returned slice is shared and read-only.
 func (c *TileCache) GetOrDecode(key string, level, ci int, decode func() ([]float64, error)) (vals []float64, hit bool, err error) {
-	k := tileKey{key: key, gen: c.generation(key), level: level, ci: ci}
-	if vals := c.lookup(k); vals != nil {
-		c.hits.Add(1)
-		metricTileCacheHits.Inc()
-		return vals, true, nil
-	}
-	c.misses.Add(1)
-	metricTileCacheMisses.Inc()
-	fetched := false
-	v, err := c.flight.Do(fmt.Sprintf("%s\x00%d\x00%d\x00%d", k.key, k.gen, k.level, k.ci), func() (any, error) {
-		if vals := c.lookup(k); vals != nil {
-			return vals, nil // raced with another fill
-		}
-		vals, err := decode()
-		if err != nil {
-			return nil, err
-		}
-		fetched = true
-		metricTileCacheFills.Inc()
-		// Insert under the generation read at entry: if the key was
-		// invalidated while the decode ran, the entry is dead on arrival
-		// and unreachable by later readers.
-		c.insert(k, vals)
-		return vals, nil
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	if !fetched {
-		metricTileCacheMerges.Inc()
-	}
-	return v.([]float64), false, nil
+	return c.tiles.Get(key, tileKey{level: level, ci: ci}, decode)
 }

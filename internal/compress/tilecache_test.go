@@ -1,11 +1,13 @@
 package compress
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestTileCacheHitMiss(t *testing.T) {
@@ -171,6 +173,52 @@ func TestTileCacheInvalidateMidFlight(t *testing.T) {
 	})
 	if err != nil || hit || vals[0] != 2 {
 		t.Fatalf("post-invalidate read: vals=%v hit=%v err=%v", vals, hit, err)
+	}
+}
+
+// TestTileCacheFollowerOutlivesCancelledLeader: a reader joins another's
+// in-flight decode, and that leader's decode gives up with
+// context.Canceled. The follower's own request is live, so it must run its
+// own decode and get its own values, not the leader's cancellation.
+func TestTileCacheFollowerOutlivesCancelledLeader(t *testing.T) {
+	c := NewTileCache(1 << 20)
+	started := make(chan struct{})
+	release := make(chan struct{})
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, _, err := c.GetOrDecode("k", 0, 0, func() ([]float64, error) {
+			close(started)
+			<-release
+			return nil, context.Canceled
+		})
+		leaderErr <- err
+	}()
+	<-started
+	type result struct {
+		vals []float64
+		err  error
+	}
+	follower := make(chan result, 1)
+	go func() {
+		vals, _, err := c.GetOrDecode("k", 0, 0, func() ([]float64, error) {
+			return []float64{7}, nil
+		})
+		follower <- result{vals, err}
+	}()
+	// Let the follower join the leader's flight before the leader gives up.
+	// A follower that arrives late leads its own decode and passes anyway,
+	// so a slow machine cannot fail this test, only weaken it.
+	time.Sleep(20 * time.Millisecond)
+	close(release)
+	if err := <-leaderErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("leader: err = %v, want context.Canceled", err)
+	}
+	r := <-follower
+	if r.err != nil {
+		t.Fatalf("live follower got leader's cancellation: %v", r.err)
+	}
+	if len(r.vals) != 1 || r.vals[0] != 7 {
+		t.Fatalf("follower vals = %v, want [7]", r.vals)
 	}
 }
 

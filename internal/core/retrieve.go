@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -69,7 +68,7 @@ type archive struct {
 	degrade  bool
 	geo      []*levelGeo // per level, nil until loaded
 	hierCost storage.Cost
-	flight   engine.Group
+	flight   engine.Group[int, *levelGeo]
 }
 
 // levelGeo is one level's geometry as the walker holds it. mapping and
@@ -250,11 +249,9 @@ type View struct {
 
 // decodeProduct decodes one container's whole base/direct data product,
 // serving repeats from the handle's decoded-tile cache when one is attached
-// (keyed under compress.BaseTile). By the time this runs the payload bytes
-// have already been fetched, so a hit skips only the decompress CPU — the
-// request's I/O bill is identical either way (TileCache's cost invariant).
-// Cached slices are shared and read-only, while View data is caller-owned
-// and mutated in place by Augment/restore, so cache results are copied out.
+// (keyed under compress.BaseTile); the payload is already fetched, so a hit
+// skips only the decompress CPU. Cached slices are shared and read-only,
+// while Augment/restore mutate View data in place, so hits are copied out.
 func decodeProduct(ctx context.Context, pool *engine.Pool, codec compress.Codec, h *adios.Handle, level int, payload []byte) ([]float64, error) {
 	tc := h.TileCache()
 	if tc == nil {
@@ -618,29 +615,19 @@ func (a *archive) cached(l int) *levelGeo {
 
 // level returns level l's geometry, loading it at most once across
 // concurrent retrievals; h is the caller's open payload container. Callers
-// that miss together share one load, run under the first caller's ctx. If
-// that caller gives up mid-load, the others receive its cancellation; one
-// whose own ctx is still live loads the level again instead of failing.
+// that miss together share one load, run under the first caller's ctx; if
+// that caller gives up mid-load, the engine.Group rule has the others load
+// the level again under their own.
 func (a *archive) level(ctx context.Context, h *adios.Handle, l int) (*levelGeo, error) {
-	for {
+	if g := a.cached(l); g != nil {
+		return g, nil
+	}
+	return a.flight.Do(l, func() (*levelGeo, error) {
 		if g := a.cached(l); g != nil {
 			return g, nil
 		}
-		led := false
-		v, err := a.flight.Do(strconv.Itoa(l), func() (any, error) {
-			led = true
-			if g := a.cached(l); g != nil {
-				return g, nil
-			}
-			return a.loadLevel(ctx, h, l)
-		})
-		if err == nil {
-			return v.(*levelGeo), nil
-		}
-		if led || ctx.Err() != nil || !(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-			return nil, err
-		}
-	}
+		return a.loadLevel(ctx, h, l)
+	})
 }
 
 // loadLevel reads level l's geometry — mesh, and on delta levels the
@@ -755,13 +742,9 @@ func (dt *deltaTiles) decodeInto(ctx context.Context, pool *engine.Pool, h *adio
 	if len(present) < workers {
 		innerPool = pool
 	}
-	// The decoded-tile cache (when the IO has one attached) serves repeat
-	// decodes of the same tile across requests; hits skip the bit-plane
-	// decode but never the byte fetch above, so modeled cost stays
-	// deterministic. Cached slices are shared and read-only — the scatter
-	// below only copies out of vals, never writes into it — and cache
-	// misses decode into a fresh slice (not the pooled scratch, whose
-	// backing array is reused).
+	// Decoded-tile cache hits skip the decode, never the fetch above. Cached
+	// slices are read-only — the scatter below only copies out of vals —
+	// and misses decode into a fresh slice, not the reused pooled scratch.
 	tc := h.TileCache()
 	key := h.Key()
 	var tileHits, tileMisses atomic.Int64

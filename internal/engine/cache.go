@@ -1,0 +1,179 @@
+package engine
+
+import (
+	"container/list"
+	"sync"
+	"sync/atomic"
+
+	"repro/internal/obs"
+)
+
+// Cache is the one read-cache protocol: an LRU of values keyed by
+// (namespace, generation, K), bounded by a cost budget and filled through a
+// single-flight Group.
+//
+//   - Budget. Each entry costs what the owner's cost func says; an insert
+//     past the budget evicts least recently used entries, always keeping
+//     at least one.
+//   - Generations. Each namespace (a storage key) has a generation that is
+//     part of every entry's key. Invalidate bumps it and drops the
+//     namespace's entries, so a fill already in flight lands dead: it
+//     serves the caller that started it and is never stored.
+//   - Single flight. Concurrent misses on one entry run one fill; the
+//     others wait and share it (merges), so misses = fills + merges once
+//     fills settle.
+type Cache[K comparable, V any] struct {
+	budget  int64
+	cost    func(V) int64
+	metrics CacheMetrics
+
+	mu      sync.Mutex
+	entries map[cacheKey[K]]*list.Element
+	lru     list.List // front = most recent; values are *cacheEntry
+	gens    map[string]uint64
+	size    int64
+
+	flight       Group[cacheKey[K], V]
+	hits, misses atomic.Int64
+}
+
+// CacheMetrics are a cache owner's process-wide instruments, shared by all
+// its instances; per-instance counts come from Stats. Bytes, when set,
+// tracks the cost held; Evict, when registered, records each eviction's
+// namespace under "key".
+type CacheMetrics struct {
+	Hits, Misses, Merges, Fills, Evictions, Invalidations *obs.Counter
+	Bytes                                                 *obs.Gauge
+	Evict                                                 obs.EventType
+}
+
+type cacheKey[K comparable] struct {
+	ns  string
+	gen uint64
+	k   K
+}
+
+type cacheEntry[K comparable, V any] struct {
+	key  cacheKey[K]
+	val  V
+	cost int64
+}
+
+// NewCache builds a cache holding entries of total cost up to budget.
+func NewCache[K comparable, V any](budget int64, cost func(V) int64, m CacheMetrics) *Cache[K, V] {
+	return &Cache[K, V]{
+		budget:  budget,
+		cost:    cost,
+		metrics: m,
+		entries: make(map[cacheKey[K]]*list.Element),
+		gens:    make(map[string]uint64),
+	}
+}
+
+// Stats reports this instance's hits and misses since construction.
+func (c *Cache[K, V]) Stats() (hits, misses int64) { return c.hits.Load(), c.misses.Load() }
+
+// Size reports the total cost of the entries held.
+func (c *Cache[K, V]) Size() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.size
+}
+
+// Get returns the value for k in namespace ns, running fill on a miss with
+// at most one fill in flight per entry. hit is false for a caller that
+// waited on another's fill. The hit path performs no allocations. Values
+// are shared between callers and must be treated read-only.
+func (c *Cache[K, V]) Get(ns string, k K, fill func() (V, error)) (v V, hit bool, err error) {
+	c.mu.Lock()
+	key := cacheKey[K]{ns: ns, gen: c.gens[ns], k: k}
+	v, hit = c.lookupLocked(key)
+	c.mu.Unlock()
+	if hit {
+		c.hits.Add(1)
+		c.metrics.Hits.Inc()
+		return v, true, nil
+	}
+	c.misses.Add(1)
+	c.metrics.Misses.Inc()
+	filled := false
+	v, err = c.flight.Do(key, func() (V, error) {
+		c.mu.Lock()
+		v, ok := c.lookupLocked(key)
+		c.mu.Unlock()
+		if ok {
+			return v, nil // raced with another fill
+		}
+		v, err := fill()
+		if err == nil {
+			filled = true
+			c.metrics.Fills.Inc()
+			c.insert(key, v)
+		}
+		return v, err
+	})
+	if err == nil && !filled {
+		c.metrics.Merges.Inc()
+	}
+	return v, false, err
+}
+
+func (c *Cache[K, V]) lookupLocked(key cacheKey[K]) (v V, ok bool) {
+	el, ok := c.entries[key]
+	if ok {
+		c.lru.MoveToFront(el)
+		v = el.Value.(*cacheEntry[K, V]).val
+	}
+	return v, ok
+}
+
+// insert stores a fill unless its generation died in flight, then evicts
+// past the budget. Single flight means the key is not already held.
+func (c *Cache[K, V]) insert(key cacheKey[K], v V) {
+	cost := c.cost(v)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if key.gen != c.gens[key.ns] {
+		return
+	}
+	c.entries[key] = c.lru.PushFront(&cacheEntry[K, V]{key: key, val: v, cost: cost})
+	c.size += cost
+	for c.size > c.budget && c.lru.Len() > 1 {
+		ns := c.remove(c.lru.Back())
+		c.metrics.Evictions.Inc()
+		c.metrics.Evict.Emit("key", ns)
+	}
+	c.setBytes()
+}
+
+// Invalidate drops every entry of namespace ns and bumps its generation.
+// Writers call it when a storage key is overwritten so readers never see
+// stale values.
+func (c *Cache[K, V]) Invalidate(ns string) {
+	c.metrics.Invalidations.Inc()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.gens[ns]++
+	for el := c.lru.Front(); el != nil; {
+		next := el.Next()
+		if el.Value.(*cacheEntry[K, V]).key.ns == ns {
+			c.remove(el)
+		}
+		el = next
+	}
+	c.setBytes()
+}
+
+// remove drops one entry and returns its namespace.
+func (c *Cache[K, V]) remove(el *list.Element) string {
+	e := c.lru.Remove(el).(*cacheEntry[K, V])
+	delete(c.entries, e.key)
+	c.size -= e.cost
+	return e.key.ns
+}
+
+func (c *Cache[K, V]) setBytes() {
+	if c.metrics.Bytes != nil {
+		c.metrics.Bytes.Set(c.size)
+	}
+}

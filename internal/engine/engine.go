@@ -21,7 +21,10 @@
 //   - Product: the uniform descriptor for every artifact the pipelines move
 //     between stages and storage (mesh geometry, vertex mappings, level
 //     data, delta tiles).
-//   - Group: single-flight deduplication for concurrent cache misses.
+//   - Group: typed single-flight deduplication for concurrent cache misses,
+//     where a follower of a leader cancelled mid-call retries on its own.
+//   - Cache: the generation-stamped, cost-bounded single-flight LRU behind
+//     both read caches, adios.PageCache and compress.TileCache.
 //   - Counter: a float64 accumulator safe for concurrent adds, used to keep
 //     PhaseTimings correct when units finish on different goroutines.
 package engine

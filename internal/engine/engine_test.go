@@ -216,7 +216,7 @@ func TestProductVarNames(t *testing.T) {
 
 func TestGroupDeduplicates(t *testing.T) {
 	var calls atomic.Int64
-	var g Group
+	var g Group[string, any]
 	gate := make(chan struct{})
 	const n = 16
 	var wg sync.WaitGroup
@@ -251,7 +251,7 @@ func TestGroupDeduplicates(t *testing.T) {
 }
 
 func TestGroupDistinctKeys(t *testing.T) {
-	var g Group
+	var g Group[string, any]
 	a, _ := g.Do("a", func() (any, error) { return 1, nil })
 	b, _ := g.Do("b", func() (any, error) { return 2, nil })
 	if a != 1 || b != 2 {
