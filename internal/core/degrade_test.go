@@ -378,3 +378,60 @@ func TestCorruptDeltaDegradesCleanly(t *testing.T) {
 		t.Fatalf("Level = %d (report %+v), want 1", v.Level, v.Degradation)
 	}
 }
+
+// TestRegionDegradesOnCorruptTile pins the mid-walk degrade path of a region
+// read: with the level-0 container's index already parsed, a corrupt byte
+// in its payload fails the tile fetch rather than the container open, and
+// the region read degrades to level 1 with every restored vertex equal to
+// a full level-1 retrieval.
+func TestRegionDegradesOnCorruptTile(t *testing.T) {
+	ctx := context.Background()
+	aio := newIO()
+	aio.H.SetRetryPolicy(coreFastRetry)
+	ds := testDataset("dpot", 24)
+	if _, err := Write(ctx, aio, ds, Options{Levels: 3, Chunks: 4}); err != nil {
+		t.Fatal(err)
+	}
+	rd, err := OpenReaderWith(ctx, aio, "dpot", Options{Degrade: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Warm the geometry and the parsed container index.
+	if _, err := rd.Retrieve(ctx, 0); err != nil {
+		t.Fatal(err)
+	}
+	want, err := rd.Retrieve(ctx, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	key := levelKey("dpot", 0)
+	backend := aio.H.Tier(aio.H.Where(key)).Backend
+	raw, err := backend.Get(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)/2] ^= 0x10
+	if err := backend.Put(key, raw); err != nil {
+		t.Fatal(err)
+	}
+
+	v, err := rd.RetrieveRegion(ctx, 0, 0.2, 0.2, 0.6, 0.6)
+	if err != nil {
+		t.Fatalf("degraded RetrieveRegion over corrupt tile: %v", err)
+	}
+	if v.Level != 1 || v.Degradation == nil || v.Degradation.AchievedLevel != 1 {
+		t.Fatalf("Level = %d (report %+v), want achieved level 1", v.Level, v.Degradation)
+	}
+	if v.Cost == nil || !v.Cost.Degraded {
+		t.Fatalf("Cost = %+v, want Degraded", v.Cost)
+	}
+	if v.CountHave() == 0 {
+		t.Fatal("degraded region view restored no vertex")
+	}
+	for i, ok := range v.Have {
+		if ok && math.Float64bits(v.Data[i]) != math.Float64bits(want.Data[i]) {
+			t.Fatalf("vertex %d = %v, level-1 Retrieve has %v", i, v.Data[i], want.Data[i])
+		}
+	}
+}
