@@ -15,8 +15,8 @@ import (
 )
 
 // approxSeconds tolerates the float-summation-order difference between a
-// PhaseTimings field (accumulated through an engine.Counter, added once) and
-// the request's FloatCounter (accumulated per unit): same values, possibly
+// PhaseTimings field (each pass's elapsed seconds, added once) and the
+// request's FloatCounter (accumulated per unit): same values, possibly
 // different association.
 func approxSeconds(a, b float64) bool {
 	return math.Abs(a-b) <= 1e-9*(1+math.Abs(a)+math.Abs(b))

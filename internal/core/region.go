@@ -7,8 +7,6 @@ import (
 	"math"
 
 	"repro/internal/adios"
-	"repro/internal/delta"
-	"repro/internal/engine"
 	"repro/internal/mesh"
 	"repro/internal/obs"
 )
@@ -24,8 +22,8 @@ type RegionView struct {
 	// Mesh is the full G^Level geometry (geometry is metadata and is
 	// cached by the reader; only delta payloads are fetched regionally).
 	Mesh *mesh.Mesh
-	// Data holds restored values; only indices with Have[i] == true are
-	// meaningful.
+	// Data holds restored values at the indices with Have[i] == true and
+	// 0 at every other index.
 	Data []float64
 	Have []bool
 	// Timings accumulates the retrieval costs.
@@ -64,9 +62,9 @@ func (v *RegionView) CountHave() int {
 // The restoration dependency chain runs coarse-to-fine: a fine vertex needs
 // the three corner values of its coarse triangle, so the needed vertex set
 // is propagated up to the base (which is read in full — it is small and
-// lives on the fast tier), then values are restored back down, level by
-// level, touching only needed vertices. Restored values are bit-identical
-// to what a full Retrieve produces for the same vertices.
+// lives on the fast tier), then the walk's refine step restores each level
+// masked to its needed vertices. Restored values are bit-identical to what
+// a full Retrieve produces for the same vertices.
 //
 // Regional retrieval requires delta-mode products (written with
 // Options.Chunks > 1 to benefit; Chunks == 1 still works but reads the
@@ -109,12 +107,13 @@ func (r *Reader) RetrieveRegion(ctx context.Context, targetLevel int, minX, minY
 	}
 
 	// Open the planned containers base-down with their geometry (cached
-	// across calls). The order matters for degradation: the base must open
-	// (there is nothing coarser to fall back to), and a degradable failure
-	// at a finer level truncates the active plan to the finest level whose
-	// metadata is intact.
+	// across calls): the masks need every planned level's geometry before
+	// the base is read. The order matters for degradation: the base must
+	// open (there is nothing coarser to fall back to), and a degradable
+	// failure at a finer level truncates the active plan to the finest
+	// level whose metadata is intact.
 	base := r.levels - 1
-	var deg *Degradation
+	var degErr error
 	active := pl.Steps
 	handles := make([]*adios.Handle, base+1)
 	geo := make([]*levelGeo, base+1)
@@ -122,9 +121,7 @@ func (r *Reader) RetrieveRegion(ctx context.Context, targetLevel int, minX, minY
 		h, g, err := r.open(ctx, 0, st.Level)
 		if err != nil {
 			if i > 0 && degrade && degradable(err) {
-				achieved := pl.Steps[i-1].Level
-				deg = newDegradation(targetLevel, achieved, err, r.boundAt(achieved))
-				active = pl.Steps[:i]
+				degErr, active = err, pl.Steps[:i]
 				break
 			}
 			return nil, err
@@ -151,118 +148,41 @@ func (r *Reader) RetrieveRegion(ctx context.Context, targetLevel int, minX, minY
 			if !want {
 				continue
 			}
-			t := coarseMesh.Tris[geo[l].mapping[vi]]
-			needed[l+1][t[0]] = true
-			needed[l+1][t[1]] = true
-			needed[l+1][t[2]] = true
+			for _, c := range coarseMesh.Tris[geo[l].mapping[vi]] {
+				needed[l+1][c] = true
+			}
 		}
 	}
 
-	// Base: read in full (small, fast tier).
-	bv, err := r.whole(ctx, handles[base], geo[base], base)
+	// The base is read in full (small, fast tier); each refine step then
+	// restores only the needed vertices, fetching only the tiles that hold
+	// them. A degradable refine failure stops the walk with the coarser
+	// level's data intact.
+	v, err := r.whole(ctx, handles[base], geo[base], base)
 	if err != nil {
 		return nil, err
 	}
-	out := &RegionView{Timings: bv.Timings}
-	data := bv.Data
-
-	// Restore along the plan coarse-to-fine, needed vertices only, fetching
-	// only the delta tiles that hold them. A degradable fetch failure stops
-	// the refinement with the coarser level's data intact.
-	for i := 1; i < len(active); i++ {
-		l := active[i].Level
-		fine, h := geo[l], handles[l]
-		chunkSet := make([]bool, fine.tiles.n*fine.tiles.n)
-		for vi, want := range needed[l] {
-			if want {
-				v := fine.mesh.Verts[vi]
-				chunkSet[fine.tiles.tileOf(v.X, v.Y)] = true
-			}
-		}
-		// Non-nil even when empty: a nil list asks fetchDeltaChunks for
-		// every tile.
-		chunks := []int{}
-		for ci, want := range chunkSet {
-			if want {
-				chunks = append(chunks, ci)
-			}
-		}
-		deltas := make([]float64, fine.mesh.NumVerts())
-		haveDelta := make([]bool, fine.mesh.NumVerts())
-		var decompress engine.Counter
-		tiles, err := fetchDeltaChunks(h, fine.tiles, l, chunks)
-		if err == nil {
-			err = tiles.decodeInto(ctx, r.pool, h, r.codec, deltas, haveDelta, &decompress)
-		}
-		if err != nil {
-			if degrade && degradable(err) {
-				deg = newDegradation(targetLevel, l+1, err, r.boundAt(l+1))
-				effTarget = l + 1
-				active = active[:i]
-				break
-			}
-			return nil, err
-		}
-		out.Timings.DecompressSeconds += decompress.Value()
-
-		fineData := make([]float64, fine.mesh.NumVerts())
-		coarseMesh := geo[l+1].mesh
-		// Needed vertices are restored independently, so the sparse loop
-		// shards over the pool like the full restore; writes target
-		// disjoint indices and the result is identical at every worker
-		// count (the first missing-delta error, by index, wins).
-		want := needed[l]
-		err = restorePhase(ctx, &out.Timings, l, func() error {
-			return r.pool.RunRange(ctx, len(want), func(start, end int) error {
-				for vi := start; vi < end; vi++ {
-					if !want[vi] {
-						continue
-					}
-					if !haveDelta[vi] {
-						return fmt.Errorf("canopus: level %d vertex %d missing from fetched chunks", l, vi)
-					}
-					fineData[vi] = deltas[vi] + delta.EstimateVertex(
-						fine.mesh, coarseMesh, data, fine.mapping, r.estimator, int32(vi))
-				}
-				return nil
-			})
-		})
-		if err != nil {
-			return nil, err
-		}
-		data = fineData
-	}
-
-	// Accumulate I/O from every refinement handle the active plan touched
-	// (the base's was billed with its data).
 	for _, st := range active[1:] {
-		out.Timings.addHandleIO(ctx, handles[st.Level])
-	}
-	out.Level = effTarget
-	out.Mesh = geo[effTarget].mesh
-	out.Data = data
-	out.ErrorBound = r.boundAt(effTarget)
-	if effTarget == base {
-		// The base is fully restored by construction.
-		out.Have = make([]bool, len(data))
-		for i := range out.Have {
-			out.Have[i] = true
+		if err := r.refine(ctx, 0, v, handles[st.Level], needed[st.Level]); err != nil {
+			if !degrade || !degradable(err) {
+				return nil, err
+			}
+			degErr = err
+			break
 		}
-	} else {
-		out.Have = needed[effTarget]
 	}
-	if deg != nil {
-		out.Degradation = deg
-		countDegradation(ctx, deg)
-		span.SetAttrInt("achieved_level", effTarget)
-		span.SetAttr("degraded", "true")
+	if degErr != nil {
+		r.degradeAt(ctx, span, v, pl, degErr)
 	}
-	req.SetLevel(out.Level)
-	req.SetErrorBound(out.ErrorBound)
-	if owned {
-		rep := req.Report(span)
-		obs.ObserveLatency(metricRetrieveRegionSeconds, span, rep.DurationSeconds)
-		out.Cost = rep
+	finishView(v, req, owned, span, metricRetrieveRegionSeconds)
+	have := needed[v.Level]
+	if v.Level == base {
+		// The base is fully restored by construction.
+		have = make([]bool, len(v.Data))
+		for i := range have {
+			have[i] = true
+		}
 	}
-	return out, nil
+	return &RegionView{Level: v.Level, Mesh: v.Mesh, Data: v.Data, Have: have, Timings: v.Timings,
+		ErrorBound: v.ErrorBound, Degradation: v.Degradation, Cost: v.Cost}, nil
 }

@@ -459,3 +459,68 @@ func TestQuickRegionAlwaysMatchesFull(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// FuzzRetrieveRegion checks RetrieveRegion's contract on arbitrary boxes
+// over one archive: a non-finite or inverted box is ErrBadRegion; below the
+// base Have is exactly the target level's in-box vertices, at the base it
+// is every vertex; Have values are bit-equal to a full Retrieve at the same
+// level; and every other entry of Data is 0.
+func FuzzRetrieveRegion(f *testing.F) {
+	ctx := context.Background()
+	aio := newIO()
+	if _, err := Write(ctx, aio, testDataset("dpot", 24), Options{Levels: 3, Chunks: 5}); err != nil {
+		f.Fatal(err)
+	}
+	r, err := OpenReader(ctx, aio, "dpot")
+	if err != nil {
+		f.Fatal(err)
+	}
+	full := make([]*View, r.Levels())
+	for l := range full {
+		if full[l], err = r.Retrieve(ctx, l); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add(uint8(0), 0.2, 0.2, 0.6, 0.6)
+	f.Add(uint8(1), 0.0, 0.0, 1.0, 1.0)
+	f.Add(uint8(2), 0.3, 0.3, 0.4, 0.4)
+	f.Add(uint8(0), 0.5, 0.5, 0.5, 0.5)
+	f.Add(uint8(1), 5.0, 5.0, 6.0, 6.0)
+	f.Add(uint8(0), 0.6, 0.2, 0.2, 0.6)
+	f.Add(uint8(1), math.Inf(-1), 0.0, 1.0, 1.0)
+	f.Add(uint8(0), 0.1, math.NaN(), 0.9, 0.9)
+	f.Fuzz(func(t *testing.T, lv uint8, minX, minY, maxX, maxY float64) {
+		level := int(lv) % r.Levels()
+		rv, err := r.RetrieveRegion(ctx, level, minX, minY, maxX, maxY)
+		bad := minX > maxX || minY > maxY
+		for _, c := range [4]float64{minX, minY, maxX, maxY} {
+			bad = bad || math.IsNaN(c) || math.IsInf(c, 0)
+		}
+		if bad {
+			if !errors.Is(err, ErrBadRegion) {
+				t.Fatalf("box [%g,%g]x[%g,%g]: err = %v, want ErrBadRegion", minX, maxX, minY, maxY, err)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := full[level]
+		if rv.Level != level || len(rv.Data) != len(want.Data) || len(rv.Have) != len(want.Data) {
+			t.Fatalf("level %d: got level %d with %d values, %d have", level, rv.Level, len(rv.Data), len(rv.Have))
+		}
+		for vi, v := range want.Mesh.Verts {
+			in := level == r.Levels()-1 || v.X >= minX && v.X <= maxX && v.Y >= minY && v.Y <= maxY
+			if rv.Have[vi] != in {
+				t.Fatalf("level %d vertex %d (%g,%g): Have = %v, want %v", level, vi, v.X, v.Y, rv.Have[vi], in)
+			}
+			got := math.Float64bits(rv.Data[vi])
+			if in && got != math.Float64bits(want.Data[vi]) {
+				t.Fatalf("level %d vertex %d = %v, Retrieve has %v", level, vi, rv.Data[vi], want.Data[vi])
+			}
+			if !in && got != 0 {
+				t.Fatalf("level %d vertex %d outside Have = %v, want 0", level, vi, rv.Data[vi])
+			}
+		}
+	})
+}

@@ -25,13 +25,10 @@
 //     where a follower of a leader cancelled mid-call retries on its own.
 //   - Cache: the generation-stamped, cost-bounded single-flight LRU behind
 //     both read caches, adios.PageCache and compress.TileCache.
-//   - Counter: a float64 accumulator safe for concurrent adds, used to keep
-//     PhaseTimings correct when units finish on different goroutines.
 package engine
 
 import (
 	"context"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -219,29 +216,4 @@ func (p *Pool) RunRange(ctx context.Context, n int, fn func(start, end int) erro
 		units[i] = func(context.Context) error { return fn(start, end) }
 	}
 	return p.Run(ctx, units...)
-}
-
-// Counter is a float64 accumulator safe for concurrent adds. It exists so
-// PhaseTimings contributions from units running on different goroutines can
-// be collected without racing; at one worker its value is identical to a
-// plain `+=` accumulation. The accumulation is a lock-free compare-and-swap
-// on the float's bit pattern, so hot decode loops pay no mutex.
-type Counter struct {
-	bits atomic.Uint64
-}
-
-// Add accumulates s.
-func (c *Counter) Add(s float64) {
-	for {
-		old := c.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + s)
-		if c.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value reports the accumulated total.
-func (c *Counter) Value() float64 {
-	return math.Float64frombits(c.bits.Load())
 }

@@ -258,21 +258,3 @@ func TestGroupDistinctKeys(t *testing.T) {
 		t.Fatal("keys interfered")
 	}
 }
-
-func TestCounterConcurrentAdds(t *testing.T) {
-	var c Counter
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				c.Add(0.5)
-			}
-		}()
-	}
-	wg.Wait()
-	if c.Value() != 4000 {
-		t.Fatalf("Value = %g, want 4000", c.Value())
-	}
-}

@@ -349,4 +349,3 @@ func (h *Hierarchy) ensureRoomLocked(tier int, bytes int64, protect string) ([]M
 	}
 	return out, nil
 }
-
