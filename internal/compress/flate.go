@@ -31,88 +31,6 @@ func (*Flate) ErrorBound() float64 { return 0 }
 
 const flateMagic = 0x31464c43 // "CLF1"
 
-// inflater pairs a reusable bytes.Reader with a flate reader reset onto it,
-// so every inflate in the repository (the sz and flate codecs here, geometry
-// planes in internal/mesh, mappings in internal/core) runs without
-// rebuilding DEFLATE state — the dominant allocation in a cold
-// flate.NewReader — on every call.
-type inflater struct {
-	br bytes.Reader
-	fr io.ReadCloser
-}
-
-var inflaterPool = sync.Pool{
-	New: func() any {
-		inf := &inflater{}
-		inf.fr = flate.NewReader(&inf.br)
-		return inf
-	},
-}
-
-func (inf *inflater) reset(src []byte) error {
-	inf.br.Reset(src)
-	return inf.fr.(flate.Resetter).Reset(&inf.br, nil)
-}
-
-// InflateAppend decompresses the DEFLATE stream src with a pooled decoder
-// and appends the result to dst, growing it as needed. Bytes after the end
-// of the stream are ignored. Callers that know roughly how large the result
-// is pass a dst with that capacity.
-func InflateAppend(dst, src []byte) ([]byte, error) {
-	inf := inflaterPool.Get().(*inflater)
-	defer inflaterPool.Put(inf)
-	if err := inf.reset(src); err != nil {
-		return nil, err
-	}
-	for {
-		if len(dst) == cap(dst) {
-			dst = append(dst, 0)[:len(dst)]
-		}
-		n, err := inf.fr.Read(dst[len(dst):cap(dst)])
-		dst = dst[:len(dst)+n]
-		if err == io.EOF {
-			return dst, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-}
-
-// InflateInto decompresses src into dst, which the caller sized from a
-// trusted-or-checked length: the stream must inflate to exactly len(dst)
-// bytes and must be all of src. A stream that ends early, runs long, or
-// leaves input unread is an error, so a forged length can neither overrun
-// dst nor smuggle bytes past a decoder.
-func InflateInto(dst, src []byte) error {
-	inf := inflaterPool.Get().(*inflater)
-	defer inflaterPool.Put(inf)
-	if err := inf.reset(src); err != nil {
-		return err
-	}
-	if _, err := io.ReadFull(inf.fr, dst); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return fmt.Errorf("compress: stream inflates to fewer than %d bytes", len(dst))
-		}
-		return err
-	}
-	// The end-of-stream marker may still be unread; one more Read must
-	// deliver it and nothing else.
-	var extra [1]byte
-	if n, err := inf.fr.Read(extra[:]); n != 0 || err != io.EOF {
-		if err != nil && err != io.EOF {
-			return err
-		}
-		return fmt.Errorf("compress: stream inflates to more than %d bytes", len(dst))
-	}
-	// bytes.Reader is an io.ByteReader, so the decoder reads it directly
-	// and what is left is exactly what the stream did not use.
-	if inf.br.Len() != 0 {
-		return fmt.Errorf("compress: %d bytes after the end of the stream", inf.br.Len())
-	}
-	return nil
-}
-
 // flateWriterPool recycles DEFLATE encoder state (window, hash chains)
 // across Encode calls; a Reset-ed writer produces output identical to a
 // fresh one.

@@ -2,11 +2,15 @@ package mesh
 
 import (
 	"bytes"
+	"compress/flate"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
+	"io"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -317,6 +321,86 @@ func TestDecodeSurvivesEveryByteFlip(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// stdlibInflateInto is compress.InflateInto's contract run on the
+// compress/flate reader: exactly len(dst) bytes, then the end of the
+// stream, then the end of src.
+func stdlibInflateInto(dst, src []byte) error {
+	br := bytes.NewReader(src)
+	fr := flate.NewReader(br)
+	if _, err := io.ReadFull(fr, dst); err != nil {
+		return err
+	}
+	var extra [1]byte
+	if n, err := fr.Read(extra[:]); n != 0 || err != io.EOF {
+		return errors.New("stream runs long or fails")
+	}
+	if br.Len() != 0 {
+		return errors.New("bytes after the end of the stream")
+	}
+	return nil
+}
+
+// shuffled returns m with its vertex ids permuted, so the connectivity
+// deltas are irregular and their planes literal-heavy.
+func shuffled(m *Mesh, seed int64) *Mesh {
+	perm := rand.New(rand.NewSource(seed)).Perm(len(m.Verts))
+	out := &Mesh{Verts: make([]Vertex, len(m.Verts)), Tris: make([]Triangle, len(m.Tris))}
+	for i, v := range m.Verts {
+		out.Verts[perm[i]] = v
+	}
+	for i, tr := range m.Tris {
+		out.Tris[i] = Triangle{int32(perm[tr[0]]), int32(perm[tr[1]]), int32(perm[tr[2]])}
+	}
+	return out
+}
+
+// Every deflated plane of a real encoding inflates to the same bytes through
+// compress.InflateInto as through compress/flate, and under every
+// single-byte flip the two still agree: the same bytes, or both refuse.
+func TestPlaneInflateMatchesStdlibUnderEveryByteFlip(t *testing.T) {
+	for name, m := range map[string]*Mesh{
+		"disk":      Disk(12, 64, 1),
+		"irregular": shuffled(jitter(Disk(12, 64, 1)), 34),
+	} {
+		enc := Encode(m)
+		planes := 0
+		walkPlanes(t, enc, func(p int, tag byte, body []byte) {
+			if tag != planeDeflate {
+				return
+			}
+			planes++
+			size := len(m.Verts)
+			if p >= coordPlanes {
+				size = len(m.Tris)
+			}
+			got, want := make([]byte, size), make([]byte, size)
+			if err := compress.InflateInto(got, body); err != nil {
+				t.Fatalf("%s plane %d: %v", name, p, err)
+			}
+			if err := stdlibInflateInto(want, body); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("%s plane %d: differs from stdlib (stdlib error %v)", name, p, err)
+			}
+			flipped := make([]byte, len(body))
+			for i := range body {
+				for _, mask := range []byte{0x01, 0x80, 0xff} {
+					copy(flipped, body)
+					flipped[i] ^= mask
+					gerr, werr := compress.InflateInto(got, flipped), stdlibInflateInto(want, flipped)
+					if (gerr == nil) != (werr == nil) {
+						t.Fatalf("%s plane %d byte %d ^ %#x: error %v, stdlib %v", name, p, i, mask, gerr, werr)
+					}
+					if gerr == nil && !bytes.Equal(got, want) {
+						t.Fatalf("%s plane %d byte %d ^ %#x: bytes differ from stdlib", name, p, i, mask)
+					}
+				}
+			}
+		})
+		if planes < 8 {
+			t.Fatalf("%s: only %d deflated planes", name, planes)
 		}
 	}
 }
