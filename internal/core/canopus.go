@@ -109,7 +109,7 @@ type Options struct {
 	// regional retrieval (Reader.RetrieveRegion). Default 1 (one tile).
 	Chunks int
 	// Workers bounds the engine worker pool that executes independent
-	// pipeline units (per-level delta and compression on the write path).
+	// units (per-level delta and compression in the write step).
 	// 0 means runtime.NumCPU(); 1 forces the exact serial execution order.
 	// Stored products are byte-identical at every worker count.
 	Workers int

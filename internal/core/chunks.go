@@ -167,10 +167,6 @@ func gatherTile(buf, vals []float64, ids []int32) []float64 {
 	return buf
 }
 
-func encodeChunkPayload(ids []int32, enc []byte) []byte {
-	return chunkPayload(chunkHeader(ids), enc)
-}
-
 var errChunkTrunc = errors.New("canopus: truncated delta chunk")
 
 // idRun is one decoded (start, length) run of a chunk payload's vertex ids.

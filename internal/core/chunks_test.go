@@ -33,22 +33,22 @@ func sortedIDs(data []byte) []int32 {
 	return ids
 }
 
-// FuzzChunkPayload hardens the one-pass tile decode: encodeChunkPayload
-// round-trips any sorted id set exactly, and arbitrary bytes either fail to
+// FuzzChunkPayload hardens the one-pass tile decode: a chunkPayload of a
+// chunkHeader round-trips any sorted id set exactly, and arbitrary bytes either fail to
 // parse or yield runs that cover exactly the reported id count, stay within
 // the id cap, and scatter into any output without panicking.
 func FuzzChunkPayload(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 1, 2, 3})
-	f.Add(encodeChunkPayload([]int32{10, 11, 12, 50, 51, 99}, []byte{9, 8, 7}))
-	f.Add(encodeChunkPayload([]int32{3}, nil))
+	f.Add(chunkPayload(chunkHeader([]int32{10, 11, 12, 50, 51, 99}), []byte{9, 8, 7}))
+	f.Add(chunkPayload(chunkHeader([]int32{3}), nil))
 	// Ids past any plausible output, and a start that overflows int64
 	// when its run length is added.
 	f.Add(append(binary.AppendVarint(binary.AppendUvarint(nil, 1), 1<<62), 4, 0))
 	f.Add(append(binary.AppendVarint(binary.AppendUvarint(nil, 1), 1<<63-1), 2, 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ids := sortedIDs(data)
-		got, enc, err := decodeChunkPayload(encodeChunkPayload(ids, data))
+		got, enc, err := decodeChunkPayload(chunkPayload(chunkHeader(ids), data))
 		if err != nil {
 			t.Fatalf("decode of a fresh encoding: %v", err)
 		}

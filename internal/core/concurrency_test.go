@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/adios"
 	"repro/internal/storage"
 )
 
@@ -51,6 +53,51 @@ func TestWriteWorkersByteIdentical(t *testing.T) {
 			if string(sb) != string(pb) {
 				t.Fatalf("mode %v: container %q differs between workers=1 and workers=8", opts.Mode, k)
 			}
+		}
+	}
+}
+
+// TestSeriesWorkersByteIdentical is TestWriteWorkersByteIdentical for the
+// campaign writer, which runs the same write step: the hierarchy and three
+// steps store the same bytes at one worker and at eight.
+func TestSeriesWorkersByteIdentical(t *testing.T) {
+	ds := testDataset("camp", 24)
+	stores := make([]*adios.IO, 2)
+	for i, workers := range []int{1, 8} {
+		stores[i] = newIO()
+		sw, err := NewSeriesWriter(context.Background(), stores[i], "camp", ds.Mesh, 2.5,
+			Options{Levels: 3, Chunks: 4, RelTolerance: 1e-4, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for step := 0; step < 3; step++ {
+			data := make([]float64, len(ds.Data))
+			for v, x := range ds.Data {
+				data[v] = x * float64(step+1)
+			}
+			if _, err := sw.WriteStep(context.Background(), data); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	sk, pk := stores[0].H.Keys(), stores[1].H.Keys()
+	if len(sk) != len(pk) {
+		t.Fatalf("%d keys serial vs %d parallel", len(sk), len(pk))
+	}
+	for i, k := range sk {
+		if pk[i] != k {
+			t.Fatalf("key %q vs %q", k, pk[i])
+		}
+		sb, _, err := stores[0].H.Get(context.Background(), k, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pb, _, err := stores[1].H.Get(context.Background(), k, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(sb) != string(pb) {
+			t.Fatalf("container %q differs between workers=1 and workers=8", k)
 		}
 	}
 }
@@ -239,6 +286,59 @@ func TestWriteCancellation(t *testing.T) {
 	if n := len(aio.H.Keys()); n != 0 {
 		t.Fatalf("cancelled write stored %d containers", n)
 	}
+
+	// A campaign step cancelled before it starts stores nothing and leaves
+	// the step index alone.
+	ds := testDataset("camp", 24)
+	sw, err := NewSeriesWriter(context.Background(), aio, "camp", ds.Mesh, 2.5, Options{Levels: 3, Chunks: 4, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := len(aio.H.Keys())
+	if _, err := sw.WriteStep(ctx, ds.Data); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled step: err = %v, want context.Canceled", err)
+	}
+	if n := len(aio.H.Keys()); n != before {
+		t.Fatalf("cancelled step stored %d containers", n-before)
+	}
+	// Cancel at every point the step checks for it in turn, inside the
+	// write step's units too: each fails with context.Canceled until the
+	// step has nothing left to check.
+	wrapped := 0
+	for n := int64(1); ; n++ {
+		ctx := &cancelAfter{Context: context.Background()}
+		ctx.left.Store(n)
+		_, err := sw.WriteStep(ctx, ds.Data)
+		if err == nil {
+			break
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("step cancelled at check %d: err = %v, want context.Canceled", n, err)
+		}
+		if err != context.Canceled {
+			wrapped++
+		}
+		if n == 10000 {
+			t.Fatal("step never completed")
+		}
+	}
+	if wrapped == 0 {
+		t.Fatal("no cancellation surfaced from inside a write-step unit")
+	}
+}
+
+// cancelAfter is a context whose Err reports context.Canceled once it has
+// been asked left times.
+type cancelAfter struct {
+	context.Context
+	left atomic.Int64
+}
+
+func (c *cancelAfter) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
 }
 
 // TestConcurrentSeriesRetrieve exercises the SeriesReader's shared

@@ -419,6 +419,52 @@ func TestWriteReportAccounting(t *testing.T) {
 			t.Fatalf("level %d not coarser: %v", l, rep.VertexCounts)
 		}
 	}
+	if tm := rep.Timings; tm.DeltaSeconds <= 0 || tm.CompressSeconds <= 0 {
+		t.Fatalf("delta-mode write timings missing a phase: %+v", tm)
+	}
+
+	// Direct mode measures its deltas only to calibrate the bounds,
+	// outside the timed phases.
+	rep, err = Write(context.Background(), newIO(), ds, Options{Levels: 3, Mode: ModeDirect})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tm := rep.Timings; tm.DecimateSeconds <= 0 || tm.DeltaSeconds != 0 || tm.CompressSeconds <= 0 {
+		t.Fatalf("direct-mode write timings = %+v, want decimate and compress only", tm)
+	}
+	if len(rep.Bounds) != 3 {
+		t.Fatalf("direct-mode Bounds = %v, want 3 entries", rep.Bounds)
+	}
+
+	// A campaign step reports the same three phases, its own stored
+	// containers, and the shared hierarchy on step 0 only.
+	sw, err := NewSeriesWriter(context.Background(), aio, "camp", ds.Mesh, 2.5, Options{Levels: 3, Chunks: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for step := 0; step < 2; step++ {
+		srep, err := sw.WriteStep(context.Background(), ds.Data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tm := srep.Timings; tm.DecimateSeconds <= 0 || tm.DeltaSeconds <= 0 || tm.CompressSeconds <= 0 {
+			t.Fatalf("step %d timings missing a phase: %+v", step, tm)
+		}
+		var stored int64
+		for l := 0; l < 3; l++ {
+			n, err := aio.H.Size(stepKey("camp", step, l))
+			if err != nil {
+				t.Fatal(err)
+			}
+			stored += n
+		}
+		if srep.PayloadBytes != stored {
+			t.Fatalf("step %d PayloadBytes = %d, stored %d", step, srep.PayloadBytes, stored)
+		}
+		if want := map[bool]int64{true: sw.HierarchyBytes()}[step == 0]; srep.HierarchyBytes != want {
+			t.Fatalf("step %d HierarchyBytes = %d, want %d", step, srep.HierarchyBytes, want)
+		}
+	}
 }
 
 func TestPhaseTimings(t *testing.T) {

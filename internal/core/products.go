@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"repro/internal/adios"
 	"repro/internal/bp"
@@ -13,50 +12,24 @@ import (
 	"repro/internal/mesh"
 )
 
-// Product plumbing. Every artifact Canopus moves between the pipeline and
-// storage — mesh geometry, vertex mappings, level data, delta tiles — is
-// described by an engine.Product, and this file is the single place that
-// maps products onto BP containers. The write paths (refactor.go,
-// series.go) emit products and assemble them into containers here; the read
-// paths (retrieve.go, region.go) fetch variables back as products. Before
-// the engine refactor each of those files carried its own key/byte-slice
-// handling; they now share one descriptor and one layout.
+// Product plumbing. Every artifact Canopus moves between its write and read
+// steps and storage — mesh geometry, vertex mappings, level data, delta
+// tiles — is described by an engine.Product, and this file is the single
+// place that maps products onto BP containers. The write step (refactor.go)
+// emits products and assembles them into containers here; the read paths
+// (retrieve.go, region.go) fetch variables back as products.
 
-// productRank fixes the canonical variable order inside a level container:
-// mesh geometry first (metadata), then the data payload, then delta tiles
-// in ascending tile order, then the mapping. The order is part of the
-// stored format — containers assembled from the same products are
-// byte-identical regardless of how many workers produced them.
-func productRank(k engine.Kind) int {
-	switch k {
-	case engine.KindMesh:
-		return 0
-	case engine.KindData:
-		return 1
-	case engine.KindDelta:
-		return 2
-	case engine.KindMapping:
-		return 3
-	default:
-		return 4
-	}
-}
-
-// assembleContainer writes products into a fresh BP container in canonical
-// order. attrs become file-level attributes.
+// assembleContainer writes products into a fresh BP container in the order
+// given; attrs become file-level attributes. Writers pass products in the
+// canonical order — mesh geometry, then the data payload, then delta tiles
+// in ascending tile order, then the mapping — which is part of the stored
+// format.
 func assembleContainer(products []engine.Product, attrs map[string]string) (*bp.Writer, error) {
 	w := bp.NewWriter()
 	for k, v := range attrs {
 		w.SetAttr(k, v)
 	}
-	sorted := append([]engine.Product(nil), products...)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		if ri, rj := productRank(sorted[i].Kind), productRank(sorted[j].Kind); ri != rj {
-			return ri < rj
-		}
-		return sorted[i].Chunk < sorted[j].Chunk
-	})
-	for _, p := range sorted {
+	for _, p := range products {
 		if err := w.PutBytes(p.VarName(), p.Level, p.Payload, p.Attrs()); err != nil {
 			return nil, err
 		}
@@ -67,7 +40,7 @@ func assembleContainer(products []engine.Product, attrs map[string]string) (*bp.
 // fetchProduct selectively reads one product's payload from an open
 // container, charging only its extent.
 func fetchProduct(h *adios.Handle, level int, kind engine.Kind, chunk int) (engine.Product, error) {
-	p := engine.Product{Level: level, Kind: kind, Chunk: chunk, Tier: h.TierIdx}
+	p := engine.Product{Level: level, Kind: kind, Chunk: chunk}
 	payload, err := h.ReadBytes(p.VarName(), level)
 	if err != nil {
 		return engine.Product{}, err

@@ -45,7 +45,7 @@ var (
 // model, so experiment output is machine-independent on the I/O side.
 //
 // Under concurrency the write-path phases (decimate, delta, compress)
-// report the wall time of the whole stage — the elapsed time the phase
+// report the wall time of the whole phase — the elapsed time the phase
 // occupied, which shrinks as workers overlap its units. The read-path
 // compute phases (decompress, restore) accumulate per-unit compute seconds
 // through mutex-guarded adds; at one worker both conventions coincide with
@@ -116,14 +116,6 @@ func (t PhaseTimings) TotalSeconds() float64 {
 		t.DecompressSeconds + t.RestoreSeconds + t.IOSeconds
 }
 
-// Stage names of the write pipeline (the read path is their inverse).
-const (
-	stageDecimate = "decimate"
-	stageDelta    = "delta"
-	stageCompress = "compress"
-	stageStore    = "store"
-)
-
 // WriteReport summarizes one refactor-and-store pass.
 type WriteReport struct {
 	Name   string
@@ -162,13 +154,187 @@ func (r *WriteReport) StoredBytes() int64 {
 	return s
 }
 
-// level is one rung of the refactoring cascade built in memory before
-// placement.
-type level struct {
-	mesh    *mesh.Mesh
-	data    []float64 // L^l, only kept transiently
-	deltaTo []float64 // delta^(l-(l+1)); nil for the base level
+// cascade is the level state the write step runs over. Both writers run the
+// same three phases on it — deltas, encode, placeLevels — and differ only in
+// where the coarse fields come from: Write decimates, a SeriesWriter applies
+// cached restrictions. Write builds a cascade per call; a SeriesWriter
+// builds one at construction and reuses it for every step.
+type cascade struct {
+	levels []cascadeLevel
+	chunks int // tiles per axis of a delta level
+}
+
+// cascadeLevel is one rung of a cascade.
+type cascadeLevel struct {
+	mesh *mesh.Mesh
+	// mapping maps the level's vertices onto the next coarser level's
+	// triangles; nil on the base.
 	mapping delta.Mapping
+	// frame, tiles and headers are the level's tile frame, its vertex ids
+	// per tile and their encoded chunkHeaders, computed when the level is
+	// first stored as tiles: they depend only on the mesh.
+	frame   tileBox
+	tiles   [][]int32
+	headers [][]byte
+	// gather is the level's encode unit's tile buffer, reused across tiles
+	// and steps.
+	gather []float64
+}
+
+func newCascade(m *mesh.Mesh, levels, chunks int) *cascade {
+	c := &cascade{levels: make([]cascadeLevel, levels), chunks: chunks}
+	c.levels[0].mesh = m
+	return c
+}
+
+// mapLevels builds every level's vertex→coarse-triangle mapping, one pool
+// unit per level.
+func (c *cascade) mapLevels(ctx context.Context, pool *engine.Pool) error {
+	units := make([]engine.Unit, len(c.levels)-1)
+	for l := range units {
+		units[l] = func(context.Context) error {
+			mp, err := delta.Build(c.levels[l].mesh, c.levels[l+1].mesh)
+			if err != nil {
+				return fmt.Errorf("mapping level %d: %w", l, err)
+			}
+			c.levels[l].mapping = mp
+			return nil
+		}
+	}
+	return pool.Run(ctx, units...)
+}
+
+// deltas computes delta^(l-(l+1)) from the level fields data through the
+// mappings (Algorithm 2), one pool unit per level.
+func (c *cascade) deltas(ctx context.Context, pool *engine.Pool, est delta.Estimator, data [][]float64) ([][]float64, error) {
+	out := make([][]float64, len(c.levels)-1)
+	units := make([]engine.Unit, len(out))
+	for l := range units {
+		units[l] = func(ctx context.Context) error {
+			fine, coarse := &c.levels[l], &c.levels[l+1]
+			d, err := delta.ComputeInto(ctx, pool, fine.mesh, data[l], coarse.mesh, data[l+1], fine.mapping, est, nil)
+			if err != nil {
+				return fmt.Errorf("delta level %d: %w", l, err)
+			}
+			out[l] = d
+			return nil
+		}
+	}
+	if err := pool.Run(ctx, units...); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// encode compresses every level into its container, one pool unit per
+// level; large payloads additionally fan out chunk-wise inside
+// encodeChunked. Level l < len(deltas) stores deltas[l] as spatial tiles,
+// each its own selectively-readable variable, so regional retrieval fetches
+// only the tiles it needs; every other level stores data[l] whole (the
+// base, or every level in direct mode). Each unit assembles its container
+// in canonical product order, so the stored bytes do not depend on the
+// worker count. A standalone container (a single write's) also holds the
+// level's mesh, and on a tiled level its mapping and tile frame, and tags
+// each tile with the codec; a campaign step's containers hold payloads
+// only, their geometry stored once in the hierarchy. encode returns the
+// containers and each level's payload bytes.
+func (c *cascade) encode(ctx context.Context, pool *engine.Pool, codec compress.Codec, codecChunk int, data, deltas [][]float64, standalone bool) ([]*bp.Writer, []int64, error) {
+	containers := make([]*bp.Writer, len(c.levels))
+	payloadBytes := make([]int64, len(c.levels))
+	units := make([]engine.Unit, len(c.levels))
+	for l := range units {
+		units[l] = func(ctx context.Context) error {
+			lv := &c.levels[l]
+			var products []engine.Product
+			var attrs map[string]string
+			var tileCodec string
+			if standalone {
+				products = append(products, meshProduct(l, lv.mesh))
+				tileCodec = codec.Name()
+			}
+			if l >= len(deltas) {
+				enc, err := encodeChunked(ctx, pool, codec, data[l], codecChunk)
+				if err != nil {
+					return fmt.Errorf("compress level %d: %w", l, err)
+				}
+				products = append(products, engine.Product{
+					Level: l, Kind: engine.KindData, Codec: codec.Name(), Payload: enc,
+				})
+				payloadBytes[l] = int64(len(enc))
+			} else {
+				if lv.tiles == nil {
+					lv.frame = newTileBox(lv.mesh, c.chunks)
+					lv.tiles = partitionVerts(lv.mesh, lv.frame)
+					lv.headers = make([][]byte, len(lv.tiles))
+					for ci, ids := range lv.tiles {
+						lv.headers[ci] = chunkHeader(ids)
+					}
+				}
+				for ci, ids := range lv.tiles {
+					if len(ids) == 0 {
+						continue
+					}
+					lv.gather = gatherTile(lv.gather, deltas[l], ids)
+					enc, err := encodeChunked(ctx, pool, codec, lv.gather, codecChunk)
+					if err != nil {
+						return fmt.Errorf("compress delta %d chunk %d: %w", l, ci, err)
+					}
+					payload := chunkPayload(lv.headers[ci], enc)
+					products = append(products, engine.Product{
+						Level: l, Kind: engine.KindDelta, Chunk: ci, Codec: tileCodec, Payload: payload,
+					})
+					payloadBytes[l] += int64(len(payload))
+				}
+				if standalone {
+					mp, err := mappingProduct(l, lv.mapping)
+					if err != nil {
+						return err
+					}
+					products = append(products, mp)
+					attrs = map[string]string{"tile-frame": lv.frame.encode()}
+				}
+			}
+			w, err := assembleContainer(products, attrs)
+			if err != nil {
+				return err
+			}
+			containers[l] = w
+			return nil
+		}
+	}
+	if err := pool.Run(ctx, units...); err != nil {
+		return nil, nil, err
+	}
+	return containers, payloadBytes, nil
+}
+
+// placeLevels stores each level's container under key(l), base to the
+// fastest tier first, then finer levels toward slower tiers (§III-D).
+// Placement order decides which containers claim fast-tier capacity, so it
+// is serial. The modeled I/O is added to t; the placements come back base
+// first.
+func (c *cascade) placeLevels(ctx context.Context, aio *adios.IO, containers []*bp.Writer, key func(l int) string, t *PhaseTimings) ([]storage.Placement, error) {
+	n := len(c.levels)
+	placements := make([]storage.Placement, 0, n)
+	for l := n - 1; l >= 0; l-- {
+		p, err := aio.WriteContainer(ctx, key(l), containers[l], tierFor(l, n, aio.H.NumTiers()))
+		if err != nil {
+			return nil, fmt.Errorf("store level %d: %w", l, err)
+		}
+		t.IOSeconds += p.Cost.Seconds
+		t.IOBytes += p.Cost.Bytes
+		placements = append(placements, p)
+	}
+	return placements, nil
+}
+
+// wrapStep prefixes an error from the write step with the write it failed
+// in. A bare cancellation passes through unwrapped, as the pool reports it.
+func wrapStep(err error, prefix string) error {
+	if err == context.Canceled || err == context.DeadlineExceeded {
+		return err
+	}
+	return fmt.Errorf("%s: %w", prefix, err)
 }
 
 // maxAbs is the exact L-infinity magnitude of a delta, measured before
@@ -194,65 +360,13 @@ func encodeChunked(ctx context.Context, pool *engine.Pool, c compress.Codec, val
 	return compress.ChunkedEncode(ctx, pool, c, vals, codecChunk)
 }
 
-// compressLevel encodes one level's artifacts into products: mesh geometry,
-// plus either a whole-level data payload (base level, or every level in
-// direct mode) or per-tile delta payloads and the vertex mapping. It is one
-// compress-stage unit; levels compress independently and concurrently, and
-// large payloads additionally fan out chunk-wise inside encodeChunked.
-func compressLevel(ctx context.Context, pool *engine.Pool, lv *level, l int, isBase bool, mode Mode, codec compress.Codec, chunks, codecChunk int) ([]engine.Product, string, int64, error) {
-	var products []engine.Product
-	products = append(products, meshProduct(l, lv.mesh))
-
-	var payloadBytes int64
-	var tileFrame string
-	switch {
-	case mode == ModeDirect, isBase:
-		enc, err := encodeChunked(ctx, pool, codec, lv.data, codecChunk)
-		if err != nil {
-			return nil, "", 0, fmt.Errorf("canopus: compress level %d: %w", l, err)
-		}
-		products = append(products, engine.Product{
-			Level: l, Kind: engine.KindData, Codec: codec.Name(), Payload: enc,
-		})
-		payloadBytes = int64(len(enc))
-	default:
-		// Deltas are stored as spatial tiles, each its own
-		// selectively-readable variable, so regional retrieval
-		// can fetch only the tiles a zoomed-in analysis needs.
-		tb := newTileBox(lv.mesh, chunks)
-		tileFrame = tb.encode()
-		var sub []float64
-		for ci, ids := range partitionVerts(lv.mesh, tb) {
-			if len(ids) == 0 {
-				continue
-			}
-			sub = gatherTile(sub, lv.deltaTo, ids)
-			enc, err := encodeChunked(ctx, pool, codec, sub, codecChunk)
-			if err != nil {
-				return nil, "", 0, fmt.Errorf("canopus: compress delta %d chunk %d: %w", l, ci, err)
-			}
-			payload := encodeChunkPayload(ids, enc)
-			products = append(products, engine.Product{
-				Level: l, Kind: engine.KindDelta, Chunk: ci, Codec: codec.Name(), Payload: payload,
-			})
-			payloadBytes += int64(len(payload))
-		}
-		mp, err := mappingProduct(l, lv.mapping)
-		if err != nil {
-			return nil, "", 0, err
-		}
-		products = append(products, mp)
-	}
-	return products, tileFrame, payloadBytes, nil
-}
-
 // Write refactors ds per opts and stores the products through aio. It is
-// the write half of the Canopus workflow (Fig. 1, left of the pyramid),
-// executed as an engine pipeline: the decimation cascade runs first (each
-// level depends on the previous), then delta calculation and per-level
-// compression fan out across the worker pool, then placement runs base
-// first (tier preference is order-sensitive, §III-D). Cancelling ctx aborts
-// the pipeline between units and mid-I/O.
+// the write half of the Canopus workflow (Fig. 1, left of the pyramid): the
+// decimation cascade runs first (each level depends on the previous), then
+// the write step — delta calculation and per-level compression fanned out
+// across the worker pool, then placement base first (tier preference is
+// order-sensitive, §III-D). Cancelling ctx aborts between units and
+// mid-I/O.
 func Write(ctx context.Context, aio *adios.IO, ds *Dataset, opts Options) (*WriteReport, error) {
 	opts = opts.withDefaults()
 	if err := opts.validate(); err != nil {
@@ -290,139 +404,75 @@ func Write(ctx context.Context, aio *adios.IO, ds *Dataset, opts Options) (*Writ
 	}
 
 	pool := engine.NewPool(opts.Workers)
-	pipe := engine.NewPipeline(pool)
-	levels := make([]*level, opts.Levels)
-	levels[0] = &level{mesh: ds.Mesh, data: ds.Data}
+	c := newCascade(ds.Mesh, opts.Levels, opts.Chunks)
+	data := make([][]float64, opts.Levels)
+	data[0] = ds.Data
 
-	// Stage 1: decimation cascade (Algorithm 1 per level). Each level is
-	// decimated from the previous, so the cascade is one sequential unit.
-	pipe.AddStage(stageDecimate, func(ctx context.Context) error {
-		for l := 0; l < opts.Levels-1; l++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			cur := levels[l]
-			target := decimate.TargetForRatio(cur.mesh.NumVerts(), opts.RatioPerLevel)
-			res, err := decimate.Decimate(cur.mesh, cur.data, target, decimate.Options{})
-			if err != nil {
-				return fmt.Errorf("canopus: decimate level %d: %w", l, err)
-			}
-			levels[l+1] = &level{mesh: res.Coarse, data: res.Data}
+	// Decimation cascade (Algorithm 1 per level). Each level is decimated
+	// from the previous, so the chain is sequential.
+	phase := time.Now()
+	for l := 0; l < opts.Levels-1; l++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		return nil
-	})
+		fine := c.levels[l].mesh
+		res, err := decimate.Decimate(fine, data[l], decimate.TargetForRatio(fine.NumVerts(), opts.RatioPerLevel), decimate.Options{})
+		if err != nil {
+			return nil, fmt.Errorf("canopus: decimate level %d: %w", l, err)
+		}
+		c.levels[l+1].mesh, data[l+1] = res.Coarse, res.Data
+	}
+	rep.Timings.DecimateSeconds = time.Since(phase).Seconds()
 
-	// Stage 2: delta calculation (Algorithm 2), delta mode only. Each
-	// level's mapping and delta depend only on its own pair of meshes, so
-	// levels fan out across the pool.
+	// Mappings and deltas (Algorithm 2). Direct mode stores no deltas; it
+	// measures them only to calibrate bounds, below.
+	levelDeltas := func() ([][]float64, error) {
+		if err := c.mapLevels(ctx, pool); err != nil {
+			return nil, err
+		}
+		return c.deltas(ctx, pool, est, data)
+	}
+	var deltas [][]float64
 	if opts.Mode == ModeDelta {
-		units := make([]engine.Unit, 0, opts.Levels-1)
-		for l := 0; l < opts.Levels-1; l++ {
-			l := l
-			units = append(units, func(ctx context.Context) error {
-				fine, coarse := levels[l], levels[l+1]
-				mp, err := delta.Build(fine.mesh, coarse.mesh)
-				if err != nil {
-					return fmt.Errorf("canopus: mapping level %d: %w", l, err)
-				}
-				d, err := delta.ComputeInto(ctx, pool, fine.mesh, fine.data, coarse.mesh, coarse.data, mp, est, nil)
-				if err != nil {
-					return fmt.Errorf("canopus: delta level %d: %w", l, err)
-				}
-				fine.mapping = mp
-				fine.deltaTo = d
-				return nil
-			})
+		phase = time.Now()
+		if deltas, err = levelDeltas(); err != nil {
+			return nil, wrapStep(err, "canopus")
 		}
-		pipe.AddStage(stageDelta, units...)
+		rep.Timings.DeltaSeconds = time.Since(phase).Seconds()
 	}
 
-	// Stage 3: compression and container assembly, one unit per level.
-	// Containers are assembled in canonical product order, so the stored
-	// bytes do not depend on the worker count.
-	containers := make([]*bp.Writer, opts.Levels)
-	rep.PayloadBytes = make([]int64, opts.Levels)
-	compressUnits := make([]engine.Unit, 0, opts.Levels)
-	for l := 0; l < opts.Levels; l++ {
-		l := l
-		compressUnits = append(compressUnits, func(ctx context.Context) error {
-			products, tileFrame, payloadBytes, err := compressLevel(
-				ctx, pool, levels[l], l, l == opts.Levels-1, opts.Mode, codec, opts.Chunks, opts.CodecChunk)
-			if err != nil {
-				return err
-			}
-			var attrs map[string]string
-			if tileFrame != "" {
-				attrs = map[string]string{"tile-frame": tileFrame}
-			}
-			w, err := assembleContainer(products, attrs)
-			if err != nil {
-				return err
-			}
-			containers[l] = w
-			rep.PayloadBytes[l] = payloadBytes
-			return nil
-		})
+	phase = time.Now()
+	containers, payloadBytes, err := c.encode(ctx, pool, codec, opts.CodecChunk, data, deltas, true)
+	if err != nil {
+		return nil, wrapStep(err, "canopus")
 	}
-	pipe.AddStage(stageCompress, compressUnits...)
+	rep.Timings.CompressSeconds = time.Since(phase).Seconds()
+	rep.PayloadBytes = payloadBytes
 
-	// Stage 4: placement — base to the fastest tier first, then finer
-	// deltas toward slower tiers (§III-D). Placement order decides which
-	// products claim fast-tier capacity, so the stage is serial.
-	numTiers := aio.H.NumTiers()
-	storeUnits := make([]engine.Unit, 0, opts.Levels)
-	for l := opts.Levels - 1; l >= 0; l-- {
-		l := l
-		storeUnits = append(storeUnits, func(ctx context.Context) error {
-			pref := tierFor(l, opts.Levels, numTiers)
-			p, err := aio.WriteContainer(ctx, levelKey(ds.Name, l), containers[l], pref)
-			if err != nil {
-				return fmt.Errorf("canopus: store level %d: %w", l, err)
-			}
-			rep.Placements = append(rep.Placements, p)
-			rep.Timings.IOSeconds += p.Cost.Seconds
-			rep.Timings.IOBytes += p.Cost.Bytes
-			return nil
-		})
+	key := func(l int) string { return levelKey(ds.Name, l) }
+	if rep.Placements, err = c.placeLevels(ctx, aio, containers, key, &rep.Timings); err != nil {
+		return nil, wrapStep(err, "canopus")
 	}
-	pipe.AddSerialStage(stageStore, storeUnits...)
-
-	if err := pipe.Run(ctx); err != nil {
-		return nil, err
-	}
-	rep.Timings.DecimateSeconds = pipe.StageSeconds(stageDecimate)
-	rep.Timings.DeltaSeconds = pipe.StageSeconds(stageDelta)
-	rep.Timings.CompressSeconds = pipe.StageSeconds(stageCompress)
-	for _, lv := range levels {
-		rep.VertexCounts = append(rep.VertexCounts, lv.mesh.NumVerts())
-	}
-	// LevelBytes indexed by level.
 	rep.LevelBytes = make([]int64, opts.Levels)
 	for i, p := range rep.Placements {
 		rep.LevelBytes[opts.Levels-1-i] = p.Cost.Bytes
 	}
+	for _, lv := range c.levels {
+		rep.VertexCounts = append(rep.VertexCounts, lv.mesh.NumVerts())
+	}
 
-	// Bound calibration for the retrieval planner: measure the exact
-	// per-level delta maxima and compose the per-level error bounds the
-	// tolerance planner will select against. Delta mode reads the maxima
-	// off the deltas the pipeline already computed; direct mode stores no
-	// deltas, so it measures them transiently here. The measurement is
-	// planner bookkeeping, deliberately outside the staged pipeline so it
-	// never skews the paper's write-phase decomposition.
-	maxDeltas := make([]float64, opts.Levels-1)
-	for l := 0; l < opts.Levels-1; l++ {
-		if opts.Mode == ModeDelta {
-			maxDeltas[l] = maxAbs(levels[l].deltaTo)
-			continue
+	// Bound calibration for the retrieval planner: compose the per-level
+	// error bounds the tolerance planner selects against from the exact
+	// per-level delta maxima. Direct mode computes its deltas here, outside
+	// the timed phases, so planner bookkeeping never skews the paper's
+	// write-phase decomposition.
+	if opts.Mode == ModeDirect {
+		if deltas, err = levelDeltas(); err != nil {
+			return nil, wrapStep(err, "canopus")
 		}
-		mp, err := delta.Build(levels[l].mesh, levels[l+1].mesh)
-		if err != nil {
-			return nil, fmt.Errorf("canopus: bound mapping level %d: %w", l, err)
-		}
-		d, err := delta.ComputeInto(ctx, pool, levels[l].mesh, levels[l].data, levels[l+1].mesh, levels[l+1].data, mp, est, nil)
-		if err != nil {
-			return nil, fmt.Errorf("canopus: bound delta level %d: %w", l, err)
-		}
+	}
+	maxDeltas := make([]float64, len(deltas))
+	for l, d := range deltas {
 		maxDeltas[l] = maxAbs(d)
 	}
 	rep.Bounds, err = plan.ComposeBounds(planMode(opts.Mode), opts.Levels, tol, maxDeltas)

@@ -69,7 +69,7 @@ func TestChunkPayloadRoundTrip(t *testing.T) {
 	}
 	for _, ids := range cases {
 		enc := []byte{9, 8, 7, 6}
-		payload := encodeChunkPayload(ids, enc)
+		payload := chunkPayload(chunkHeader(ids), enc)
 		gotIDs, gotEnc, err := decodeChunkPayload(payload)
 		if err != nil {
 			t.Fatalf("%v: %v", ids, err)
@@ -94,7 +94,7 @@ func TestChunkPayloadRunEfficiency(t *testing.T) {
 	for i := range ids {
 		ids[i] = int32(i)
 	}
-	payload := encodeChunkPayload(ids, nil)
+	payload := chunkPayload(chunkHeader(ids), nil)
 	if len(payload) > 8 {
 		t.Fatalf("contiguous ids encoded to %d bytes, want a single run", len(payload))
 	}
@@ -107,7 +107,7 @@ func TestDecodeChunkPayloadErrors(t *testing.T) {
 		}
 	}
 	// Truncated enc section.
-	payload := encodeChunkPayload([]int32{1, 2}, []byte{1, 2, 3, 4})
+	payload := chunkPayload(chunkHeader([]int32{1, 2}), []byte{1, 2, 3, 4})
 	if _, _, err := decodeChunkPayload(payload[:len(payload)-2]); err == nil {
 		t.Error("truncated payload accepted")
 	}

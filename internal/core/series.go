@@ -43,8 +43,9 @@ func stepKey(name string, step, l int) string {
 }
 
 // SeriesWriter refactors a campaign of timesteps over one static mesh. Per
-// step, delta calculation and per-level compression fan out on the engine
-// pool (Options.Workers); placement stays serial, base first.
+// step it runs the same write step as Write over a cascade built once:
+// delta calculation and per-level compression fan out on the engine pool
+// (Options.Workers); placement stays serial, base first.
 type SeriesWriter struct {
 	aio  *adios.IO
 	name string
@@ -52,16 +53,8 @@ type SeriesWriter struct {
 	est  delta.Estimator
 	pool *engine.Pool
 
-	meshes       []*mesh.Mesh
+	c            *cascade
 	restrictions []decimate.Restriction
-	mappings     []delta.Mapping
-	tiles        []tileBox
-	tilesIDs     [][][]int32 // per level, per tile, vertex ids
-	// tileHeaders[l][ci] is the chunkHeader of tilesIDs[l][ci], encoded
-	// once: the ids never change after construction. gather[l] is level
-	// l's compress unit's tile buffer, reused across tiles and steps.
-	tileHeaders [][][]byte
-	gather      [][]float64
 
 	steps     int
 	hierBytes int64
@@ -126,7 +119,7 @@ func NewSeriesWriter(ctx context.Context, aio *adios.IO, name string, m *mesh.Me
 	sw := &SeriesWriter{
 		aio: aio, name: name, opts: opts, est: est, tol: tol, codec: codec,
 		pool:          engine.NewPool(opts.Workers),
-		meshes:        []*mesh.Mesh{m},
+		c:             newCascade(m, opts.Levels, opts.Chunks),
 		maxDelta:      make([]float64, opts.Levels-1),
 		levelBytesMax: make([]int64, opts.Levels),
 	}
@@ -138,48 +131,32 @@ func NewSeriesWriter(ctx context.Context, aio *adios.IO, name string, m *mesh.Me
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		cur := sw.meshes[l]
+		cur := sw.c.levels[l].mesh
 		res, err := decimate.Decimate(cur, zeros[:cur.NumVerts()],
 			decimate.TargetForRatio(cur.NumVerts(), opts.RatioPerLevel),
 			decimate.Options{TrackRestriction: true})
 		if err != nil {
 			return nil, fmt.Errorf("canopus: series decimate level %d: %w", l, err)
 		}
-		sw.meshes = append(sw.meshes, res.Coarse)
+		sw.c.levels[l+1].mesh = res.Coarse
 		sw.restrictions = append(sw.restrictions, res.Restriction)
-		mp, err := delta.Build(cur, res.Coarse)
-		if err != nil {
-			return nil, fmt.Errorf("canopus: series mapping level %d: %w", l, err)
-		}
-		sw.mappings = append(sw.mappings, mp)
 	}
-	sw.tilesIDs = make([][][]int32, opts.Levels)
-	sw.tileHeaders = make([][][]byte, opts.Levels)
-	sw.gather = make([][]float64, opts.Levels)
-	for l, lm := range sw.meshes {
-		tb := newTileBox(lm, opts.Chunks)
-		sw.tiles = append(sw.tiles, tb)
-		if l == opts.Levels-1 {
-			continue
-		}
-		sw.tilesIDs[l] = partitionVerts(lm, tb)
-		sw.tileHeaders[l] = make([][]byte, len(sw.tilesIDs[l]))
-		for ci, ids := range sw.tilesIDs[l] {
-			sw.tileHeaders[l][ci] = chunkHeader(ids)
-		}
+	if err := sw.c.mapLevels(ctx, sw.pool); err != nil {
+		return nil, wrapStep(err, "canopus: series")
 	}
 
-	// Store the shared hierarchy.
-	for l, lm := range sw.meshes {
-		products := []engine.Product{meshProduct(l, lm)}
+	// Store the shared hierarchy: every level's mesh, mapping and tile
+	// frame.
+	for l, lv := range sw.c.levels {
+		products := []engine.Product{meshProduct(l, lv.mesh)}
 		if l < opts.Levels-1 {
-			mp, err := mappingProduct(l, sw.mappings[l])
+			mp, err := mappingProduct(l, lv.mapping)
 			if err != nil {
 				return nil, err
 			}
 			products = append(products, mp)
 		}
-		w, err := assembleContainer(products, map[string]string{"tile-frame": sw.tiles[l].encode()})
+		w, err := assembleContainer(products, map[string]string{"tile-frame": newTileBox(lv.mesh, opts.Chunks).encode()})
 		if err != nil {
 			return nil, err
 		}
@@ -229,10 +206,23 @@ func (sw *SeriesWriter) HierarchyBytes() int64 { return sw.hierBytes }
 // assigned sequentially. WriteStep is not itself concurrent-safe (steps are
 // ordered); within a step, independent levels compress concurrently.
 func (sw *SeriesWriter) WriteStep(ctx context.Context, data []float64) (*SeriesReport, error) {
-	if len(data) != sw.meshes[0].NumVerts() {
-		return nil, fmt.Errorf("canopus: step data length %d != vertex count %d",
-			len(data), sw.meshes[0].NumVerts())
+	if n := sw.c.levels[0].mesh.NumVerts(); len(data) != n {
+		return nil, fmt.Errorf("canopus: step data length %d != vertex count %d", len(data), n)
 	}
+	rep, err := sw.writeStep(ctx, data)
+	if err != nil {
+		return nil, wrapStep(err, "canopus: step "+strconv.Itoa(sw.steps))
+	}
+	sw.steps++
+	if err := sw.writeMeta(ctx); err != nil {
+		return nil, err
+	}
+	return rep, nil
+}
+
+// writeStep runs the write step for step sw.steps: the coarse fields come
+// from the cached restrictions in place of decimation.
+func (sw *SeriesWriter) writeStep(ctx context.Context, data []float64) (*SeriesReport, error) {
 	rep := &SeriesReport{Step: sw.steps}
 	if sw.steps == 0 {
 		rep.HierarchyBytes = sw.hierBytes
@@ -240,40 +230,24 @@ func (sw *SeriesWriter) WriteStep(ctx context.Context, data []float64) (*SeriesR
 
 	// Coarse fields via the cached restrictions (replaces decimation).
 	// Each level restricts from the previous, so the chain is sequential.
-	t0 := time.Now()
+	phase := time.Now()
 	levelData := make([][]float64, sw.opts.Levels)
 	levelData[0] = data
-	for l := 0; l < sw.opts.Levels-1; l++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		ld, err := sw.restrictions[l].ApplyParallel(ctx, sw.pool, levelData[l], nil)
+	for l, r := range sw.restrictions {
+		ld, err := r.ApplyParallel(ctx, sw.pool, levelData[l], nil)
 		if err != nil {
 			return nil, err
 		}
 		levelData[l+1] = ld
 	}
-	rep.Timings.DecimateSeconds = time.Since(t0).Seconds()
+	rep.Timings.DecimateSeconds = time.Since(phase).Seconds()
 
-	// Deltas via the cached mappings, one pool unit per level.
-	t0 = time.Now()
-	deltas := make([][]float64, sw.opts.Levels-1)
-	deltaUnits := make([]engine.Unit, 0, sw.opts.Levels-1)
-	for l := 0; l < sw.opts.Levels-1; l++ {
-		l := l
-		deltaUnits = append(deltaUnits, func(ctx context.Context) error {
-			d, err := delta.ComputeInto(ctx, sw.pool, sw.meshes[l], levelData[l], sw.meshes[l+1], levelData[l+1], sw.mappings[l], sw.est, nil)
-			if err != nil {
-				return fmt.Errorf("canopus: step %d delta %d: %w", sw.steps, l, err)
-			}
-			deltas[l] = d
-			return nil
-		})
-	}
-	if err := sw.pool.Run(ctx, deltaUnits...); err != nil {
+	phase = time.Now()
+	deltas, err := sw.c.deltas(ctx, sw.pool, sw.est, levelData)
+	if err != nil {
 		return nil, err
 	}
-	rep.Timings.DeltaSeconds = time.Since(t0).Seconds()
+	rep.Timings.DeltaSeconds = time.Since(phase).Seconds()
 
 	// Fold this step's exact delta maxima into the campaign-wide planner
 	// bounds (untimed: planner bookkeeping, not a paper phase).
@@ -283,71 +257,23 @@ func (sw *SeriesWriter) WriteStep(ctx context.Context, data []float64) (*SeriesR
 		}
 	}
 
-	// Compress payload containers, one pool unit per level. Step
-	// containers carry payloads only (the hierarchy container has the
-	// mesh, mapping, and tile frame), in canonical product order.
-	t0 = time.Now()
-	containers := make([]*bp.Writer, sw.opts.Levels)
-	compressUnits := make([]engine.Unit, 0, sw.opts.Levels)
-	for l := 0; l < sw.opts.Levels; l++ {
-		l := l
-		compressUnits = append(compressUnits, func(ctx context.Context) error {
-			var products []engine.Product
-			if l == sw.opts.Levels-1 {
-				enc, err := encodeChunked(ctx, sw.pool, sw.codec, levelData[l], sw.opts.CodecChunk)
-				if err != nil {
-					return fmt.Errorf("canopus: step %d compress base: %w", sw.steps, err)
-				}
-				products = append(products, engine.Product{
-					Level: l, Kind: engine.KindData, Codec: sw.codec.Name(), Payload: enc,
-				})
-			} else {
-				for ci, ids := range sw.tilesIDs[l] {
-					if len(ids) == 0 {
-						continue
-					}
-					sw.gather[l] = gatherTile(sw.gather[l], deltas[l], ids)
-					enc, err := encodeChunked(ctx, sw.pool, sw.codec, sw.gather[l], sw.opts.CodecChunk)
-					if err != nil {
-						return fmt.Errorf("canopus: step %d compress delta %d: %w", sw.steps, l, err)
-					}
-					products = append(products, engine.Product{
-						Level: l, Kind: engine.KindDelta, Chunk: ci,
-						Payload: chunkPayload(sw.tileHeaders[l][ci], enc),
-					})
-				}
-			}
-			w, err := assembleContainer(products, nil)
-			if err != nil {
-				return err
-			}
-			containers[l] = w
-			return nil
-		})
-	}
-	if err := sw.pool.Run(ctx, compressUnits...); err != nil {
+	phase = time.Now()
+	containers, _, err := sw.c.encode(ctx, sw.pool, sw.codec, sw.opts.CodecChunk, levelData, deltas, false)
+	if err != nil {
 		return nil, err
 	}
-	rep.Timings.CompressSeconds = time.Since(t0).Seconds()
+	rep.Timings.CompressSeconds = time.Since(phase).Seconds()
 
-	// Place base first (§III-D ordering).
-	numTiers := sw.aio.H.NumTiers()
-	for l := sw.opts.Levels - 1; l >= 0; l-- {
-		p, err := sw.aio.WriteContainer(ctx, stepKey(sw.name, sw.steps, l), containers[l], tierFor(l, sw.opts.Levels, numTiers))
-		if err != nil {
-			return nil, fmt.Errorf("canopus: store step %d level %d: %w", sw.steps, l, err)
-		}
-		rep.Timings.IOSeconds += p.Cost.Seconds
-		rep.Timings.IOBytes += p.Cost.Bytes
+	key := func(l int) string { return stepKey(sw.name, sw.steps, l) }
+	placements, err := sw.c.placeLevels(ctx, sw.aio, containers, key, &rep.Timings)
+	if err != nil {
+		return nil, err
+	}
+	for i, p := range placements {
 		rep.PayloadBytes += p.Cost.Bytes
-		if p.Cost.Bytes > sw.levelBytesMax[l] {
+		if l := sw.opts.Levels - 1 - i; p.Cost.Bytes > sw.levelBytesMax[l] {
 			sw.levelBytesMax[l] = p.Cost.Bytes
 		}
-	}
-
-	sw.steps++
-	if err := sw.writeMeta(ctx); err != nil {
-		return nil, err
 	}
 	return rep, nil
 }

@@ -1,5 +1,5 @@
 // Package engine is the concurrent execution substrate the Canopus core
-// pipelines run on. The paper's elasticity argument is about overlap: the
+// runs on. The paper's elasticity argument is about overlap: the
 // refactoring phases (decimation, delta calculation, per-level compression,
 // tiered placement) and their read-path inverses decompose into units that
 // are independent per accuracy level, per delta tile, and per domain
@@ -13,14 +13,9 @@
 //     deterministic first-error semantics. A one-worker pool runs units in
 //     the calling goroutine in submission order, so the serial path stays
 //     bit-for-bit identical to a hand-written loop.
-//   - Pipeline: an ordered stage graph over a Pool. Stages run one after
-//     another (a stage's outputs feed the next); units inside a stage run
-//     concurrently unless the stage is declared serial. Each stage's wall
-//     time is recorded, preserving the per-phase timing breakdown the
-//     paper's evaluation reports.
-//   - Product: the uniform descriptor for every artifact the pipelines move
-//     between stages and storage (mesh geometry, vertex mappings, level
-//     data, delta tiles).
+//   - Product: the uniform descriptor for every artifact the core moves
+//     between its write and read steps and storage (mesh geometry, vertex
+//     mappings, level data, delta tiles).
 //   - Group: typed single-flight deduplication for concurrent cache misses,
 //     where a follower of a leader cancelled mid-call retries on its own.
 //   - Cache: the generation-stamped, cost-bounded single-flight LRU behind
@@ -52,7 +47,8 @@ var (
 // DefaultWorkers is the pool width used when a caller passes workers <= 0.
 func DefaultWorkers() int { return runtime.NumCPU() }
 
-// Unit is one independently executable piece of a pipeline stage.
+// Unit is one independently executable piece of a phase: a level, a tile, a
+// range of vertices.
 type Unit func(ctx context.Context) error
 
 // Pool executes units on a bounded number of goroutines.

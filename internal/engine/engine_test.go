@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -128,66 +127,6 @@ func TestPoolContextCancellation(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
-	}
-}
-
-func TestPipelineStagesAreBarriers(t *testing.T) {
-	var stage1 atomic.Int64
-	p := NewPipeline(NewPool(4))
-	units := make([]Unit, 8)
-	for i := range units {
-		units[i] = func(context.Context) error { stage1.Add(1); return nil }
-	}
-	p.AddStage("first", units...)
-	p.AddStage("second", func(context.Context) error {
-		if stage1.Load() != 8 {
-			return fmt.Errorf("second stage started with %d/8 first-stage units done", stage1.Load())
-		}
-		return nil
-	})
-	if err := p.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if p.StageSeconds("first") <= 0 || p.StageSeconds("second") <= 0 {
-		t.Fatal("stage wall times not recorded")
-	}
-}
-
-func TestPipelineSerialStage(t *testing.T) {
-	var order []int
-	p := NewPipeline(NewPool(8))
-	units := make([]Unit, 6)
-	var mu sync.Mutex
-	for i := range units {
-		i := i
-		units[i] = func(context.Context) error {
-			mu.Lock()
-			order = append(order, i)
-			mu.Unlock()
-			return nil
-		}
-	}
-	p.AddSerialStage("store", units...)
-	if err := p.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	for i, got := range order {
-		if got != i {
-			t.Fatalf("serial stage ran out of order: %v", order)
-		}
-	}
-}
-
-func TestPipelineStopsAtFailingStage(t *testing.T) {
-	boom := errors.New("boom")
-	p := NewPipeline(NewPool(2))
-	p.AddStage("compress", func(context.Context) error { return boom })
-	p.AddStage("store", func(context.Context) error {
-		t.Fatal("stage after failure ran")
-		return nil
-	})
-	if err := p.Run(context.Background()); !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
 	}
 }
 

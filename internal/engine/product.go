@@ -39,10 +39,9 @@ func (k Kind) String() string {
 }
 
 // Product is the unified descriptor for one stored artifact: which accuracy
-// level it belongs to, what it is, how its payload was encoded, which tier
-// it should land on, and the payload bytes themselves. Pipelines pass
-// Products between stages; the storage stage turns them into BP variables
-// and the fetch stage turns BP variables back into Products.
+// level it belongs to, what it is, how its payload was encoded, and the
+// payload bytes themselves. The write step turns Products into BP variables
+// and the read path turns BP variables back into Products.
 type Product struct {
 	// Level is the accuracy level (0 = finest).
 	Level int
@@ -55,9 +54,6 @@ type Product struct {
 	// payloads and the geometry encoding for KindMesh; empty for
 	// losslessly-deflated mappings (and geometry in old archives).
 	Codec string
-	// Tier is the preferred placement tier (0 = fastest); meaningful on
-	// the write path.
-	Tier int
 	// Payload is the encoded bytes.
 	Payload []byte
 }
