@@ -7,18 +7,10 @@ import (
 	"repro/internal/obs"
 )
 
-// pageCacheMetrics aggregate every PageCache instance; fills are backend
-// fetches. A stream of cache_evict events for one hot key is the "cache too
-// small for the working set" signal the eviction counter cannot localize.
-var pageCacheMetrics = engine.CacheMetrics{
-	Hits:          obs.NewCounter("canopus_adios_cache_hits_total"),
-	Misses:        obs.NewCounter("canopus_adios_cache_misses_total"),
-	Merges:        obs.NewCounter("canopus_adios_cache_merges_total"),
-	Fills:         obs.NewCounter("canopus_adios_cache_fills_total"),
-	Evictions:     obs.NewCounter("canopus_adios_cache_evictions_total"),
-	Invalidations: obs.NewCounter("canopus_adios_cache_invalidations_total"),
-	Evict:         obs.RegisterEventType("cache_evict"),
-}
+// evCacheEvict records each page eviction's storage key. A stream of
+// cache_evict events for one hot key is the "cache too small for the
+// working set" signal.
+var evCacheEvict = obs.RegisterEventType("cache_evict")
 
 // PageCache is an optional fixed-size read cache shared by every handle of
 // one IO: an engine.Cache of aligned pages keyed by (storage key, page
@@ -48,7 +40,7 @@ func NewPageCache(capacity, pageSize int64) *PageCache {
 	// Every page costs a whole pageSize, short tail pages included, so the
 	// cache holds capacity/pageSize pages whatever their lengths.
 	cost := func([]byte) int64 { return pageSize }
-	return &PageCache{pageSize, engine.NewCache[int64](capacity/pageSize*pageSize, cost, pageCacheMetrics)}
+	return &PageCache{pageSize, engine.NewCache[int64](capacity/pageSize*pageSize, cost, evCacheEvict)}
 }
 
 // Stats reports cache page hits and misses since construction.

@@ -14,17 +14,6 @@ import (
 	"repro/internal/storage"
 )
 
-// Transport-level metrics: container opens, and the modeled-vs-real byte
-// split across every handle. Modeled bytes are the container extents the
-// cost model charged; real bytes are what actually left a backend
-// (coalescing gaps and page fills included, cache hits excluded) — the pair
-// the ranged-read refactor exists to keep close.
-var (
-	metricOpens        = obs.NewCounter("canopus_adios_opens_total")
-	metricModeledBytes = obs.NewCounter("canopus_adios_modeled_bytes_total")
-	metricRealBytes    = obs.NewCounter("canopus_adios_real_bytes_total")
-)
-
 // IO binds a storage hierarchy to a transport. It is the write/query/read
 // surface Canopus uses for all data movement. Methods are safe for
 // concurrent use: the engine's worker pool issues overlapping writes and
@@ -194,7 +183,6 @@ func (c *costTracker) fetch(off, n int64) ([]byte, error) {
 		return nil, err
 	}
 	c.real.Add(int64(len(data)))
-	metricRealBytes.Add(int64(len(data)))
 	return data, nil
 }
 
@@ -230,7 +218,6 @@ func (c *costTracker) ReadAt(p []byte, off int64) (int, error) {
 	// once per Open so that parsing a fragmented index does not overcount
 	// round trips.
 	c.bytes.Add(int64(len(p)))
-	metricModeledBytes.Add(int64(len(p)))
 	return len(p), nil
 }
 
@@ -270,7 +257,6 @@ func (io *IO) Open(ctx context.Context, key string, readers int) (*Handle, error
 		tier:    tier,
 		readers: readers,
 	}
-	metricOpens.Inc()
 
 	// Re-open fast path: an unchanged container's index is served from the
 	// IO's metadata cache, touching no storage. The metadata extents are
@@ -282,7 +268,6 @@ func (io *IO) Open(ctx context.Context, key string, readers int) (*Handle, error
 	if cached != nil {
 		if r, err := cached.r.WithReaderAt(tr, size); err == nil {
 			tr.bytes.Add(cached.metaBytes)
-			metricModeledBytes.Add(cached.metaBytes)
 			return &Handle{BP: r, TierIdx: idx, TierName: tier.Name, tracker: tr, tiles: io.Tiles}, nil
 		}
 		// Size mismatch: the container was rewritten behind this IO's
@@ -420,7 +405,6 @@ func (h *Handle) ReadManyBytes(vars []bp.VarInfo) ([][]byte, error) {
 			if out[i] == nil && v.Offset >= rg.Off && v.Offset+v.Size <= rg.end() {
 				out[i] = buf[v.Offset-rg.Off : v.Offset-rg.Off+v.Size : v.Offset-rg.Off+v.Size]
 				h.tracker.bytes.Add(v.Size)
-				metricModeledBytes.Add(v.Size)
 			}
 		}
 	}

@@ -47,15 +47,6 @@ const (
 	DefaultChunkSize = 4096
 )
 
-// Compression-path metrics: chunk counts on both directions plus how many
-// decodes took the framed (fan-out capable) path versus v1 fallback.
-var (
-	metricEncodeChunks  = obs.NewCounter("canopus_compress_encode_chunks_total")
-	metricDecodeChunks  = obs.NewCounter("canopus_compress_decode_chunks_total")
-	metricFramedDecodes = obs.NewCounter("canopus_compress_framed_decodes_total")
-	metricV1Decodes     = obs.NewCounter("canopus_compress_v1_decodes_total")
-)
-
 // Runner is the slice of engine.Pool the chunked container needs: sharded
 // fan-out over an index range. Declaring it here keeps compress free of an
 // engine dependency; *engine.Pool satisfies it, including as a typed nil
@@ -123,7 +114,6 @@ func ChunkedEncode(ctx context.Context, pool Runner, c Codec, vals []float64, ch
 	if err != nil {
 		return nil, err
 	}
-	metricEncodeChunks.Add(int64(nChunks))
 
 	size := 4 + 3*binary.MaxVarintLen64
 	for _, e := range encs {
@@ -155,7 +145,6 @@ func ChunkedDecode(ctx context.Context, pool Runner, c Codec, data []byte) ([]fl
 // results are bit-identical at every worker count.
 func ChunkedDecodeInto(ctx context.Context, pool Runner, c Codec, dst []float64, data []byte) ([]float64, error) {
 	if !IsChunkedFrame(data) {
-		metricV1Decodes.Inc()
 		return c.DecodeInto(dst, data)
 	}
 	total, chunkSize, lens, payload, err := parseChunkedHeader(data)
@@ -163,8 +152,6 @@ func ChunkedDecodeInto(ctx context.Context, pool Runner, c Codec, dst []float64,
 		return nil, err
 	}
 	nChunks := len(lens)
-	metricFramedDecodes.Inc()
-	metricDecodeChunks.Add(int64(nChunks))
 	span := obs.FromContext(ctx).Child("compress.chunked_decode")
 	span.SetAttrInt("chunks", nChunks)
 	span.SetAttrInt("values", total)

@@ -5,17 +5,6 @@ import (
 	"repro/internal/obs"
 )
 
-// tileCacheMetrics aggregate every TileCache instance; fills are decodes.
-var tileCacheMetrics = engine.CacheMetrics{
-	Hits:          obs.NewCounter("canopus_compress_tile_cache_hits_total"),
-	Misses:        obs.NewCounter("canopus_compress_tile_cache_misses_total"),
-	Merges:        obs.NewCounter("canopus_compress_tile_cache_merges_total"),
-	Fills:         obs.NewCounter("canopus_compress_tile_cache_fills_total"),
-	Evictions:     obs.NewCounter("canopus_compress_tile_cache_evictions_total"),
-	Invalidations: obs.NewCounter("canopus_compress_tile_cache_invalidations_total"),
-	Bytes:         obs.NewGauge("canopus_compress_tile_cache_bytes"),
-}
-
 // TileCache is an optional byte-budgeted cache of *decoded* tiles, shared
 // across requests: repeated analytics over the same region pay the bit-plane
 // decode once and serve the floats from memory afterwards. It complements
@@ -51,7 +40,7 @@ const BaseTile = -1
 // It holds at least one tile regardless of capacity.
 func NewTileCache(capacity int64) *TileCache {
 	cost := func(vals []float64) int64 { return 8 * int64(len(vals)) }
-	return &TileCache{tiles: engine.NewCache[tileKey](capacity, cost, tileCacheMetrics)}
+	return &TileCache{tiles: engine.NewCache[tileKey](capacity, cost, obs.EventType{})}
 }
 
 // Stats reports tile hits and misses since construction.

@@ -22,6 +22,33 @@ func approxSeconds(a, b float64) bool {
 	return math.Abs(a-b) <= 1e-9*(1+math.Abs(a)+math.Abs(b))
 }
 
+// ledgersAgree checks a view's CostReport against its PhaseTimings, the two
+// ledgers every read cost folds into: modeled and real bytes exactly, and
+// I/O, decompress and restore seconds up to summation order.
+func ledgersAgree(t *testing.T, what string, tm PhaseTimings, c *obs.CostReport) {
+	t.Helper()
+	if c == nil {
+		t.Errorf("%s: view carries no CostReport", what)
+		return
+	}
+	if c.ModeledBytes != tm.IOBytes || c.RealBytes != tm.IORealBytes {
+		t.Errorf("%s: modeled/real bytes: cost %d/%d, timings %d/%d",
+			what, c.ModeledBytes, c.RealBytes, tm.IOBytes, tm.IORealBytes)
+	}
+	for _, f := range []struct {
+		name       string
+		cost, time float64
+	}{
+		{"io", c.IOSeconds, tm.IOSeconds},
+		{"decompress", c.DecompressSecs, tm.DecompressSeconds},
+		{"restore", c.RestoreSecs, tm.RestoreSeconds},
+	} {
+		if !approxSeconds(f.cost, f.time) {
+			t.Errorf("%s: %s seconds: cost %v, timings %v", what, f.name, f.cost, f.time)
+		}
+	}
+}
+
 // TestCostReportMatchesPhaseTimings is the single-fold guarantee stated as
 // a test: the CostReport on a retrieved view and the view's PhaseTimings
 // are fed at the same sites, so their totals agree on a fixed workload.
@@ -182,6 +209,8 @@ func TestDegradationEventAndCost(t *testing.T) {
 	if v.Cost == nil || !v.Cost.Degraded || v.Cost.DegradedReason != v.Degradation.Reason {
 		t.Errorf("cost degradation = %+v, want reason %q", v.Cost, v.Degradation.Reason)
 	}
+	// The failed refinement folded into neither ledger.
+	ledgersAgree(t, "degraded retrieve", v.Timings, v.Cost)
 	evs := obs.Events([]string{"degradation"}, start)
 	if len(evs) != 1 {
 		t.Fatalf("got %d degradation events, want 1", len(evs))

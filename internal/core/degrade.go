@@ -19,14 +19,9 @@ import (
 // elasticity repurposed for availability. The base level itself has nothing
 // coarser to fall back to, so base failures always surface as errors.
 
-var (
-	metricDegradedRetrievals = obs.NewCounter("canopus_core_degraded_retrievals_total")
-	metricDegradedLevelsLost = obs.NewCounter("canopus_core_degraded_levels_lost_total")
-
-	// evDegradation records each degraded retrieval in the flight recorder:
-	// which accuracy was asked for, what was actually served, and why.
-	evDegradation = obs.RegisterEventType("degradation")
-)
+// evDegradation records each degraded retrieval in the flight recorder:
+// which accuracy was asked for, what was actually served, and why.
+var evDegradation = obs.RegisterEventType("degradation")
 
 // Degradation reports a retrieval that completed below the accuracy it was
 // asked for — a level it could not reach, or an error tolerance it could
@@ -71,12 +66,10 @@ func newDegradation(requested, achieved int, err error, bound float64) *Degradat
 	}
 }
 
-// countDegradation counts the final report once per retrieval, records the
-// matching flight-recorder event, and marks the request carried by ctx (if
-// any) as degraded so the CostReport explains itself.
+// countDegradation records the final report once per retrieval as a
+// flight-recorder event, and marks the request carried by ctx (if any) as
+// degraded so the CostReport explains itself.
 func countDegradation(ctx context.Context, d *Degradation) {
-	metricDegradedRetrievals.Inc()
-	metricDegradedLevelsLost.Add(int64(d.LevelsLost))
 	evDegradation.Emit(
 		"requested_level", strconv.Itoa(d.RequestedLevel),
 		"achieved_level", strconv.Itoa(d.AchievedLevel),

@@ -426,6 +426,7 @@ func TestRegionDegradesOnCorruptTile(t *testing.T) {
 	if v.Cost == nil || !v.Cost.Degraded {
 		t.Fatalf("Cost = %+v, want Degraded", v.Cost)
 	}
+	ledgersAgree(t, "degraded region", v.Timings, v.Cost)
 	if v.CountHave() == 0 {
 		t.Fatal("degraded region view restored no vertex")
 	}

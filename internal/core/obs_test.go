@@ -2,18 +2,19 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 
 	"repro/internal/obs"
 )
 
-// TestConcurrentTimingRace exercises the invariant documented on
-// addHandleIO: per-view PhaseTimings fields are plain and owned by one
-// goroutine, while cross-retrieval accumulation happens in the atomic obs
-// counters. Concurrent retrievals under -race must neither trip the
-// detector nor lose bytes: the process-wide real-byte counter advances by
-// exactly the sum of the per-view totals.
+// TestConcurrentTimingRace runs eight Retrieves at once on one reader and
+// checks each view's two ledgers against each other: its PhaseTimings,
+// owned by the retrieval's goroutine, and its CostReport, whose request
+// folds from the retrieval's worker units. Under -race neither may trip the
+// detector, and no retrieval may see another's costs. It reads no
+// package-global state, so it is safe at any -count.
 func TestConcurrentTimingRace(t *testing.T) {
 	aio := newIO()
 	ds := testDataset("dpot", 24)
@@ -24,9 +25,6 @@ func TestConcurrentTimingRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	realBefore := obs.NewCounter("canopus_core_io_real_bytes_total").Value()
-	modeledBefore := obs.NewCounter("canopus_core_io_modeled_bytes_total").Value()
 
 	const workers = 8
 	views := make([]*View, workers)
@@ -41,24 +39,14 @@ func TestConcurrentTimingRace(t *testing.T) {
 	}
 	wg.Wait()
 
-	var sumReal, sumModeled int64
-	for i := 0; i < workers; i++ {
+	for i, v := range views {
 		if errs[i] != nil {
 			t.Fatalf("retrieve %d: %v", i, errs[i])
 		}
-		sumReal += views[i].Timings.IORealBytes
-		sumModeled += views[i].Timings.IOBytes
-	}
-	if sumReal == 0 || sumModeled == 0 {
-		t.Fatal("retrievals moved no bytes")
-	}
-	realDelta := obs.NewCounter("canopus_core_io_real_bytes_total").Value() - realBefore
-	modeledDelta := obs.NewCounter("canopus_core_io_modeled_bytes_total").Value() - modeledBefore
-	if realDelta != sumReal {
-		t.Errorf("process-wide real bytes advanced %d, per-view sum %d", realDelta, sumReal)
-	}
-	if modeledDelta != sumModeled {
-		t.Errorf("process-wide modeled bytes advanced %d, per-view sum %d", modeledDelta, sumModeled)
+		if v.Timings.IOBytes == 0 || v.Timings.IORealBytes == 0 {
+			t.Fatalf("retrieve %d moved no bytes", i)
+		}
+		ledgersAgree(t, fmt.Sprintf("retrieve %d", i), v.Timings, v.Cost)
 	}
 }
 

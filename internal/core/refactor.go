@@ -19,26 +19,6 @@ import (
 	"repro/internal/storage"
 )
 
-// Core-phase metrics — the process-wide, race-safe (atomic) successors of
-// the per-view PhaseTimings fields. Every accumulation into a PhaseTimings
-// also feeds these, so a metrics snapshot carries the paper's per-phase
-// decomposition without threading structs through callers. PhaseTimings
-// keeps its public shape for per-retrieval reporting; these counters are the
-// aggregate view.
-var (
-	metricWrites              = obs.NewCounter("canopus_core_writes_total")
-	metricRetrievals          = obs.NewCounter("canopus_core_retrievals_total")
-	metricToleranceRetrievals = obs.NewCounter("canopus_core_tolerance_retrievals_total")
-	metricAugments            = obs.NewCounter("canopus_core_augments_total")
-	metricRegionRetrievals    = obs.NewCounter("canopus_core_region_retrievals_total")
-	metricSeriesSteps         = obs.NewCounter("canopus_core_series_steps_total")
-	metricDecompressSeconds   = obs.NewFloatCounter("canopus_core_decompress_seconds_total")
-	metricRestoreSeconds      = obs.NewFloatCounter("canopus_core_restore_seconds_total")
-	metricIOSeconds           = obs.NewFloatCounter("canopus_core_io_seconds_total")
-	metricIOModeledBytes      = obs.NewCounter("canopus_core_io_modeled_bytes_total")
-	metricIORealBytes         = obs.NewCounter("canopus_core_io_real_bytes_total")
-)
-
 // PhaseTimings breaks the write (or read) path into the phases the paper's
 // evaluation reports (Fig. 6b, Fig. 9–11). Compute phases are measured in
 // real wall time on the host; I/O phases are simulated by the storage cost
@@ -47,10 +27,10 @@ var (
 // Under concurrency the write-path phases (decimate, delta, compress)
 // report the wall time of the whole phase — the elapsed time the phase
 // occupied, which shrinks as workers overlap its units. The read-path
-// compute phases (decompress, restore) accumulate per-unit compute seconds
-// through mutex-guarded adds; at one worker both conventions coincide with
-// the old serial measurements. Simulated I/O cost is derived from byte
-// totals and stays deterministic regardless of worker count.
+// compute phases (decompress, restore) likewise add each pass's wall time,
+// folded once per pass by the view's goroutine (fold). Simulated I/O cost
+// is derived from byte totals and stays deterministic regardless of worker
+// count.
 type PhaseTimings struct {
 	// DecimateSeconds covers mesh decimation (write path).
 	DecimateSeconds float64
@@ -86,28 +66,27 @@ func (t *PhaseTimings) Add(o PhaseTimings) {
 	t.IORealBytes += o.IORealBytes
 }
 
+// fold adds one read-path cost d to both of its ledgers: t, the view's
+// timings, and the request carried by ctx, whose CostReport therefore agrees
+// with the view's PhaseTimings by construction. It is the only place either
+// ledger learns a read cost. Each measurement is folded exactly once, by the
+// goroutine that owns the view: PhaseTimings fields are plain, while the
+// request's accumulators are atomic.
+func (t *PhaseTimings) fold(ctx context.Context, d PhaseTimings) {
+	t.Add(d)
+	req := obs.RequestFrom(ctx)
+	req.AddIO(d.IOBytes, d.IORealBytes, d.IOSeconds)
+	req.AddDecompress(d.DecompressSeconds)
+	req.AddRestore(d.RestoreSeconds)
+}
+
 // addHandleIO folds an open handle's accumulated I/O (simulated cost plus
-// real backend traffic) into the read-path timings, and mirrors the totals
-// into the process-wide obs counters and the request carried by ctx. Each
-// handle must be folded exactly once, by the goroutine that owns the view:
-// PhaseTimings fields are plain (its public shape predates the obs layer),
-// so cross-goroutine accumulation belongs in the atomic counters, not here —
-// see TestConcurrentTimingRace. Because the request folds at this same
-// single-fold site, a CostReport's I/O totals agree with the view's
-// PhaseTimings by construction.
+// real backend traffic) into the read-path ledgers, and its page-cache
+// counts into the request.
 func (t *PhaseTimings) addHandleIO(ctx context.Context, h *adios.Handle) {
 	c := h.Cost()
-	real := h.RealBytes()
-	t.IOSeconds += c.Seconds
-	t.IOBytes += c.Bytes
-	t.IORealBytes += real
-	metricIOSeconds.Add(c.Seconds)
-	metricIOModeledBytes.Add(c.Bytes)
-	metricIORealBytes.Add(real)
-	if req := obs.RequestFrom(ctx); req != nil {
-		req.AddIO(c.Bytes, real, c.Seconds)
-		req.AddCache(h.CacheStats())
-	}
+	t.fold(ctx, PhaseTimings{IOSeconds: c.Seconds, IOBytes: c.Bytes, IORealBytes: h.RealBytes()})
+	obs.RequestFrom(ctx).AddCache(h.CacheStats())
 }
 
 // TotalSeconds sums every phase.
@@ -384,7 +363,6 @@ func Write(ctx context.Context, aio *adios.IO, ds *Dataset, opts Options) (*Writ
 	defer func() {
 		obs.ObserveLatency(metricWriteSeconds, span, time.Since(t0).Seconds())
 	}()
-	metricWrites.Inc()
 	est, err := delta.EstimatorByName(opts.Estimator)
 	if err != nil {
 		return nil, err

@@ -92,7 +92,6 @@ func (r *Reader) RetrieveRegion(ctx context.Context, targetLevel int, minX, minY
 	span.SetAttr("name", r.name)
 	span.SetAttrInt("target_level", targetLevel)
 	defer span.End()
-	metricRegionRetrievals.Inc()
 	degrade := r.degradeOn()
 
 	// The planner resolves the target into the coarse-to-fine step sequence;

@@ -364,9 +364,9 @@ func (a *archive) runPlan(ctx context.Context, step int, makePlan func(*plan.Pla
 // along pl.Fallbacks — coarser levels, nearest first — until one reads
 // cleanly. All level selection lives in the plan; run only follows it.
 func (a *archive) run(ctx context.Context, step int, pl *plan.Plan) (*View, error) {
-	op, count, latency := "core.retrieve", metricRetrievals, metricRetrieveSeconds
+	op, latency := "core.retrieve", metricRetrieveSeconds
 	if a.campaign {
-		op, count, latency = "core.retrieve_step", metricSeriesSteps, metricRetrieveStepSeconds
+		op, latency = "core.retrieve_step", metricRetrieveStepSeconds
 	}
 	ctx, req, owned := obs.BeginRequest(ctx, op)
 	ctx, span := obs.StartSpan(ctx, op)
@@ -376,11 +376,9 @@ func (a *archive) run(ctx context.Context, step int, pl *plan.Plan) (*View, erro
 	}
 	span.SetAttrInt("target_level", pl.Target)
 	if pl.Tolerance > 0 {
-		metricToleranceRetrievals.Inc()
 		span.SetAttr("tolerance", strconv.FormatFloat(pl.Tolerance, 'g', -1, 64))
 	}
 	defer span.End()
-	count.Inc()
 	var (
 		v   *View
 		err error
@@ -476,10 +474,8 @@ func (a *archive) whole(ctx context.Context, h *adios.Handle, g *levelGeo, l int
 	dspan := obs.FromContext(ctx).Child("core.decompress")
 	t0 := time.Now()
 	v.Data, err = decodeProduct(ctx, a.pool, a.codec, h, l, p.Payload)
-	v.Timings.DecompressSeconds = time.Since(t0).Seconds()
+	v.Timings.fold(ctx, PhaseTimings{DecompressSeconds: time.Since(t0).Seconds()})
 	dspan.End()
-	metricDecompressSeconds.Add(v.Timings.DecompressSeconds)
-	obs.RequestFrom(ctx).AddDecompress(v.Timings.DecompressSeconds)
 	if err != nil {
 		return nil, fmt.Errorf("canopus: decompress level %d: %w", l, err)
 	}
@@ -504,7 +500,6 @@ func (a *archive) refine(ctx context.Context, step int, v *View, h *adios.Handle
 	span.SetAttr("name", a.name)
 	span.SetAttrInt("level", l)
 	defer span.End()
-	metricAugments.Inc()
 	if h == nil {
 		var err error
 		if h, err = a.aio.Open(ctx, a.payloadKey(step, l), 1); err != nil {
@@ -518,10 +513,10 @@ func (a *archive) refine(ctx context.Context, step int, v *View, h *adios.Handle
 	// lone unit runs in this goroutine: a server's cached readers pay for
 	// no fan-out.
 	var (
-		d          []float64
-		decompress float64
-		have       []bool
-		mask       []bool // tiles to fetch; nil: every tile
+		d    []float64
+		dec  decodeStats
+		have []bool
+		mask []bool // tiles to fetch; nil: every tile
 	)
 	g := a.cached(l)
 	warm := g
@@ -545,14 +540,17 @@ func (a *archive) refine(ctx context.Context, step int, v *View, h *adios.Handle
 		if want != nil {
 			have = make([]bool, n)
 		}
-		decompress, err = tiles.decodeInto(ctx, a.pool, h, a.codec, d, have)
+		dec, err = tiles.decodeInto(ctx, a.pool, h, a.codec, d, have)
 		return err
 	})
+	// The step's costs fold only once every unit has succeeded, so a failed
+	// step folds into neither ledger.
 	if err := a.pool.Run(ctx, units...); err != nil {
 		return err
 	}
 	v.Timings.addHandleIO(ctx, h)
-	v.Timings.DecompressSeconds += decompress
+	v.Timings.fold(ctx, PhaseTimings{DecompressSeconds: dec.seconds})
+	obs.RequestFrom(ctx).AddTileCache(dec.tileHits, dec.tileMisses)
 	// In-place restore: the delta buffer becomes the fine data, and the
 	// per-vertex loop shards over the reader's pool. A masked restore
 	// computes only the wanted vertices, each exactly as RestoreInto would;
@@ -619,17 +617,14 @@ func (a *archive) tileInputs(ctx context.Context, h *adios.Handle, l int, g *lev
 
 // restorePhase runs fn, one level's Algorithm 3 restore, as the read path's
 // restore phase: under a core.restore span, with its wall time folded into
-// t, the process counter and the request carried by ctx.
+// t and the request carried by ctx.
 func restorePhase(ctx context.Context, t *PhaseTimings, l int, fn func() error) error {
 	span := obs.FromContext(ctx).Child("core.restore")
 	span.SetAttrInt("level", l)
 	t0 := time.Now()
 	err := fn()
-	secs := time.Since(t0).Seconds()
+	t.fold(ctx, PhaseTimings{RestoreSeconds: time.Since(t0).Seconds()})
 	span.End()
-	t.RestoreSeconds += secs
-	metricRestoreSeconds.Add(secs)
-	obs.RequestFrom(ctx).AddRestore(secs)
 	return err
 }
 
@@ -726,6 +721,13 @@ var tileScratchPool = sync.Pool{
 	},
 }
 
+// decodeStats is what one decode pass over a level's delta tiles measured:
+// its wall time and its decoded-tile cache hits and misses.
+type decodeStats struct {
+	seconds              float64
+	tileHits, tileMisses int64
+}
+
 // deltaTiles is one level's delta tiles as fetched: still encoded, in
 // ascending tile order.
 type deltaTiles struct {
@@ -771,9 +773,9 @@ func fetchDeltaChunks(h *adios.Handle, tb tileBox, level int, want []bool) (*del
 // depend on the worker count. When the container holds fewer tiles than the
 // pool has workers (the Chunks=1 layout), the chunked codec container
 // supplies the parallelism instead: each tile's frame fans out chunk-wise on
-// the same pool. It returns the pass's wall time, already folded into the
-// process counter and the request carried by ctx.
-func (dt *deltaTiles) decodeInto(ctx context.Context, pool *engine.Pool, h *adios.Handle, codec compress.Codec, out []float64, have []bool) (float64, error) {
+// the same pool. It folds nothing: the caller folds the returned stats once
+// the whole step has succeeded.
+func (dt *deltaTiles) decodeInto(ctx context.Context, pool *engine.Pool, h *adios.Handle, codec compress.Codec, out []float64, have []bool) (decodeStats, error) {
 	level, present, payloads := dt.level, dt.present, dt.payloads
 	dspan := obs.FromContext(ctx).Child("core.decompress")
 	dspan.SetAttrInt("tiles", len(present))
@@ -834,16 +836,7 @@ func (dt *deltaTiles) decodeInto(ctx context.Context, pool *engine.Pool, h *adio
 		}
 		return nil
 	})
-	elapsed := time.Since(t0).Seconds()
-	metricDecompressSeconds.Add(elapsed)
-	// Folded here — the same elapsed the caller adds to its Timings — so
-	// CostReport and PhaseTimings agree without a second fold at the call
-	// sites. Tile-cache attribution folds at the same site: one
-	// AddTileCache per decode pass.
-	req := obs.RequestFrom(ctx)
-	req.AddDecompress(elapsed)
-	req.AddTileCache(tileHits.Load(), tileMisses.Load())
-	return elapsed, err
+	return decodeStats{time.Since(t0).Seconds(), tileHits.Load(), tileMisses.Load()}, err
 }
 
 // tileFrame parses the tiling frame recorded on a container.

@@ -14,12 +14,6 @@ import (
 // accuracy-for-latency elasticity as a push model. Analysis code renders the
 // coarse view immediately and repaints as accuracy arrives.
 
-var (
-	metricStreams      = obs.NewCounter("canopus_core_streams_total")
-	metricStreamViews  = obs.NewCounter("canopus_core_stream_views_total")
-	metricStreamFaults = obs.NewCounter("canopus_core_stream_faults_total")
-)
-
 // Subscribe retrieves toward the error tolerance eps, delivering a view per
 // accuracy level on the returned channel: the base first, then each
 // refinement, ending at the cheapest level whose recorded bound meets eps
@@ -67,12 +61,10 @@ func (r *Reader) stream(ctx context.Context, pl *plan.Plan, ch chan<- *View) {
 	span.SetAttr("name", r.name)
 	span.SetAttrInt("target_level", pl.Target)
 	defer span.End()
-	metricStreams.Inc()
 
 	send := func(v *View) bool {
 		select {
 		case ch <- v:
-			metricStreamViews.Inc()
 			return true
 		case <-ctx.Done():
 			return false
@@ -95,7 +87,6 @@ func (r *Reader) stream(ctx context.Context, pl *plan.Plan, ch chan<- *View) {
 			// Refinement failed but every delivered view is valid: end the
 			// stream with a terminal degradation report at the accuracy
 			// achieved.
-			metricStreamFaults.Inc()
 			r.degradeAt(ctx, span, out, pl, err)
 		}
 		last := err != nil || i == len(pl.Steps)-1

@@ -23,9 +23,9 @@ import (
 //     others wait and share it (merges), so misses = fills + merges once
 //     fills settle.
 type Cache[K comparable, V any] struct {
-	budget  int64
-	cost    func(V) int64
-	metrics CacheMetrics
+	budget int64
+	cost   func(V) int64
+	evict  obs.EventType
 
 	mu      sync.Mutex
 	entries map[cacheKey[K]]*list.Element
@@ -35,16 +35,6 @@ type Cache[K comparable, V any] struct {
 
 	flight       Group[cacheKey[K], V]
 	hits, misses atomic.Int64
-}
-
-// CacheMetrics are a cache owner's process-wide instruments, shared by all
-// its instances; per-instance counts come from Stats. Bytes, when set,
-// tracks the cost held; Evict, when registered, records each eviction's
-// namespace under "key".
-type CacheMetrics struct {
-	Hits, Misses, Merges, Fills, Evictions, Invalidations *obs.Counter
-	Bytes                                                 *obs.Gauge
-	Evict                                                 obs.EventType
 }
 
 type cacheKey[K comparable] struct {
@@ -60,11 +50,13 @@ type cacheEntry[K comparable, V any] struct {
 }
 
 // NewCache builds a cache holding entries of total cost up to budget.
-func NewCache[K comparable, V any](budget int64, cost func(V) int64, m CacheMetrics) *Cache[K, V] {
+// evict, when registered, records each eviction's namespace under "key";
+// per-instance hit and miss counts come from Stats.
+func NewCache[K comparable, V any](budget int64, cost func(V) int64, evict obs.EventType) *Cache[K, V] {
 	return &Cache[K, V]{
 		budget:  budget,
 		cost:    cost,
-		metrics: m,
+		evict:   evict,
 		entries: make(map[cacheKey[K]]*list.Element),
 		gens:    make(map[string]uint64),
 	}
@@ -91,12 +83,9 @@ func (c *Cache[K, V]) Get(ns string, k K, fill func() (V, error)) (v V, hit bool
 	c.mu.Unlock()
 	if hit {
 		c.hits.Add(1)
-		c.metrics.Hits.Inc()
 		return v, true, nil
 	}
 	c.misses.Add(1)
-	c.metrics.Misses.Inc()
-	filled := false
 	v, err = c.flight.Do(key, func() (V, error) {
 		c.mu.Lock()
 		v, ok := c.lookupLocked(key)
@@ -106,15 +95,10 @@ func (c *Cache[K, V]) Get(ns string, k K, fill func() (V, error)) (v V, hit bool
 		}
 		v, err := fill()
 		if err == nil {
-			filled = true
-			c.metrics.Fills.Inc()
 			c.insert(key, v)
 		}
 		return v, err
 	})
-	if err == nil && !filled {
-		c.metrics.Merges.Inc()
-	}
 	return v, false, err
 }
 
@@ -139,18 +123,14 @@ func (c *Cache[K, V]) insert(key cacheKey[K], v V) {
 	c.entries[key] = c.lru.PushFront(&cacheEntry[K, V]{key: key, val: v, cost: cost})
 	c.size += cost
 	for c.size > c.budget && c.lru.Len() > 1 {
-		ns := c.remove(c.lru.Back())
-		c.metrics.Evictions.Inc()
-		c.metrics.Evict.Emit("key", ns)
+		c.evict.Emit("key", c.remove(c.lru.Back()))
 	}
-	c.setBytes()
 }
 
 // Invalidate drops every entry of namespace ns and bumps its generation.
 // Writers call it when a storage key is overwritten so readers never see
 // stale values.
 func (c *Cache[K, V]) Invalidate(ns string) {
-	c.metrics.Invalidations.Inc()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.gens[ns]++
@@ -161,7 +141,6 @@ func (c *Cache[K, V]) Invalidate(ns string) {
 		}
 		el = next
 	}
-	c.setBytes()
 }
 
 // remove drops one entry and returns its namespace.
@@ -170,10 +149,4 @@ func (c *Cache[K, V]) remove(el *list.Element) string {
 	delete(c.entries, e.key)
 	c.size -= e.cost
 	return e.key.ns
-}
-
-func (c *Cache[K, V]) setBytes() {
-	if c.metrics.Bytes != nil {
-		c.metrics.Bytes.Set(c.size)
-	}
 }

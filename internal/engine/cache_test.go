@@ -6,20 +6,10 @@ import (
 	"repro/internal/obs"
 )
 
-// testCache builds a cache of int slices costing their length, metered on
-// a private registry.
+// testCache builds a cache of int slices costing their length, recording no
+// eviction events.
 func testCache(budget int64) *Cache[int, []int] {
-	r := obs.NewRegistry()
-	m := CacheMetrics{
-		Hits:          r.Counter("canopus_engine_cache_hits_total"),
-		Misses:        r.Counter("canopus_engine_cache_misses_total"),
-		Merges:        r.Counter("canopus_engine_cache_merges_total"),
-		Fills:         r.Counter("canopus_engine_cache_fills_total"),
-		Evictions:     r.Counter("canopus_engine_cache_evictions_total"),
-		Invalidations: r.Counter("canopus_engine_cache_invalidations_total"),
-		Bytes:         r.Gauge("canopus_engine_cache_bytes"),
-	}
-	return NewCache[int](budget, func(v []int) int64 { return int64(len(v)) }, m)
+	return NewCache[int](budget, func(v []int) int64 { return int64(len(v)) }, obs.EventType{})
 }
 
 // TestCacheDropsDeadFill invalidates a namespace while one of its fills is

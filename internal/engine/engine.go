@@ -26,22 +26,6 @@ import (
 	"context"
 	"runtime"
 	"sync"
-	"sync/atomic"
-	"time"
-
-	"repro/internal/obs"
-)
-
-// Worker-pool metrics: how much work the engine is moving and how saturated
-// the pool is. Queue depth counts units accepted but not yet started;
-// in-flight counts units executing right now. Both are process-wide across
-// every pool, matching the one-process-per-analysis deployment model.
-var (
-	metricUnitsTotal  = obs.NewCounter("canopus_engine_units_total")
-	metricUnitErrors  = obs.NewCounter("canopus_engine_unit_errors_total")
-	metricQueueDepth  = obs.NewGauge("canopus_engine_queue_depth")
-	metricInflight    = obs.NewGauge("canopus_engine_inflight")
-	metricUnitSeconds = obs.NewHistogram("canopus_engine_unit_seconds", nil)
 )
 
 // DefaultWorkers is the pool width used when a caller passes workers <= 0.
@@ -79,22 +63,12 @@ func (p *Pool) Run(ctx context.Context, units ...Unit) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	// Queued units are visible as queue depth until they start executing;
-	// units skipped by cancellation or an early failure drain the gauge in
-	// the deferred settle-up.
-	queued := int64(len(units))
-	metricQueueDepth.Add(queued)
-	started := atomic.Int64{}
-	defer func() { metricQueueDepth.Add(started.Load() - queued) }()
-
 	if p.workers == 1 || len(units) == 1 {
 		for _, u := range units {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			started.Add(1)
-			metricQueueDepth.Add(-1)
-			if err := runUnit(ctx, u); err != nil {
+			if err := u(ctx); err != nil {
 				return err
 			}
 		}
@@ -118,15 +92,13 @@ func (p *Pool) Run(ctx context.Context, units ...Unit) error {
 		go func(i int, u Unit) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			started.Add(1)
-			metricQueueDepth.Add(-1)
 			if err := runCtx.Err(); err != nil {
 				mu.Lock()
 				errs[i] = err
 				mu.Unlock()
 				return
 			}
-			if err := runUnit(runCtx, u); err != nil {
+			if err := u(runCtx); err != nil {
 				mu.Lock()
 				errs[i] = err
 				mu.Unlock()
@@ -154,21 +126,6 @@ func (p *Pool) Run(ctx context.Context, units ...Unit) error {
 		return err
 	}
 	return firstCancel
-}
-
-// runUnit executes one unit with the pool's per-unit accounting: in-flight
-// gauge, unit counter/histogram, and error counter.
-func runUnit(ctx context.Context, u Unit) error {
-	metricInflight.Add(1)
-	t0 := time.Now()
-	err := u(ctx)
-	metricUnitSeconds.Observe(time.Since(t0).Seconds())
-	metricInflight.Add(-1)
-	metricUnitsTotal.Inc()
-	if err != nil && err != context.Canceled && err != context.DeadlineExceeded {
-		metricUnitErrors.Inc()
-	}
-	return err
 }
 
 // RunRange executes fn over the index range [0, n), sharded into contiguous

@@ -1,5 +1,5 @@
 // Package obs is Canopus's dependency-free observability layer: process-wide
-// typed metrics (counters, gauges, histograms), hierarchical trace spans
+// typed metrics (counters and histograms), hierarchical trace spans
 // carried through context.Context, and a live debug HTTP surface
 // (net/http/pprof, expvar, trace dumps) the command-line tools expose behind
 // -debug-addr.
@@ -43,21 +43,8 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Value reports the current total.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is an instantaneous int64 level (queue depth, in-flight operations),
-// safe for concurrent use.
-type Gauge struct{ v atomic.Int64 }
-
-// Set replaces the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add moves the level by delta (use negative deltas to decrement).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
-// Value reports the current level.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
-// FloatCounter accumulates a float64 total (seconds of compute, fractional
-// rates) with lock-free compare-and-swap adds.
+// FloatCounter accumulates a float64 total (a histogram's sum, a request's
+// seconds) with lock-free compare-and-swap adds.
 type FloatCounter struct{ bits atomic.Uint64 }
 
 // Add accumulates v.
@@ -286,16 +273,6 @@ func (r *Registry) Counter(name string) *Counter {
 	return register(r, name, func() *Counter { return &Counter{} })
 }
 
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	return register(r, name, func() *Gauge { return &Gauge{} })
-}
-
-// FloatCounter returns the named float counter, creating it on first use.
-func (r *Registry) FloatCounter(name string) *FloatCounter {
-	return register(r, name, func() *FloatCounter { return &FloatCounter{} })
-}
-
 // Histogram returns the named histogram, creating it on first use with the
 // given ascending bucket bounds (nil means DefSecondsBuckets). Bounds are
 // fixed at creation; later calls ignore the argument.
@@ -347,10 +324,6 @@ func (r *Registry) Snapshot() map[string]any {
 		switch v := m.(type) {
 		case *Counter:
 			out[name] = v.Value()
-		case *Gauge:
-			out[name] = v.Value()
-		case *FloatCounter:
-			out[name] = v.Value()
 		case *Histogram:
 			bounds, counts := v.Buckets()
 			out[name] = HistogramSnapshot{
@@ -371,13 +344,6 @@ func (r *Registry) Snapshot() map[string]any {
 
 // NewCounter registers (or fetches) a counter on the default registry.
 func NewCounter(name string) *Counter { return Default.Counter(name) }
-
-// NewGauge registers (or fetches) a gauge on the default registry.
-func NewGauge(name string) *Gauge { return Default.Gauge(name) }
-
-// NewFloatCounter registers (or fetches) a float counter on the default
-// registry.
-func NewFloatCounter(name string) *FloatCounter { return Default.FloatCounter(name) }
 
 // NewHistogram registers (or fetches) a histogram on the default registry.
 func NewHistogram(name string, bounds []float64) *Histogram {

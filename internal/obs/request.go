@@ -12,11 +12,11 @@ import (
 
 // Request is the per-call cost accumulator: one Retrieve / RetrieveRegion /
 // RetrieveStep / Subscribe carries exactly one Request through its context,
-// and every subsystem the call crosses folds its contribution in at the same
-// single-fold sites that already feed PhaseTimings and the process-global
-// metrics — storage's retry loop attributes per-tier reads and retries, the
-// adios cost tracker attributes modeled/real bytes and cache hits, core's
-// decode sites attribute decompress/restore seconds. When the owning call
+// and every subsystem the call crosses folds its contribution in — storage's
+// retry loop attributes per-tier reads and retries, and core folds each
+// read cost (modeled/real bytes and I/O seconds, cache hits, decompress and
+// restore seconds) into the request and the view's PhaseTimings in one
+// statement. When the owning call
 // finishes, Report() freezes the totals into a CostReport that rides back on
 // the View/RegionView and is mirrored onto the root span's attributes.
 //

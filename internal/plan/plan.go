@@ -23,21 +23,6 @@ package plan
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/obs"
-)
-
-// Planner metrics: how many plans were built, how they were driven (level
-// vs tolerance), and how often the planner had to fall back — to the
-// conservative level-order plan on bound-free legacy containers, or to a
-// finest-level plan flagged unreachable when eps undercuts every recorded
-// bound. Planned bytes aggregate the modeled cost of every emitted plan.
-var (
-	metricPlans        = obs.NewCounter("canopus_plan_plans_total")
-	metricTolerance    = obs.NewCounter("canopus_plan_tolerance_plans_total")
-	metricLegacy       = obs.NewCounter("canopus_plan_legacy_fallback_total")
-	metricUnreachable  = obs.NewCounter("canopus_plan_unreachable_total")
-	metricPlannedBytes = obs.NewCounter("canopus_plan_planned_bytes_total")
 )
 
 // Mode mirrors the two stored layouts the planner must schedule for.
@@ -187,14 +172,12 @@ func (p *Planner) step(level int) Step {
 	return s
 }
 
-// finish totals the step estimates and counts the plan.
+// finish totals the step estimates.
 func (p *Planner) finish(pl *Plan) *Plan {
 	for _, s := range pl.Steps {
 		pl.EstBytes += s.EstBytes
 		pl.EstSeconds += s.EstSeconds
 	}
-	metricPlans.Inc()
-	metricPlannedBytes.Add(pl.EstBytes)
 	return pl
 }
 
@@ -275,13 +258,11 @@ func (p *Planner) toleranceTarget(eps float64) (*Plan, error) {
 	if !(eps > 0) {
 		return nil, fmt.Errorf("plan: tolerance %g must be positive", eps)
 	}
-	metricTolerance.Inc()
 	pl := &Plan{Mode: p.mode, Tolerance: eps, BoundsKnown: p.BoundsKnown()}
 	if !pl.BoundsKnown {
 		// Legacy container: no recorded bounds to compose, so the only
 		// plan guaranteed to meet any eps is full accuracy, level order.
 		pl.Target = 0
-		metricLegacy.Inc()
 		return pl, nil
 	}
 	for l := len(p.prods) - 1; l >= 0; l-- {
@@ -292,7 +273,6 @@ func (p *Planner) toleranceTarget(eps float64) (*Plan, error) {
 	}
 	pl.Target = 0
 	pl.Unreachable = true
-	metricUnreachable.Inc()
 	return pl, nil
 }
 

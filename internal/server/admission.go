@@ -33,7 +33,6 @@ func newAdmission(inflight, maxQueue int, wait time.Duration) *admission {
 func (a *admission) acquire(ctx context.Context) (release func(), retryAfter time.Duration, ok bool) {
 	select {
 	case a.slots <- struct{}{}:
-		metricInflight.Add(1)
 		return a.release, 0, true
 	default:
 	}
@@ -41,16 +40,11 @@ func (a *admission) acquire(ctx context.Context) (release func(), retryAfter tim
 		a.queued.Add(-1)
 		return nil, a.wait, false
 	}
-	metricQueue.Set(a.queued.Load())
-	defer func() {
-		a.queued.Add(-1)
-		metricQueue.Set(a.queued.Load())
-	}()
+	defer a.queued.Add(-1)
 	t := time.NewTimer(a.wait)
 	defer t.Stop()
 	select {
 	case a.slots <- struct{}{}:
-		metricInflight.Add(1)
 		return a.release, 0, true
 	case <-t.C:
 		return nil, a.wait, false
@@ -61,5 +55,4 @@ func (a *admission) acquire(ctx context.Context) (release func(), retryAfter tim
 
 func (a *admission) release() {
 	<-a.slots
-	metricInflight.Add(-1)
 }

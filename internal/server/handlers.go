@@ -94,10 +94,8 @@ type handler func(w http.ResponseWriter, r *http.Request, sh *shard, fin func() 
 // quota, admission, tracing, cost attribution, and error mapping.
 func (s *Server) guard(op string, fn handler) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		metricRequests.Inc()
 		tenant := tenantName(r)
 		if ok, after := s.tenants.take(tenant); !ok {
-			metricThrottled.Inc()
 			s.tenants.throttled(tenant)
 			evThrottled.Emit("reason", "quota", "tenant", tenant, "op", op)
 			writeThrottle(w, after, "tenant quota exhausted")
@@ -108,7 +106,6 @@ func (s *Server) guard(op string, fn handler) http.HandlerFunc {
 			if r.Context().Err() != nil {
 				return // client gone while queued; nothing to write
 			}
-			metricRejected.Inc()
 			s.tenants.throttled(tenant)
 			evThrottled.Emit("reason", "admission", "tenant", tenant, "op", op)
 			writeThrottle(w, after, "server saturated, retry later")
@@ -137,7 +134,6 @@ func (s *Server) guard(op string, fn handler) http.HandlerFunc {
 		s.tenants.charge(tenant, rep, err != nil)
 		if err != nil {
 			if code := errCode(err); code != statusClientClosed {
-				metricErrors.Inc()
 				httpError(w, code, err.Error())
 			}
 		}
@@ -317,7 +313,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, sh *shard,
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)
 	for v := range ch {
-		metricViews.Inc()
 		if writeSSE(w, fl, "view", viewWire(name, rd, v, nil)) != nil {
 			// The write path is dead (client gone); keep draining so the
 			// stream goroutine observes ctx cancellation and exits.

@@ -37,14 +37,7 @@ const DefaultTenant = "anon"
 const TenantHeader = "X-Canopus-Tenant"
 
 var (
-	metricRequests  = obs.NewCounter("canopus_server_requests_total")
-	metricThrottled = obs.NewCounter("canopus_server_throttled_total")
-	metricRejected  = obs.NewCounter("canopus_server_rejected_total")
-	metricErrors    = obs.NewCounter("canopus_server_errors_total")
-	metricViews     = obs.NewCounter("canopus_server_stream_views_total")
-	metricInflight  = obs.NewGauge("canopus_server_inflight")
-	metricQueue     = obs.NewGauge("canopus_server_queue_depth")
-	metricLatency   = obs.NewHistogram("canopus_server_request_seconds", nil)
+	metricLatency = obs.NewHistogram("canopus_server_request_seconds", nil)
 
 	// evThrottled records every quota or admission rejection in the flight
 	// recorder, so a tenant's 429s are inspectable next to the engine load

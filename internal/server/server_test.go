@@ -313,6 +313,67 @@ func TestQuotaExhaustion(t *testing.T) {
 	}
 }
 
+// TestTenantTableBounded sends more distinct tenant names than the table
+// keeps rows for, plus one over-long name, through the HTTP surface: the
+// /v1/tenants listing stays bounded, a configured tenant keeps its own row
+// however full the table is, and the bills still sum to the requests sent.
+func TestTenantTableBounded(t *testing.T) {
+	s, _, names := fixture(t, 1, 1, Config{
+		Quotas: map[string]Quota{"vip": {Rate: 1000, Burst: 1000}},
+	})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	tenants := []string{strings.Repeat("x", maxTenantName+1)}
+	for i := 0; i < maxTenantRows+10; i++ {
+		tenants = append(tenants, fmt.Sprintf("t%04d", i))
+	}
+	tenants = append(tenants, "vip")
+	for _, tenant := range tenants {
+		req, _ := http.NewRequest("GET", fmt.Sprintf("%s/v1/read/%s?level=2", ts.URL, names[0]), nil)
+		req.Header.Set(TenantHeader, tenant)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("tenant %.8q: status %d", tenant, resp.StatusCode)
+		}
+	}
+
+	resp, err := http.Get(ts.URL + "/v1/tenants")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tl struct {
+		Tenants []TenantStatus `json:"tenants"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&tl); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	// Unconfigured rows, the overflow row and the configured tenant.
+	if n, limit := len(tl.Tenants), maxTenantRows+2; n > limit {
+		t.Fatalf("/v1/tenants lists %d rows for %d tenants, want at most %d", n, len(tenants), limit)
+	}
+	var billed int64
+	vip := false
+	for _, st := range tl.Tenants {
+		billed += st.Bill.Requests
+		if st.Tenant == "vip" {
+			vip = st.Bill.Requests == 1 && st.Quota != nil
+		}
+	}
+	if billed != int64(len(tenants)) {
+		t.Errorf("bills sum to %d requests, sent %d", billed, len(tenants))
+	}
+	if !vip {
+		t.Error("configured tenant lost its own row")
+	}
+}
+
 // TestAdmissionBackpressure saturates a 1-slot server with a slow (fault-
 // delayed) request and checks the overflow request is turned away with 429
 // + Retry-After instead of queueing without bound.

@@ -42,11 +42,25 @@ type tenantState struct {
 	bill   Bill
 }
 
+// Tenant names arrive in a client-supplied header, so the table bounds what
+// they can make it hold: a name longer than maxTenantName, or a new name
+// once maxTenantRows unconfigured tenants have rows, is billed to the
+// overflowTenant row. Tenants with a configured quota always keep their own
+// row.
+const (
+	maxTenantName  = 64
+	maxTenantRows  = 256
+	overflowTenant = "_overflow"
+)
+
 // tenantTable maps tenant names to state, creating rows on first sight.
 type tenantTable struct {
 	mu     sync.Mutex
 	quotas map[string]Quota
 	m      map[string]*tenantState
+	// unconfigured counts the rows of tenants without a configured quota,
+	// the overflow row excluded.
+	unconfigured int
 }
 
 func newTenantTable(quotas map[string]Quota) *tenantTable {
@@ -57,18 +71,29 @@ func newTenantTable(quotas map[string]Quota) *tenantTable {
 	return t
 }
 
-// get returns (creating if needed) the state row for name. Caller holds mu.
+// getLocked returns (creating if needed) the state row name is billed to.
+// Caller holds mu.
 func (t *tenantTable) getLocked(name string, now time.Time) *tenantState {
-	ts := t.m[name]
-	if ts == nil {
-		ts = &tenantState{last: now}
-		if q, ok := t.quotas[name]; ok && (q.Rate > 0 || q.Burst > 0) {
-			qq := q
-			ts.quota = &qq
-			ts.tokens = qq.Burst
-		}
-		t.m[name] = ts
+	if ts := t.m[name]; ts != nil {
+		return ts
 	}
+	q, configured := t.quotas[name]
+	if !configured {
+		if len(name) > maxTenantName || t.unconfigured >= maxTenantRows {
+			name = overflowTenant
+			if ts := t.m[name]; ts != nil {
+				return ts
+			}
+		} else {
+			t.unconfigured++
+		}
+	}
+	ts := &tenantState{last: now}
+	if configured && (q.Rate > 0 || q.Burst > 0) {
+		ts.quota = &q
+		ts.tokens = q.Burst
+	}
+	t.m[name] = ts
 	return ts
 }
 

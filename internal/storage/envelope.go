@@ -52,13 +52,9 @@ var ErrCorrupt = errors.New("stored data corrupt")
 // The hierarchy's read retry policy backs off and retries these.
 var ErrTransient = errors.New("transient storage fault")
 
-var (
-	metricCorrupt = obs.NewCounter("canopus_storage_corrupt_total")
-
-	// evCorruption records every checksum-verification failure — detected
-	// corruption, as opposed to fault_injected's caused corruption.
-	evCorruption = obs.RegisterEventType("corruption")
-)
+// evCorruption records every checksum-verification failure — detected
+// corruption, as opposed to fault_injected's caused corruption.
+var evCorruption = obs.RegisterEventType("corruption")
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -84,7 +80,6 @@ func (e *envInfo) storedLen() int64 {
 }
 
 func corruptErr(key string, detail string) error {
-	metricCorrupt.Inc()
 	evCorruption.Emit("key", key, "detail", detail)
 	return fmt.Errorf("storage: %w: %q: %s", ErrCorrupt, key, detail)
 }

@@ -89,14 +89,6 @@ func parseProb(v string) (float64, error) {
 	return p, nil
 }
 
-var (
-	metricFaultReadErr  = obs.NewCounter("canopus_storage_fault_read_errors_total")
-	metricFaultCorrupt  = obs.NewCounter("canopus_storage_fault_corruptions_total")
-	metricFaultTrunc    = obs.NewCounter("canopus_storage_fault_truncations_total")
-	metricFaultWriteErr = obs.NewCounter("canopus_storage_fault_write_errors_total")
-	metricFaultCrash    = obs.NewCounter("canopus_storage_fault_crashes_total")
-)
-
 // evFaultInjected records every injected fault in the flight recorder with
 // its kind and target, so a failing run's event stream shows the injected
 // cause right next to the retry/degradation events it provoked.
@@ -143,12 +135,10 @@ func (f *FaultBackend) intn(n int) int {
 // the fault backend owns (inner backends return fresh copies).
 func (f *FaultBackend) mangle(key string, data []byte) []byte {
 	if f.spec.ReadCorrupt > 0 && len(data) > 0 && f.roll() < f.spec.ReadCorrupt {
-		metricFaultCorrupt.Inc()
 		evFaultInjected.Emit("kind", "read.corrupt", "key", key)
 		data[f.intn(len(data))] ^= 1 << f.intn(8)
 	}
 	if f.spec.ReadTrunc > 0 && len(data) > 0 && f.roll() < f.spec.ReadTrunc {
-		metricFaultTrunc.Inc()
 		evFaultInjected.Emit("kind", "read.trunc", "key", key)
 		data = data[:f.intn(len(data))]
 	}
@@ -169,7 +159,6 @@ func (f *FaultBackend) readFault(ctx context.Context, op, key string) error {
 		}
 	}
 	if f.spec.ReadErr > 0 && f.roll() < f.spec.ReadErr {
-		metricFaultReadErr.Inc()
 		evFaultInjected.Emit("kind", "read.err", "op", op, "key", key)
 		return fmt.Errorf("storage: %w: injected %s error for %q", ErrTransient, op, key)
 	}
@@ -178,7 +167,6 @@ func (f *FaultBackend) readFault(ctx context.Context, op, key string) error {
 
 func (f *FaultBackend) Put(key string, data []byte) error {
 	if f.spec.WriteCrash > 0 && f.roll() < f.spec.WriteCrash {
-		metricFaultCrash.Inc()
 		evFaultInjected.Emit("kind", "write.crash", "key", key)
 		if cp, ok := f.inner.(crashPutter); ok {
 			return cp.CrashPut(key, data, f.intn(len(data)+1))
@@ -186,7 +174,6 @@ func (f *FaultBackend) Put(key string, data []byte) error {
 		return fmt.Errorf("storage: %w: injected crashed put for %q", ErrTransient, key)
 	}
 	if f.spec.WriteErr > 0 && f.roll() < f.spec.WriteErr {
-		metricFaultWriteErr.Inc()
 		evFaultInjected.Emit("kind", "write.err", "key", key)
 		return fmt.Errorf("storage: %w: injected put error for %q", ErrTransient, key)
 	}

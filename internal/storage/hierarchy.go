@@ -12,15 +12,11 @@ import (
 	"repro/internal/place"
 )
 
-// Hierarchy-wide metrics. Per-tier traffic gets its own counters, named
-// canopus_storage_<tier>_{read,write}_{bytes,ops}_total, built once at
-// hierarchy construction; hierarchies sharing tier names (every test builds
-// its own TitanTwoTier) share the process-wide counters.
-var (
-	metricPutBypass      = obs.NewCounter("canopus_storage_put_bypass_total")
-	metricPutFaultBypass = obs.NewCounter("canopus_storage_put_fault_bypass_total")
-	metricReadRetries    = obs.NewCounter("canopus_storage_read_retries_total")
-)
+// Hierarchy-wide metrics: read retries across every tier, and per-tier
+// traffic counters named canopus_storage_<tier>_{read,write}_{bytes,ops}_total,
+// built once at hierarchy construction; hierarchies sharing tier names
+// (every test builds its own TitanTwoTier) share the process-wide counters.
+var metricReadRetries = obs.NewCounter("canopus_storage_read_retries_total")
 
 // tierMetrics caches one tier's counters so the read path pays map lookups
 // only at construction, not per operation.
@@ -172,13 +168,11 @@ func (h *Hierarchy) Put(ctx context.Context, key string, data []byte, pref int, 
 		t := h.tiers[i]
 		if !t.fits(int64(len(sealed))) {
 			bypassed = append(bypassed, t.Name)
-			metricPutBypass.Inc()
 			continue
 		}
 		if err := t.backend().Put(key, sealed); err != nil {
 			if errors.Is(err, ErrTransient) && ci+1 < len(candidates) {
 				bypassed = append(bypassed, t.Name)
-				metricPutFaultBypass.Inc()
 				lastErr = err
 				continue
 			}

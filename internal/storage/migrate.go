@@ -11,20 +11,12 @@ import (
 	"repro/internal/obs"
 )
 
-// Migration metrics: completed moves (promotions, demotions, evictions all
-// route through move) and the bytes they shuttled between tiers; retry
-// metrics: backoff time burned waiting between read attempts and reads that
-// exhausted their whole attempt budget.
-var (
-	metricMigrations     = obs.NewCounter("canopus_storage_migrations_total")
-	metricMigrationBytes = obs.NewCounter("canopus_storage_migration_bytes_total")
-	metricRetryBackoff   = obs.NewFloatCounter("canopus_storage_retry_backoff_seconds_total")
-	metricRetryExhausted = obs.NewCounter("canopus_storage_retry_exhausted_total")
-)
+// metricMigrations counts completed moves: promotions, demotions and
+// evictions all route through move.
+var metricMigrations = obs.NewCounter("canopus_storage_migrations_total")
 
-// Flight-recorder event types for the decisions this file makes: each Emit
-// sits beside the metric increment that already marked the decision, so the
-// counters say how often and the events say which key, which tier, and why.
+// Flight-recorder event types for the decisions this file makes: each event
+// says which key, which tier, and why.
 var (
 	evRetry          = obs.RegisterEventType("retry")
 	evRetryExhausted = obs.RegisterEventType("retry_exhausted")
@@ -192,7 +184,6 @@ func (h *Hierarchy) readRetrying(ctx context.Context, key string, readers int, o
 			return nil, Placement{}, err
 		}
 		if attempt+1 >= pol.Attempts {
-			metricRetryExhausted.Inc()
 			evRetryExhausted.Emit("op", op, "key", key, "tier", t.Name,
 				"attempts", strconv.Itoa(attempt+1), "error", err.Error())
 			return nil, Placement{}, fmt.Errorf("storage: %s %q gave up after %d attempts: %w", op, key, attempt+1, err)
@@ -210,7 +201,6 @@ func (h *Hierarchy) readRetrying(ctx context.Context, key string, readers int, o
 		case <-timer.C:
 		}
 		slept += d
-		metricRetryBackoff.Add(d.Seconds())
 		span.SetAttrInt("retries", attempt+1)
 		span.SetAttr("backoff", slept.String())
 	}
@@ -255,7 +245,6 @@ func (h *Hierarchy) move(key string, to int) (Migration, error) {
 	m.Cost.Add(dst.writeCost(e.size, 1))
 	e.tier = to
 	metricMigrations.Inc()
-	metricMigrationBytes.Add(int64(len(data)))
 	evMigration.Emit("key", key, "from", src.Name, "to", dst.Name,
 		"bytes", strconv.FormatInt(int64(len(data)), 10))
 	return m, nil

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/obs"
 )
 
 func payload(n int) []byte {
@@ -157,6 +159,39 @@ func TestHierarchyGetFindsAcrossTiers(t *testing.T) {
 	}
 	if h.Where("fast") != 0 || h.Where("slow") != 1 || h.Where("none") != -1 {
 		t.Fatal("Where reported wrong tiers")
+	}
+}
+
+// TestTierCountersTrackTraffic checks the per-tier traffic counters
+// (canopus_storage_<tier>_{read,write}_{bytes,ops}_total) against the
+// operations a hierarchy served: payload bytes and one op per call, billed
+// to the tier that holds the key. The tier name is private to this test.
+func TestTierCountersTrackTraffic(t *testing.T) {
+	want := map[string]int64{
+		"canopus_storage_counted_write_bytes_total": 100,
+		"canopus_storage_counted_write_ops_total":   1,
+		"canopus_storage_counted_read_bytes_total":  130,
+		"canopus_storage_counted_read_ops_total":    2,
+	}
+	before := make(map[string]int64)
+	for name := range want {
+		before[name] = obs.NewCounter(name).Value()
+	}
+	ctx := context.Background()
+	h := NewHierarchy(&Tier{Name: "counted", ReadBandwidth: 1, WriteBandwidth: 1})
+	if _, err := h.Put(ctx, "k", payload(100), 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := h.Get(ctx, "k", 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := h.GetRange(ctx, "k", 10, 30, 1); err != nil {
+		t.Fatal(err)
+	}
+	for name, n := range want {
+		if got := obs.NewCounter(name).Value() - before[name]; got != n {
+			t.Errorf("%s advanced %d, want %d", name, got, n)
+		}
 	}
 }
 
