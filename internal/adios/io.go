@@ -4,12 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/bp"
 	"repro/internal/compress"
+	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/storage"
 )
@@ -36,22 +37,16 @@ type IO struct {
 	// Attach one with SetTileCache before issuing reads.
 	Tiles *compress.TileCache
 
-	// idxMu guards idxCache, the parsed-index cache: re-opening an
-	// unchanged container binds the cached bp index to a fresh cost
-	// tracker instead of re-fetching and re-parsing footer and index —
-	// the ADIOS metadata-caching analogue. The modeled cost of the
-	// metadata extents is still charged on every open (modeled bytes stay
-	// deterministic, independent of cache state); only the real traffic
-	// and the parse work disappear. WriteContainer invalidates the
-	// rewritten key; a size mismatch (container rewritten through another
-	// IO over the same hierarchy) also misses.
-	idxMu    sync.Mutex
-	idxCache map[string]*cachedIndex
+	// index caches parsed bp indexes by (storage key, container size), the
+	// ADIOS metadata-caching analogue (see Open). WriteContainer
+	// invalidates the rewritten key; a container rewritten to a new size
+	// through another IO over the same hierarchy misses on its size.
+	index *engine.Cache[int64, *cachedIndex]
 }
 
 // cachedIndex is one parsed-index cache entry: the shared bp index plus the
 // modeled bytes its cold open charged (header, footer, index extents),
-// re-charged on every cache hit.
+// charged again to every open that did not parse it.
 type cachedIndex struct {
 	r         *bp.Reader
 	metaBytes int64
@@ -62,7 +57,8 @@ func NewIO(h *storage.Hierarchy, t Transport) *IO {
 	if t == nil {
 		t = POSIX{}
 	}
-	return &IO{H: h, Transport: t}
+	one := func(*cachedIndex) int64 { return 1 }
+	return &IO{H: h, Transport: t, index: engine.NewCache[int64](math.MaxInt64, one, obs.EventType{})}
 }
 
 // SetCache attaches a shared page cache to every handle subsequently opened
@@ -82,11 +78,13 @@ func (io *IO) SetTileCache(c *compress.TileCache) *IO {
 }
 
 // WriteContainer finalizes a BP container and writes it under key, preferring
-// tier pref. A cancelled ctx aborts the write. Cached pages of an overwritten
-// key are invalidated before the bytes land.
+// tier pref. A cancelled ctx aborts the write. Everything cached for an
+// overwritten key is invalidated after the write returns, so a read that
+// raced the write cannot leave the old container cached.
 func (io *IO) WriteContainer(ctx context.Context, key string, w *bp.Writer, pref int) (storage.Placement, error) {
+	p, err := io.Transport.Write(ctx, io.H, key, w.Bytes(), pref)
 	io.dropCaches(key)
-	return io.Transport.Write(ctx, io.H, key, w.Bytes(), pref)
+	return p, err
 }
 
 // dropCaches forgets everything this IO cached for key. Readers call it when
@@ -101,9 +99,7 @@ func (io *IO) dropCaches(key string) {
 	if io.Tiles != nil {
 		io.Tiles.Invalidate(key)
 	}
-	io.idxMu.Lock()
-	delete(io.idxCache, key)
-	io.idxMu.Unlock()
+	io.index.Invalidate(key)
 }
 
 // Handle is an open container. Reads through it are genuinely ranged: every
@@ -259,47 +255,40 @@ func (io *IO) Open(ctx context.Context, key string, readers int) (*Handle, error
 	}
 
 	// Re-open fast path: an unchanged container's index is served from the
-	// IO's metadata cache, touching no storage. The metadata extents are
-	// still charged to the cost model so a handle's modeled cost does not
-	// depend on cache state.
-	io.idxMu.Lock()
-	cached := io.idxCache[key]
-	io.idxMu.Unlock()
-	if cached != nil {
-		if r, err := cached.r.WithReaderAt(tr, size); err == nil {
-			tr.bytes.Add(cached.metaBytes)
-			return &Handle{BP: r, TierIdx: idx, TierName: tier.Name, tracker: tr, tiles: io.Tiles}, nil
+	// IO's metadata cache, touching no storage, and concurrent cold opens
+	// parse it once. The caller whose fill parsed it keeps its own reader,
+	// already charged; every other caller binds the shared index to its
+	// tracker and is charged the metadata extents, so a handle's modeled
+	// cost does not depend on cache state. Only the real traffic and the
+	// parse work disappear.
+	var parsed *bp.Reader
+	cached, _, err := io.index.Get(key, size, func() (*cachedIndex, error) {
+		// The footer/index parse traces as an adios.open span; the ranged
+		// reads it issues nest inside it. After the parse, the tracker
+		// reverts to the caller's context so payload fetches attach to the
+		// phase span active at fetch time (base, augment, region), not to
+		// the open.
+		spanCtx, span := obs.StartSpan(ctx, "adios.open")
+		span.SetAttr("key", key)
+		span.SetAttr("tier", tier.Name)
+		tr.ctx = spanCtx
+		r, err := bp.Open(tr, size)
+		span.End()
+		tr.ctx = ctx
+		if err != nil {
+			return nil, err
 		}
-		// Size mismatch: the container was rewritten behind this IO's
-		// back. Drop the stale index and re-parse below.
-		io.idxMu.Lock()
-		if io.idxCache[key] == cached {
-			delete(io.idxCache, key)
-		}
-		io.idxMu.Unlock()
+		parsed = r
+		return &cachedIndex{r: r, metaBytes: tr.bytes.Load()}, nil
+	})
+	if err == nil && parsed == nil {
+		parsed, err = cached.r.WithReaderAt(tr, size)
+		tr.bytes.Add(cached.metaBytes)
 	}
-
-	// The footer/index parse traces as an adios.open span; the ranged reads
-	// it issues nest inside it. After Open returns, the tracker reverts to
-	// the caller's context so payload fetches attach to the phase span
-	// active at fetch time (base, augment, region), not to the open.
-	spanCtx, span := obs.StartSpan(ctx, "adios.open")
-	span.SetAttr("key", key)
-	span.SetAttr("tier", tier.Name)
-	tr.ctx = spanCtx
-	r, err := bp.Open(tr, size)
-	span.End()
-	tr.ctx = ctx
 	if err != nil {
 		return nil, fmt.Errorf("adios: open %q: %w", key, err)
 	}
-	io.idxMu.Lock()
-	if io.idxCache == nil {
-		io.idxCache = map[string]*cachedIndex{}
-	}
-	io.idxCache[key] = &cachedIndex{r: r, metaBytes: tr.bytes.Load()}
-	io.idxMu.Unlock()
-	return &Handle{BP: r, TierIdx: idx, TierName: tier.Name, tracker: tr, tiles: io.Tiles}, nil
+	return &Handle{BP: parsed, TierIdx: idx, TierName: tier.Name, tracker: tr, tiles: io.Tiles}, nil
 }
 
 // Cost reports the simulated cost accumulated by this handle so far.

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/engine"
 	"repro/internal/obs"
 )
 
@@ -47,34 +48,6 @@ const (
 	DefaultChunkSize = 4096
 )
 
-// Runner is the slice of engine.Pool the chunked container needs: sharded
-// fan-out over an index range. Declaring it here keeps compress free of an
-// engine dependency; *engine.Pool satisfies it, including as a typed nil
-// (which runs serially).
-type Runner interface {
-	RunRange(ctx context.Context, n int, fn func(start, end int) error) error
-}
-
-// serialRunner is the fallback when callers pass a nil Runner interface.
-type serialRunner struct{}
-
-func (serialRunner) RunRange(ctx context.Context, n int, fn func(start, end int) error) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if n <= 0 {
-		return nil
-	}
-	return fn(0, n)
-}
-
-func runnerOr(pool Runner) Runner {
-	if pool == nil {
-		return serialRunner{}
-	}
-	return pool
-}
-
 // IsChunkedFrame reports whether data starts with the v2 container magic.
 // It is a sniff, not a validation — ChunkedDecode still rejects frames whose
 // headers do not check out.
@@ -85,9 +58,9 @@ func IsChunkedFrame(data []byte) bool {
 // ChunkedEncode compresses vals with c inside the v2 chunked container.
 // Inputs that fit in a single chunk are returned as a plain v1 codec stream
 // with no framing. chunkSize <= 0 selects DefaultChunkSize. Chunks are
-// encoded concurrently on pool but assembled in order, so the output is
-// byte-identical at every worker count.
-func ChunkedEncode(ctx context.Context, pool Runner, c Codec, vals []float64, chunkSize int) ([]byte, error) {
+// encoded concurrently on pool (serially when it is nil) but assembled in
+// order, so the output is byte-identical at every worker count.
+func ChunkedEncode(ctx context.Context, pool *engine.Pool, c Codec, vals []float64, chunkSize int) ([]byte, error) {
 	if chunkSize <= 0 {
 		chunkSize = DefaultChunkSize
 	}
@@ -96,7 +69,7 @@ func ChunkedEncode(ctx context.Context, pool Runner, c Codec, vals []float64, ch
 	}
 	nChunks := (len(vals) + chunkSize - 1) / chunkSize
 	encs := make([][]byte, nChunks)
-	err := runnerOr(pool).RunRange(ctx, nChunks, func(start, end int) error {
+	err := pool.RunRange(ctx, nChunks, func(start, end int) error {
 		for i := start; i < end; i++ {
 			lo := i * chunkSize
 			hi := lo + chunkSize
@@ -135,7 +108,7 @@ func ChunkedEncode(ctx context.Context, pool Runner, c Codec, vals []float64, ch
 
 // ChunkedDecode reverses ChunkedEncode: framed payloads decode chunk-wise
 // (concurrently on pool), plain v1 payloads fall through to c.Decode.
-func ChunkedDecode(ctx context.Context, pool Runner, c Codec, data []byte) ([]float64, error) {
+func ChunkedDecode(ctx context.Context, pool *engine.Pool, c Codec, data []byte) ([]float64, error) {
 	return ChunkedDecodeInto(ctx, pool, c, nil, data)
 }
 
@@ -143,7 +116,7 @@ func ChunkedDecode(ctx context.Context, pool Runner, c Codec, data []byte) ([]fl
 // Codec.DecodeInto. Each chunk decodes directly into its slot of the output
 // slice, so a framed decode performs no per-chunk output allocations, and
 // results are bit-identical at every worker count.
-func ChunkedDecodeInto(ctx context.Context, pool Runner, c Codec, dst []float64, data []byte) ([]float64, error) {
+func ChunkedDecodeInto(ctx context.Context, pool *engine.Pool, c Codec, dst []float64, data []byte) ([]float64, error) {
 	if !IsChunkedFrame(data) {
 		return c.DecodeInto(dst, data)
 	}
@@ -163,7 +136,7 @@ func ChunkedDecodeInto(ctx context.Context, pool Runner, c Codec, dst []float64,
 		offs[i+1] = offs[i] + l
 	}
 	out := sizeFloats(dst, total)
-	err = runnerOr(pool).RunRange(ctx, nChunks, func(start, end int) error {
+	err = pool.RunRange(ctx, nChunks, func(start, end int) error {
 		for i := start; i < end; i++ {
 			lo := i * chunkSize
 			hi := lo + chunkSize

@@ -96,16 +96,11 @@ func TestChunkedWorkerInvariance(t *testing.T) {
 		var refFrame []byte
 		var refVals []float64
 		for pi, pool := range pools {
-			// A typed-nil *engine.Pool must behave like a nil Runner.
-			var r Runner
-			if pool != nil {
-				r = pool
-			}
-			frame, err := ChunkedEncode(ctx, r, c, vals, 1024)
+			frame, err := ChunkedEncode(ctx, pool, c, vals, 1024)
 			if err != nil {
 				t.Fatalf("%s pool %d: encode: %v", c.Name(), pi, err)
 			}
-			dec, err := ChunkedDecode(ctx, r, c, frame)
+			dec, err := ChunkedDecode(ctx, pool, c, frame)
 			if err != nil {
 				t.Fatalf("%s pool %d: decode: %v", c.Name(), pi, err)
 			}
@@ -123,8 +118,8 @@ func TestChunkedWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestChunkedTypedNilPool verifies the documented claim that a typed-nil
-// *engine.Pool satisfies Runner and runs serially.
+// TestChunkedTypedNilPool verifies the documented claim that a nil
+// *engine.Pool runs serially.
 func TestChunkedTypedNilPool(t *testing.T) {
 	ctx := context.Background()
 	var pool *engine.Pool

@@ -186,6 +186,10 @@ func (a *archive) Tolerance() float64 { return a.tolerance }
 // geometry exactly once even when several retrievals race to it. Independent
 // delta tiles within one retrieval are fetched and decompressed on the
 // reader's worker pool.
+//
+// A Reader reads the write it opened: its metadata and the geometry it has
+// loaded are kept for its lifetime, so reopen it after the variable is
+// rewritten.
 type Reader struct{ *archive }
 
 // OpenReaderWith loads the metadata for a refactored variable and applies

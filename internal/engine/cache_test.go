@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/obs"
@@ -70,5 +71,29 @@ func TestCacheBudgetKeepsOneEntry(t *testing.T) {
 	}
 	if !get(3, 10) {
 		t.Fatal("the one entry over budget should stay cached")
+	}
+}
+
+// TestCacheIdleNamespacesKeepNoState invalidates many namespaces that have
+// no fill in flight, as a writer does for every fresh key it stores, and
+// then fills and invalidates a few: the cache must hold no per-namespace
+// state afterwards, or an always-on cache grows with every key written.
+func TestCacheIdleNamespacesKeepNoState(t *testing.T) {
+	c := testCache(100)
+	for i := range 10000 {
+		c.Invalidate(fmt.Sprint("k", i))
+	}
+	for i := range 10 {
+		ns := fmt.Sprint("k", i)
+		if _, _, err := c.Get(ns, 0, func() ([]int, error) { return []int{i}, nil }); err != nil {
+			t.Fatal(err)
+		}
+		c.Invalidate(ns)
+	}
+	if n := len(c.spaces); n != 0 {
+		t.Fatalf("cache holds state for %d idle namespaces, want 0", n)
+	}
+	if n := c.Size(); n != 0 {
+		t.Fatalf("Size = %d after invalidating every namespace, want 0", n)
 	}
 }

@@ -18,15 +18,16 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"net/http"
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/adios"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/obs"
 )
 
@@ -112,11 +113,12 @@ func New(cfg Config) (*Server, error) {
 		tenants: newTenantTable(cfg.Quotas),
 		admit:   newAdmission(inflight, queue, wait),
 	}
+	one := func(*core.Reader) int64 { return 1 } // the reader table is unbounded
 	for i, aio := range cfg.Shards {
 		if aio == nil {
 			return nil, fmt.Errorf("server: shard %d is nil", i)
 		}
-		s.shards = append(s.shards, &shard{aio: aio, workers: cfg.Workers, degrade: cfg.Degrade, readers: map[string]*core.Reader{}})
+		s.shards = append(s.shards, &shard{aio: aio, workers: cfg.Workers, degrade: cfg.Degrade, readers: engine.NewCache[struct{}](math.MaxInt64, one, obs.EventType{})})
 	}
 	s.mux = s.routes()
 	return s, nil
@@ -162,34 +164,24 @@ type shard struct {
 	aio     *adios.IO
 	workers int
 	degrade bool
-
-	mu      sync.Mutex
-	readers map[string]*core.Reader
+	// readers holds one open Reader per campaign name (the namespace).
+	readers *engine.Cache[struct{}, *core.Reader]
 }
 
 // reader returns the cached Reader for campaign name, opening it on first
-// use. Concurrent first requests may race to open; the first to land in the
-// map wins and the losers' readers are dropped (opening is metadata-cheap).
+// use. Concurrent first requests open it once; a failed open is not cached,
+// so the table holds only campaigns that exist.
 func (sh *shard) reader(ctx context.Context, name string) (*core.Reader, error) {
-	sh.mu.Lock()
-	rd := sh.readers[name]
-	sh.mu.Unlock()
-	if rd != nil {
+	rd, _, err := sh.readers.Get(name, struct{}{}, func() (*core.Reader, error) {
+		rd, err := core.OpenReader(ctx, sh.aio, name)
+		if err != nil {
+			return nil, err
+		}
+		rd.SetWorkers(sh.workers)
+		rd.SetDegrade(sh.degrade)
 		return rd, nil
-	}
-	opened, err := core.OpenReader(ctx, sh.aio, name)
-	if err != nil {
-		return nil, err
-	}
-	opened.SetWorkers(sh.workers)
-	opened.SetDegrade(sh.degrade)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if rd := sh.readers[name]; rd != nil {
-		return rd, nil
-	}
-	sh.readers[name] = opened
-	return opened, nil
+	})
+	return rd, err
 }
 
 // campaigns lists the campaign names stored on this shard: every key of the

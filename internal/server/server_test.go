@@ -234,6 +234,44 @@ func TestErrorStatuses(t *testing.T) {
 	}
 }
 
+// TestReaderTableSkipsFailedOpens requests many campaigns that do not exist:
+// each gets 404 and none is left in the reader table, so unknown names
+// cannot grow it. A campaign written afterwards opens on its first request.
+func TestReaderTableSkipsFailedOpens(t *testing.T) {
+	s, ios, _ := fixture(t, 1, 0, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	get := func(name string) int {
+		t.Helper()
+		resp, err := ts.Client().Get(ts.URL + "/v1/read/" + name + "?level=0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for i := range 1000 {
+		if code := get(fmt.Sprint("ghost-", i)); code != http.StatusNotFound {
+			t.Fatalf("unknown campaign %d: status %d, want 404", i, code)
+		}
+	}
+	if n := s.shards[0].readers.Size(); n != 0 {
+		t.Fatalf("reader table holds %d entries after failed opens, want 0", n)
+	}
+	ds := sim.XGC1(sim.XGC1Config{Rings: 10, Segments: 96, Seed: 1}).Dataset
+	ds.Name = "ghost-0"
+	if _, err := core.Write(context.Background(), ios[0], ds, core.Options{Levels: 3, RelTolerance: 1e-4, Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if code := get(ds.Name); code != http.StatusOK {
+		t.Fatalf("first request after the write: status %d, want 200", code)
+	}
+	if n := s.shards[0].readers.Size(); n != 1 {
+		t.Fatalf("reader table holds %d entries, want 1", n)
+	}
+}
+
 // TestQuotaExhaustion gives one tenant a tiny bucket and checks exhaustion
 // yields 429 with a well-formed body and Retry-After header, while an
 // uncapped tenant on the same server is unaffected; /v1/tenants shows the
