@@ -205,10 +205,8 @@ func Decimate(m *mesh.Mesh, data []float64, targetVerts int, opts Options) (*Res
 			break
 		}
 		e := w.edges[id]
-		w.unlink(e.A, e.B)
-		w.unlink(e.B, e.A)
 		if !w.vertAlive[e.A] || !w.vertAlive[e.B] {
-			continue // endpoint died in an earlier collapse
+			continue // stale: an endpoint died in an earlier collapse
 		}
 		if !w.collapse(e, minArea) {
 			res.Rejected++
@@ -250,22 +248,15 @@ func (o Options) minArea(m *mesh.Mesh) float64 {
 	return frac * m.TotalArea() / float64(len(m.Tris))
 }
 
-// link is one queued edge as seen from one of its endpoints.
-type link struct {
-	to int32 // the other endpoint
-	id int32 // the edge's queue handle
-}
-
 // work is the mutable decimation state, all of it index-addressed slices.
 // Vertices and triangles are never physically deleted during the pass —
 // alive flags mark removals, each collapse appends one vertex, and compact()
 // squeezes the survivors into a fresh mesh at the end.
 //
-// The per-vertex lists (vertTris, links) are carved from shared arenas with
-// their capacity capped, so the arenas can grow by append without disturbing
-// lists carved earlier. A list does not outgrow the room it was carved with:
-// a vertex's triangles only die, and a collapse replaces two of a surviving
-// vertex's neighbors (or one) by the new vertex, never adds one.
+// The incidence lists (vertTris) of collapse-made vertices are carved from a
+// shared arena with their capacity capped, so the arena can grow by append
+// without disturbing lists carved earlier. A list does not outgrow the room
+// it was carved with: a vertex's triangles only die or are re-pointed.
 type work struct {
 	verts     []mesh.Vertex
 	data      []float64
@@ -280,13 +271,11 @@ type work struct {
 	ring      int // arena entries budgeted for the rings of collapse-made vertices
 
 	// Edge handles are dense ints assigned in push order and never reused:
-	// edges[id] names the endpoints, links[v] holds the handles currently
-	// queued at v (the edge -> handle lookup), and the queue breaks
-	// priority ties on the handle.
-	queue     pq.Queue
-	edges     []mesh.Edge
-	links     [][]link
-	linkArena []link // backs links
+	// edges[id] names the endpoints, and the queue breaks priority ties on
+	// the handle. Deletion is lazy: a collapse leaves its endpoints' edges
+	// queued, and the pop loop skips an edge with a dead endpoint.
+	queue pq.Queue
+	edges []mesh.Edge
 
 	// mark[v] == epoch means v was already seen by the current neighbors
 	// call; bumping epoch clears every mark at once.
@@ -314,9 +303,10 @@ type work struct {
 // it. It is a one-slot free list rather than a sync.Pool because the rest of a
 // write allocates enough between two hierarchy builds for the collector to
 // empty a pool every time. The cost is that the process keeps the slices of
-// one pass, about 600 bytes per input vertex of the largest mesh it served; a
+// one pass, about 440 bytes per input vertex of the largest mesh it served; a
 // pass that made several times the expected number of edges (hub vertices
-// under an ablation priority) has arenas only it needed and is not kept.
+// under an ablation priority) has an arena and a heap only it needed and is
+// not kept.
 var spare = make(chan *work, 1)
 
 func getWork() *work {
@@ -381,19 +371,8 @@ func (w *work) init(m *mesh.Mesh, data []float64, targetVerts int, prio Priority
 	w.boundary = refill(w.boundary, nv, final, false)
 	w.table.MarkBoundary(w.boundary)
 	w.edges = append(reuse(w.edges, len(seed)+ring), seed...)
-	// A vertex with t triangles has t neighbors, t+1 on the boundary (a
-	// non-manifold one may have more; its list then grows on the heap).
-	w.links = reuse(w.links, final)[:nv]
-	w.linkArena = reuse(w.linkArena, 3*nt+nv+ring)[:3*nt+nv]
-	linkArena := w.linkArena
-	for v := range w.links {
-		c := len(w.vertTris[v]) + 1
-		w.links[v], linkArena = linkArena[:0:c], linkArena[c:]
-	}
 	w.queue.Reset(len(seed))
 	for id, e := range seed {
-		w.links[e.A] = append(w.links[e.A], link{to: e.B, id: int32(id)})
-		w.links[e.B] = append(w.links[e.B], link{to: e.A, id: int32(id)})
 		w.queue.Push(id, prio(w.asMesh(), e.A, e.B, w.data))
 	}
 }
@@ -403,20 +382,6 @@ func (w *work) init(m *mesh.Mesh, data []float64, targetVerts int, prio Priority
 func (w *work) asMesh() *mesh.Mesh {
 	w.mview.Verts = w.verts
 	return &w.mview
-}
-
-// unlink removes the queued edge (v, to) from v's list and returns its
-// handle, or -1 if that edge is not queued.
-func (w *work) unlink(v, to int32) int32 {
-	ls := w.links[v]
-	for p, l := range ls {
-		if l.to == to {
-			ls[p] = ls[len(ls)-1]
-			w.links[v] = ls[:len(ls)-1]
-			return l.id
-		}
-	}
-	return -1
 }
 
 // liveTris returns the alive triangle ids incident to v.
@@ -476,9 +441,9 @@ func (w *work) hasTwin(ti int32, t mesh.Triangle, k int32, made []int32) bool {
 // minimum-area guard.
 func (w *work) collapse(e mesh.Edge, minArea float64) bool {
 	i, j := e.A, e.B
+	// neighbors(j) runs for its marks and its filtering of j's triangles.
 	w.nbrI = w.neighbors(i, w.nbrI)
 	w.nbrJ = w.neighbors(j, w.nbrJ)
-	nbrI, nbrJ := w.nbrI, w.nbrJ
 	trisI, trisJ := w.vertTris[i], w.vertTris[j] // live: neighbors just filtered them
 
 	// Link condition: the common neighbors of i and j must be exactly
@@ -486,7 +451,7 @@ func (w *work) collapse(e mesh.Edge, minArea float64) bool {
 	// the collapse would pinch the surface (create a non-manifold fold).
 	// The marks still carry j's neighbor set.
 	var common int
-	for _, v := range nbrI {
+	for _, v := range w.nbrI {
 		if w.mark[v] == w.epoch {
 			common++
 		}
@@ -556,19 +521,7 @@ func (w *work) collapse(e mesh.Edge, minArea float64) bool {
 		}
 	}
 
-	// Commit. Drop queued edges incident to the dying endpoints.
-	for _, v := range nbrI {
-		if id := w.unlink(v, i); id >= 0 {
-			w.queue.Remove(int(id))
-		}
-	}
-	for _, v := range nbrJ {
-		if id := w.unlink(v, j); id >= 0 {
-			w.queue.Remove(int(id))
-		}
-	}
-	w.links[i], w.links[j] = nil, nil
-
+	// Commit. The queued edges of i and j go stale and are skipped on pop.
 	w.verts = append(w.verts, kv)
 	w.data = append(w.data, kd)
 	w.vertAlive = append(w.vertAlive, true)
@@ -615,29 +568,21 @@ func (w *work) collapse(e mesh.Edge, minArea float64) bool {
 
 	// Queue the edges of the new vertex, in neighbor order.
 	w.nbrI = w.neighbors(k, w.nbrI)
-	first = len(w.linkArena)
 	for _, v := range w.nbrI {
-		id := int32(len(w.edges))
+		w.queue.Push(len(w.edges), w.prio(w.asMesh(), v, k, w.data))
 		w.edges = append(w.edges, mesh.MakeEdge(k, v))
-		w.linkArena = append(w.linkArena, link{to: v, id: id})
-		w.links[v] = append(w.links[v], link{to: k, id: id})
-		w.queue.Push(int(id), w.prio(w.asMesh(), v, k, w.data))
-	}
-	w.links = append(w.links, w.linkArena[first:len(w.linkArena):len(w.linkArena)])
-	if limit := 3*len(w.tris) + w.inputVerts + w.ring; len(w.linkArena) > 2*limit {
-		w.linkArena = repack(w.links, w.vertAlive, limit)
 	}
 	return true
 }
 
 // repack moves the lists of alive vertices into a fresh arena of the given
 // capacity, which it returns, and drops the lists of dead ones. Rings are
-// usually six to eight entries and an arena never fills; under a priority
+// usually six to eight entries and the arena never fills; under a priority
 // that grows hub vertices each collapse of a hub leaves a ring of hundreds
-// behind, and without this an arena would grow with the number of edges ever
-// made instead of the number alive.
-func repack[T any](lists [][]T, alive []bool, capacity int) []T {
-	arena := make([]T, 0, capacity)
+// behind, and without this the arena would grow with the number of triangles
+// ever re-pointed instead of the number alive.
+func repack(lists [][]int32, alive []bool, capacity int) []int32 {
+	arena := make([]int32, 0, capacity)
 	for v, list := range lists {
 		if !alive[v] {
 			lists[v] = nil

@@ -2,6 +2,7 @@ package decimate
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -418,6 +419,52 @@ func TestQuickDecimateValidity(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNaNPriorityFreshAndReusedAgree: a priority that answers NaN for some
+// edges gives the same output on a fresh pass and on one that reuses the
+// previous pass's state, and the NaN edges collapse after every other one,
+// exactly as if their priority were +Inf.
+func TestNaNPriorityFreshAndReusedAgree(t *testing.T) {
+	m := mesh.Disk(16, 48, 1)
+	data := radialField(m)
+	target := TargetForRatio(m.NumVerts(), 4)
+	withNaN := func(nan float64) Priority {
+		return func(m *mesh.Mesh, a, b int32, data []float64) float64 {
+			if HashOrder(m, a, b, data) < 0.3 {
+				return nan
+			}
+			return EdgeLength(m, a, b, data)
+		}
+	}
+	run := func(nan float64) *Result {
+		res, err := Decimate(m, data, target, Options{Priority: withNaN(nan), TrackRestriction: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := res.Coarse.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	select {
+	case <-spare: // the next pass starts from fresh state
+	default:
+	}
+	fresh := run(math.NaN())
+	other := mesh.Rect(9, 9, 1, 1)
+	if _, err := Decimate(other, radialField(other), 20, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if len(spare) != 1 {
+		t.Fatal("no state was left for the next pass to reuse")
+	}
+	if reused := run(math.NaN()); !reflect.DeepEqual(reused, fresh) {
+		t.Error("a pass on reused state differs from the fresh one")
+	}
+	if inf := run(math.Inf(1)); !reflect.DeepEqual(inf, fresh) {
+		t.Error("NaN priorities do not collapse as +Inf ones do")
 	}
 }
 

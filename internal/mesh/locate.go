@@ -15,7 +15,10 @@ type Locator struct {
 	minX, minY   float64
 	cellW, cellH float64
 	nx, ny       int
-	cells        [][]int32 // triangle indices per grid cell
+	// Cell c holds the triangles cellTris[cellStart[c]:cellStart[c+1]], in
+	// ascending order.
+	cellStart []int32
+	cellTris  []int32
 }
 
 // NewLocator builds a grid index sized so the average cell holds O(1)
@@ -24,7 +27,7 @@ func NewLocator(m *Mesh) *Locator {
 	minX, minY, maxX, maxY := m.Bounds()
 	n := len(m.Tris)
 	if n == 0 {
-		return &Locator{m: m, nx: 1, ny: 1, cellW: 1, cellH: 1, cells: make([][]int32, 1)}
+		return &Locator{m: m, nx: 1, ny: 1, cellW: 1, cellH: 1, cellStart: make([]int32, 2)}
 	}
 	// Aim for ~1 triangle per cell: grid side ~ sqrt(n).
 	side := int(math.Ceil(math.Sqrt(float64(n))))
@@ -48,20 +51,41 @@ func NewLocator(m *Mesh) *Locator {
 		cellW: w / float64(side),
 		cellH: h / float64(side),
 	}
-	l.cells = make([][]int32, side*side)
-	for ti, t := range m.Tris {
-		x0, y0, x1, y1 := triBounds(m, t)
+	// Count each cell's triangles into cellStart[c+1] and prefix-sum, so
+	// cellStart[c] is where cell c begins; then fill in triangle order,
+	// advancing cellStart[c] to where c ends, and shift it back one cell.
+	l.cellStart = make([]int32, side*side+1)
+	l.forCells(func(c int, _ int32) { l.cellStart[c+1]++ })
+	for c := 1; c < len(l.cellStart); c++ {
+		l.cellStart[c] += l.cellStart[c-1]
+	}
+	l.cellTris = make([]int32, l.cellStart[side*side])
+	l.forCells(func(c int, ti int32) {
+		l.cellTris[l.cellStart[c]] = ti
+		l.cellStart[c]++
+	})
+	copy(l.cellStart[1:], l.cellStart)
+	l.cellStart[0] = 0
+	return l
+}
+
+// forCells calls fn for every grid cell each triangle's bounding box
+// overlaps, triangle by triangle in index order.
+func (l *Locator) forCells(fn func(c int, ti int32)) {
+	for ti, t := range l.m.Tris {
+		x0, y0, x1, y1 := triBounds(l.m, t)
 		cx0, cy0 := l.cellOf(x0, y0)
 		cx1, cy1 := l.cellOf(x1, y1)
 		for cy := cy0; cy <= cy1; cy++ {
 			for cx := cx0; cx <= cx1; cx++ {
-				idx := cy*l.nx + cx
-				l.cells[idx] = append(l.cells[idx], int32(ti))
+				fn(cy*l.nx+cx, int32(ti))
 			}
 		}
 	}
-	return l
 }
+
+// cell returns the triangles filed under cell c.
+func (l *Locator) cell(c int) []int32 { return l.cellTris[l.cellStart[c]:l.cellStart[c+1]] }
 
 func triBounds(m *Mesh, t Triangle) (x0, y0, x1, y1 float64) {
 	a, b, c := m.Verts[t[0]], m.Verts[t[1]], m.Verts[t[2]]
@@ -97,7 +121,7 @@ func (l *Locator) cellOf(x, y float64) (cx, cy int) {
 func (l *Locator) Locate(x, y float64) (tri int32, ok bool) {
 	cx, cy := l.cellOf(x, y)
 	best := int32(-1)
-	for _, ti := range l.cells[cy*l.nx+cx] {
+	for _, ti := range l.cell(cy*l.nx + cx) {
 		if l.m.TriangleContains(l.m.Tris[ti], x, y) {
 			if best == -1 || ti < best {
 				best = ti
@@ -139,7 +163,7 @@ func (l *Locator) LocateNearest(x, y float64) int32 {
 				if ring > 0 && cxi != cx-ring && cxi != cx+ring && cyi != cy-ring && cyi != cy+ring {
 					continue
 				}
-				for _, ti := range l.cells[cyi*l.nx+cxi] {
+				for _, ti := range l.cell(cyi*l.nx + cxi) {
 					found = true
 					d := l.m.pointTriangleDistSq(l.m.Tris[ti], x, y)
 					if d < bestD || (d == bestD && ti < best) {

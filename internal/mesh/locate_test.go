@@ -3,6 +3,7 @@ package mesh
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -215,5 +216,30 @@ func BenchmarkEncode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Encode(m)
+	}
+}
+
+// TestLocatorCellsMatchReference: every grid cell lists the triangles whose
+// bounding boxes overlap it, in ascending order, exactly as filing them one
+// append at a time does.
+func TestLocatorCellsMatchReference(t *testing.T) {
+	for _, m := range []*Mesh{Rect(7, 5, 2, 1), Disk(6, 24, 1), jitter(Annulus(5, 30, 0.3, 1)), {}} {
+		l := NewLocator(m)
+		want := make([][]int32, l.nx*l.ny)
+		for ti, tri := range m.Tris {
+			x0, y0, x1, y1 := triBounds(m, tri)
+			cx0, cy0 := l.cellOf(x0, y0)
+			cx1, cy1 := l.cellOf(x1, y1)
+			for cy := cy0; cy <= cy1; cy++ {
+				for cx := cx0; cx <= cx1; cx++ {
+					want[cy*l.nx+cx] = append(want[cy*l.nx+cx], int32(ti))
+				}
+			}
+		}
+		for c := range want {
+			if got := l.cell(c); !slices.Equal(got, want[c]) {
+				t.Fatalf("%d triangles: cell %d holds %v, want %v", len(m.Tris), c, got, want[c])
+			}
+		}
 	}
 }

@@ -196,26 +196,54 @@ func (a *Adjacency) Neighbors(m *Mesh, v int32) []int32 {
 // Validate checks structural invariants: vertex indices in range, no
 // repeated vertex within a triangle, no exact-duplicate triangles, and no
 // isolated vertices (every vertex referenced by at least one triangle).
-// It returns the first violation found.
+// It returns the first violation found, in triangle order.
 func (m *Mesh) Validate() error {
 	n := int32(len(m.Verts))
-	used := make([]bool, n)
-	seen := make(map[[3]int32]struct{}, len(m.Tris))
+	// The first triangle with a vertex out of range or repeated ends the
+	// checks, unless a duplicate comes before it. Count the triangles before
+	// it by their smallest vertex.
+	var bad error
+	valid := len(m.Tris)
+	start := make([]int32, n+1)
 	for ti, t := range m.Tris {
 		for k := 0; k < 3; k++ {
 			if t[k] < 0 || t[k] >= n {
-				return fmt.Errorf("mesh: triangle %d vertex %d index %d out of range [0,%d)", ti, k, t[k], n)
+				bad = fmt.Errorf("mesh: triangle %d vertex %d index %d out of range [0,%d)", ti, k, t[k], n)
+				break
 			}
-			used[t[k]] = true
 		}
-		if t[0] == t[1] || t[1] == t[2] || t[0] == t[2] {
-			return fmt.Errorf("mesh: triangle %d has repeated vertex: %v", ti, t)
+		if bad == nil && (t[0] == t[1] || t[1] == t[2] || t[0] == t[2]) {
+			bad = fmt.Errorf("mesh: triangle %d has repeated vertex: %v", ti, t)
 		}
+		if bad != nil {
+			valid = ti
+			break
+		}
+		start[canonicalTri(t)[0]+1]++
+	}
+	for v := int32(0); v < n; v++ {
+		start[v+1] += start[v]
+	}
+	// Duplicates are found without hashing: each triangle files its two
+	// larger vertices in the bucket rest[start[v]:start[v]+fill[v]] of its
+	// smallest, v, in triangle order, so the first duplicate met is the
+	// earliest.
+	fill := make([]int32, n)
+	rest := make([][2]int32, start[n])
+	used := make([]bool, n)
+	for _, t := range m.Tris[:valid] {
 		key := canonicalTri(t)
-		if _, dup := seen[key]; dup {
+		lo := start[key[0]]
+		hi := lo + fill[key[0]]
+		if slices.Contains(rest[lo:hi], [2]int32{key[1], key[2]}) {
 			return fmt.Errorf("mesh: duplicate triangle %v", t)
 		}
-		seen[key] = struct{}{}
+		rest[hi] = [2]int32{key[1], key[2]}
+		fill[key[0]]++
+		used[t[0]], used[t[1]], used[t[2]] = true, true, true
+	}
+	if bad != nil {
+		return bad
 	}
 	for v, ok := range used {
 		if !ok {

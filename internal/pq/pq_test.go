@@ -1,6 +1,7 @@
 package pq
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -14,15 +15,6 @@ func TestEmptyQueue(t *testing.T) {
 	}
 	if _, _, ok := q.Pop(); ok {
 		t.Fatal("Pop on empty queue reported ok")
-	}
-	if _, _, ok := q.Peek(); ok {
-		t.Fatal("Peek on empty queue reported ok")
-	}
-	if q.Contains(0) {
-		t.Fatal("Contains(0) on empty queue")
-	}
-	if q.Remove(3) {
-		t.Fatal("Remove(3) on empty queue reported true")
 	}
 }
 
@@ -44,17 +36,6 @@ func TestPushPopOrdering(t *testing.T) {
 	}
 }
 
-func TestPushDuplicatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate Push did not panic")
-		}
-	}()
-	q := New(2)
-	q.Push(1, 1)
-	q.Push(1, 2)
-}
-
 func TestTieBreakDeterministic(t *testing.T) {
 	// Equal priorities must pop in id order.
 	q := New(4)
@@ -71,87 +52,6 @@ func TestTieBreakDeterministic(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("tie-break order %v, want %v", got, want)
 		}
-	}
-}
-
-func TestUpdateDecrease(t *testing.T) {
-	q := New(4)
-	q.Push(1, 10)
-	q.Push(2, 20)
-	q.Update(2, 5)
-	id, p, _ := q.Pop()
-	if id != 2 || p != 5 {
-		t.Fatalf("after decrease, Pop = (%d,%g), want (2,5)", id, p)
-	}
-}
-
-func TestUpdateIncrease(t *testing.T) {
-	q := New(4)
-	q.Push(1, 10)
-	q.Push(2, 5)
-	q.Update(2, 50)
-	id, _, _ := q.Pop()
-	if id != 1 {
-		t.Fatalf("after increase, Pop id = %d, want 1", id)
-	}
-}
-
-func TestUpdateInsertsWhenAbsent(t *testing.T) {
-	q := New(2)
-	q.Update(7, 3)
-	if !q.Contains(7) {
-		t.Fatal("Update did not insert absent id")
-	}
-	if p, ok := q.Priority(7); !ok || p != 3 {
-		t.Fatalf("Priority(7) = (%g,%v), want (3,true)", p, ok)
-	}
-}
-
-func TestRemoveMiddle(t *testing.T) {
-	q := New(8)
-	for i := 0; i < 8; i++ {
-		q.Push(i, float64(i))
-	}
-	if !q.Remove(3) {
-		t.Fatal("Remove(3) reported false")
-	}
-	if q.Contains(3) {
-		t.Fatal("id 3 still present after Remove")
-	}
-	var got []int
-	for q.Len() > 0 {
-		id, _, _ := q.Pop()
-		got = append(got, id)
-	}
-	want := []int{0, 1, 2, 4, 5, 6, 7}
-	if len(got) != len(want) {
-		t.Fatalf("popped %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("popped %v, want %v", got, want)
-		}
-	}
-}
-
-func TestRemoveLast(t *testing.T) {
-	q := New(2)
-	q.Push(1, 1)
-	q.Push(2, 2)
-	q.Remove(2)
-	if q.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", q.Len())
-	}
-	id, _, _ := q.Pop()
-	if id != 1 {
-		t.Fatalf("Pop id = %d, want 1", id)
-	}
-}
-
-func TestPriorityMissing(t *testing.T) {
-	q := New(1)
-	if _, ok := q.Priority(42); ok {
-		t.Fatal("Priority(42) reported present on empty queue")
 	}
 }
 
@@ -179,63 +79,132 @@ func TestHeapSortAgainstSort(t *testing.T) {
 	}
 }
 
-// TestQuickRandomOps drives a random operation sequence against a naive map
-// model and checks Pop always returns the model minimum. Ids run to 100 while
-// New is told 0, 10 or 100, so the position index has to grow on Push, and
-// every step probes an id the queue has never seen (or a negative one), which
-// must read as absent.
+// TestDuplicateHandlePopsTwice: Push does not look for a queued handle, so a
+// handle pushed twice pops twice, each time with its own priority.
+func TestDuplicateHandlePopsTwice(t *testing.T) {
+	q := New(2)
+	q.Push(1, 2)
+	q.Push(1, 1)
+	for i, want := range []float64{1, 2} {
+		if id, p, ok := q.Pop(); !ok || id != 1 || p != want {
+			t.Fatalf("Pop %d = (%d, %g, %v), want (1, %g, true)", i, id, p, ok, want)
+		}
+	}
+	if q.Len() != 0 {
+		t.Fatalf("Len = %d after popping both, want 0", q.Len())
+	}
+}
+
+// byOrder sorts entries by the order the queue must pop them in: priority
+// with NaN last, then handle.
+func byOrder(es []entry) {
+	sort.Slice(es, func(a, b int) bool {
+		pa, pb := es[a].prio, es[b].prio
+		switch na, nb := math.IsNaN(pa), math.IsNaN(pb); {
+		case na != nb:
+			return nb
+		case !na && pa != pb:
+			return pa < pb
+		}
+		return es[a].id < es[b].id
+	})
+}
+
+// TestNaNPrioritiesTotalOrder: NaN priorities pop after every number, in
+// handle order, and never disturb the order of the numbers around them.
+func TestNaNPrioritiesTotalOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const n = 500
+	var es []entry
+	q := New(n)
+	for id := 0; id < n; id++ {
+		p := float64(rng.Intn(20)) // many ties
+		switch rng.Intn(4) {
+		case 0:
+			p = math.NaN()
+		case 1:
+			p = math.Inf(1 - 2*rng.Intn(2))
+		}
+		es = append(es, entry{p, id})
+		q.Push(id, p)
+	}
+	byOrder(es)
+	for i, want := range es {
+		id, p, ok := q.Pop()
+		if !ok || id != want.id || !(p == want.prio || math.IsNaN(p) && math.IsNaN(want.prio)) {
+			t.Fatalf("pop %d = (%d, %g, %v), want (%d, %g)", i, id, p, ok, want.id, want.prio)
+		}
+	}
+	if q.Len() != 0 {
+		t.Fatalf("Len = %d after %d pops, want 0", q.Len(), n)
+	}
+}
+
+// TestPopOrderIndependentOfHistory: a queue pops its live entries in the
+// same order whatever stale entries share the heap with them and whatever
+// order everything was pushed in, which is what lets the decimator delete
+// lazily without moving a single collapse.
+func TestPopOrderIndependentOfHistory(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	prio := func() float64 {
+		if rng.Intn(5) == 0 {
+			return math.NaN()
+		}
+		return float64(rng.Intn(8))
+	}
+	live := make([]float64, 200)
+	fresh, worn := New(0), New(0)
+	for id := range live {
+		live[id] = prio()
+		fresh.Push(id, live[id])
+	}
+	// worn gets the live entries in reverse, each after zero to two stale
+	// ones (handles from len(live) up).
+	stale := len(live)
+	for id := len(live) - 1; id >= 0; id-- {
+		for k := rng.Intn(3); k > 0; k-- {
+			worn.Push(stale, prio())
+			stale++
+		}
+		worn.Push(id, live[id])
+	}
+	for i := 0; fresh.Len() > 0; i++ {
+		want, _, _ := fresh.Pop()
+		got, _, _ := worn.Pop()
+		for got >= len(live) { // skip stale entries, as the decimator does
+			got, _, _ = worn.Pop()
+		}
+		if got != want {
+			t.Fatalf("live pop %d: fresh queue gave %d, worn one %d", i, want, got)
+		}
+	}
+}
+
+// TestQuickRandomOps drives random interleavings of Push and Pop, with
+// duplicate handles and tied priorities, against a sorted-slice model: every
+// Pop must return the model's least entry.
 func TestQuickRandomOps(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		q := New([]int{0, 10, 100}[rng.Intn(3)])
-		model := map[int]float64{}
+		var model []entry // kept in pop order
 		for step := 0; step < 300; step++ {
-			stranger := 100 + rng.Intn(1000)
-			if rng.Intn(2) == 0 {
-				stranger = -1 - rng.Intn(1000)
-			}
-			if _, ok := q.Priority(stranger); ok || q.Contains(stranger) || q.Remove(stranger) {
-				return false
-			}
-			switch rng.Intn(4) {
-			case 0: // push
-				id := rng.Intn(100)
-				if _, ok := model[id]; ok {
-					continue
-				}
-				p := rng.Float64()
-				q.Push(id, p)
-				model[id] = p
-			case 1: // update
-				id := rng.Intn(100)
-				p := rng.Float64()
-				q.Update(id, p)
-				model[id] = p
-			case 2: // remove
-				id := rng.Intn(100)
-				_, inModel := model[id]
-				if q.Remove(id) != inModel {
-					return false
-				}
-				delete(model, id)
-			case 3: // pop
+			if rng.Intn(3) != 0 { // push
+				e := entry{float64(rng.Intn(50)) / 7, rng.Intn(100)}
+				q.Push(e.id, e.prio)
+				model = append(model, e)
+				byOrder(model)
+			} else { // pop
 				id, p, ok := q.Pop()
 				if ok != (len(model) > 0) {
 					return false
 				}
-				if !ok {
-					continue
-				}
-				// p must be the minimum of the model.
-				for _, mp := range model {
-					if mp < p {
+				if ok {
+					if id != model[0].id || p != model[0].prio {
 						return false
 					}
+					model = model[1:]
 				}
-				if model[id] != p {
-					return false
-				}
-				delete(model, id)
 			}
 			if q.Len() != len(model) {
 				return false
@@ -248,12 +217,12 @@ func TestQuickRandomOps(t *testing.T) {
 	}
 }
 
-// TestOpsDoNotAllocate: once New has been told the handle range, no
-// operation allocates.
+// TestOpsDoNotAllocate: once New has been told the size, Push and Pop do not
+// allocate.
 func TestOpsDoNotAllocate(t *testing.T) {
 	const n = 512
 	rng := rand.New(rand.NewSource(3))
-	prios := make([]float64, 2*n)
+	prios := make([]float64, n)
 	for i := range prios {
 		prios[i] = rng.Float64()
 	}
@@ -261,35 +230,30 @@ func TestOpsDoNotAllocate(t *testing.T) {
 	allocs := testing.AllocsPerRun(20, func() {
 		for id := 0; id < n; id++ {
 			q.Push(id, prios[id])
-		}
-		for id := 0; id < n; id += 3 {
-			q.Update(id, prios[n+id])
-		}
-		for id := 1; id < n; id += 3 {
-			q.Remove(id)
+			if id%3 == 0 {
+				q.Pop()
+			}
 		}
 		for q.Len() > 0 {
 			q.Pop()
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("Push/Update/Remove/Pop made %.0f allocations per run, want 0", allocs)
+		t.Fatalf("Push/Pop made %.0f allocations per run, want 0", allocs)
 	}
 }
 
 func TestResetEmptiesAndKeepsWorking(t *testing.T) {
 	q := New(4)
-	for id := 0; id < 9; id++ { // past the hint, so the index has grown
+	for id := 0; id < 9; id++ { // past the hint, so the heap has grown
 		q.Push(id, float64(9-id))
 	}
 	q.Reset(2)
 	if q.Len() != 0 {
 		t.Fatalf("Len after Reset = %d, want 0", q.Len())
 	}
-	for id := 0; id < 9; id++ {
-		if q.Contains(id) {
-			t.Fatalf("id %d still queued after Reset", id)
-		}
+	if _, _, ok := q.Pop(); ok {
+		t.Fatal("Pop after Reset reported ok")
 	}
 	q.Push(7, 2)
 	q.Push(3, 1)
