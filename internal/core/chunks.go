@@ -183,26 +183,39 @@ func parseChunkPayload(data []byte, runs []idRun) ([]idRun, int, []byte, error) 
 	if off <= 0 {
 		return runs, 0, nil, errChunkTrunc
 	}
-	if nRuns > uint64(len(data)) {
+	// Every run takes at least two bytes, so a larger count cannot parse;
+	// refusing it here keeps the pre-grown runs within the payload's size.
+	if nRuns > uint64(len(data)-off)/2 {
 		return runs, 0, nil, fmt.Errorf("canopus: implausible chunk run count %d", nRuns)
 	}
+	runs = slices.Grow(runs, int(nRuns))
 	prev := int64(0)
 	// Cap the total decoded ids against what the value payload could
 	// plausibly cover; otherwise a corrupt run list is a memory DoS.
 	maxIDs := uint64(len(data))*8 + 64
 	var total uint64
 	for i := uint64(0); i < nRuns; i++ {
-		d, n := binary.Varint(data[off:])
-		if n <= 0 {
-			return runs, 0, nil, errChunkTrunc
+		var d int64
+		var length uint64
+		if off+1 < len(data) && data[off]|data[off+1] < 0x80 {
+			// Both varints are one byte, as for most runs of a fine
+			// level: decode the zigzag delta and the length inline.
+			b := data[off]
+			d = int64(b>>1) ^ -int64(b&1)
+			length = uint64(data[off+1])
+			off += 2
+		} else {
+			var n int
+			if d, n = binary.Varint(data[off:]); n <= 0 {
+				return runs, 0, nil, errChunkTrunc
+			}
+			off += n
+			if length, n = binary.Uvarint(data[off:]); n <= 0 {
+				return runs, 0, nil, errChunkTrunc
+			}
+			off += n
 		}
-		off += n
 		start := prev + d
-		length, n := binary.Uvarint(data[off:])
-		if n <= 0 {
-			return runs, 0, nil, errChunkTrunc
-		}
-		off += n
 		total += length
 		if start < 0 || total > maxIDs {
 			return runs, 0, nil, fmt.Errorf("canopus: invalid chunk run (%d, %d)", start, length)
