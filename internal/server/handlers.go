@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -51,11 +50,15 @@ func errCode(err error) int {
 	}
 }
 
+// writeJSON answers with v's JSON, marshalled before the header goes out:
+// a value JSON cannot carry (a NaN or an infinity) is answered with a 500.
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
+	body, err := json.Marshal(v)
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	writeBody(w, code, append(body, '\n'))
 }
 
 func httpError(w http.ResponseWriter, code int, msg string) {
@@ -140,41 +143,6 @@ func (s *Server) guard(op string, fn handler) http.HandlerFunc {
 	}
 }
 
-// viewPayload is the wire form of a restored view. Data is the raw
-// little-endian float64 field (base64 inside JSON) so clients — and the
-// bit-identity tests — recover the exact values the library returns.
-type viewPayload struct {
-	Name        string            `json:"name"`
-	Level       int               `json:"level"`
-	Levels      int               `json:"levels"`
-	ErrorBound  float64           `json:"error_bound"`
-	NumVerts    int               `json:"num_verts"`
-	Data        []byte            `json:"data"`
-	Degradation *core.Degradation `json:"degradation,omitempty"`
-	Cost        *obs.CostReport   `json:"cost,omitempty"`
-}
-
-func f64le(vals []float64) []byte {
-	out := make([]byte, 8*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(v))
-	}
-	return out
-}
-
-func viewWire(name string, rd *core.Reader, v *core.View, cost *obs.CostReport) viewPayload {
-	return viewPayload{
-		Name:        name,
-		Level:       v.Level,
-		Levels:      rd.Levels(),
-		ErrorBound:  v.ErrorBound,
-		NumVerts:    v.Mesh.NumVerts(),
-		Data:        f64le(v.Data),
-		Degradation: v.Degradation,
-		Cost:        cost,
-	}
-}
-
 // handleRead serves GET /v1/read/{name}?level=N or ?tolerance=eps: a full
 // progressive retrieval to a level (default: full accuracy, level 0) or to
 // the cheapest level meeting an absolute error target.
@@ -212,23 +180,10 @@ func (s *Server) handleRead(w http.ResponseWriter, r *http.Request, sh *shard, f
 			return err
 		}
 	}
-	writeJSON(w, http.StatusOK, viewWire(name, rd, v, fin()))
-	return nil
-}
-
-// regionPayload is the wire form of a focused (spatial) retrieval: Data as
-// in viewPayload, plus a 0/1 byte per vertex marking which indices carry
-// restored values.
-type regionPayload struct {
-	Name        string            `json:"name"`
-	Level       int               `json:"level"`
-	ErrorBound  float64           `json:"error_bound"`
-	NumVerts    int               `json:"num_verts"`
-	Restored    int               `json:"restored"`
-	Data        []byte            `json:"data"`
-	Have        []byte            `json:"have"`
-	Degradation *core.Degradation `json:"degradation,omitempty"`
-	Cost        *obs.CostReport   `json:"cost,omitempty"`
+	return writeView(w, &viewBody{
+		name: name, level: v.Level, levels: rd.Levels(), errorBound: v.ErrorBound,
+		numVerts: v.Mesh.NumVerts(), data: v.Data, deg: v.Degradation, cost: fin(),
+	})
 }
 
 // handleRegion serves GET /v1/region/{name}?level=N&minx=&miny=&maxx=&maxy=:
@@ -264,24 +219,11 @@ func (s *Server) handleRegion(w http.ResponseWriter, r *http.Request, sh *shard,
 	if err != nil {
 		return err
 	}
-	have := make([]byte, len(rv.Have))
-	for i, ok := range rv.Have {
-		if ok {
-			have[i] = 1
-		}
-	}
-	writeJSON(w, http.StatusOK, regionPayload{
-		Name:        name,
-		Level:       rv.Level,
-		ErrorBound:  rv.ErrorBound,
-		NumVerts:    rv.Mesh.NumVerts(),
-		Restored:    rv.CountHave(),
-		Data:        f64le(rv.Data),
-		Have:        have,
-		Degradation: rv.Degradation,
-		Cost:        fin(),
+	return writeView(w, &viewBody{
+		name: name, level: rv.Level, errorBound: rv.ErrorBound, numVerts: rv.Mesh.NumVerts(),
+		data: rv.Data, region: true, restored: rv.CountHave(), have: rv.Have,
+		deg: rv.Degradation, cost: fin(),
 	})
-	return nil
 }
 
 // handleStream serves GET /v1/stream/{name}?tolerance=eps as Server-Sent
@@ -313,29 +255,45 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, sh *shard,
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)
 	for v := range ch {
-		if writeSSE(w, fl, "view", viewWire(name, rd, v, nil)) != nil {
-			// The write path is dead (client gone); keep draining so the
-			// stream goroutine observes ctx cancellation and exits.
+		b := &viewBody{
+			name: name, level: v.Level, levels: rd.Levels(), errorBound: v.ErrorBound,
+			numVerts: v.Mesh.NumVerts(), data: v.Data, deg: v.Degradation,
+		}
+		if writeSSE(w, fl, "view", b.appendTo) != nil {
+			// The write path is dead (client gone) or the view cannot be
+			// encoded; keep draining so the stream goroutine observes ctx
+			// cancellation and exits.
 			continue
 		}
 	}
 	if ctx.Err() != nil {
 		return nil // disconnected mid-stream; nothing more to say
 	}
-	_ = writeSSE(w, fl, "end", map[string]any{"cost": fin()})
+	_ = writeSSE(w, fl, "end", func(buf []byte) ([]byte, error) {
+		data, err := json.Marshal(map[string]any{"cost": fin()})
+		return append(buf, data...), err
+	})
 	return nil
 }
 
-func writeSSE(w http.ResponseWriter, fl http.Flusher, event string, v any) error {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data); err != nil {
-		return err
-	}
-	if fl != nil {
-		fl.Flush()
-	}
-	return nil
+// writeSSE writes one event, its data line appended by appendData, in one
+// Write.
+func writeSSE(w http.ResponseWriter, fl http.Flusher, event string, appendData func([]byte) ([]byte, error)) error {
+	return withBody(func(buf []byte) ([]byte, error) {
+		buf = append(buf, "event: "...)
+		buf = append(buf, event...)
+		buf = append(buf, "\ndata: "...)
+		buf, err := appendData(buf)
+		if err != nil {
+			return buf, err
+		}
+		buf = append(buf, "\n\n"...)
+		if _, err := w.Write(buf); err != nil {
+			return buf, err
+		}
+		if fl != nil {
+			fl.Flush()
+		}
+		return buf, nil
+	})
 }
