@@ -6,8 +6,8 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"runtime"
 	"slices"
-	"sync"
 )
 
 // This file is a whole-buffer RFC 1951 (DEFLATE) decoder. Every inflate in
@@ -229,8 +229,8 @@ func growTable(t []uint32, n int) []uint32 {
 	return g
 }
 
-// inflateState is the per-call table storage, pooled so a warmed inflate
-// allocates nothing.
+// inflateState is the per-call table storage, kept for reuse so a warmed
+// inflate allocates nothing.
 type inflateState struct {
 	lit  []uint32
 	dist []uint32
@@ -238,13 +238,26 @@ type inflateState struct {
 	lens [maxLitSyms + maxDistSyms]uint8
 }
 
-var inflateStatePool = sync.Pool{
-	New: func() any {
-		return &inflateState{
-			lit:  make([]uint32, litEnough),
-			dist: make([]uint32, distEnough),
-		}
-	},
+// spareInflate is a fixed free list of inflate states, one per processor
+// that can inflate at once. It is not a sync.Pool because a pool drops a
+// share of its puts on purpose under the race detector, and the collector
+// empties it, so a warmed inflate would still allocate.
+var spareInflate = make(chan *inflateState, runtime.GOMAXPROCS(0))
+
+func getInflateState() *inflateState {
+	select {
+	case s := <-spareInflate:
+		return s
+	default:
+		return &inflateState{lit: make([]uint32, litEnough), dist: make([]uint32, distEnough)}
+	}
+}
+
+func putInflateState(s *inflateState) {
+	select {
+	case spareInflate <- s:
+	default:
+	}
 }
 
 var (
@@ -641,8 +654,8 @@ func copyMatch(out []byte, op, distance, length int) int {
 // ignored. Callers that know roughly how large the result is pass a dst
 // with that capacity; a warmed call that fits allocates nothing.
 func InflateAppend(dst, src []byte) ([]byte, error) {
-	s := inflateStatePool.Get().(*inflateState)
-	defer inflateStatePool.Put(s)
+	s := getInflateState()
+	defer putInflateState(s)
 	out, op, _, err := s.inflate(dst[:cap(dst)], len(dst), src, true)
 	if err != nil {
 		return nil, err
@@ -656,8 +669,8 @@ func InflateAppend(dst, src []byte) ([]byte, error) {
 // leaves input unread is an error, so a forged length can neither overrun
 // dst nor smuggle bytes past a decoder.
 func InflateInto(dst, src []byte) error {
-	s := inflateStatePool.Get().(*inflateState)
-	defer inflateStatePool.Put(s)
+	s := getInflateState()
+	defer putInflateState(s)
 	_, op, used, err := s.inflate(dst, 0, src, false)
 	switch {
 	case err == errOutputFull:

@@ -197,14 +197,22 @@ func parseChunkPayload(data []byte, runs []idRun) ([]idRun, int, []byte, error) 
 	for i := uint64(0); i < nRuns; i++ {
 		var d int64
 		var length uint64
-		if off+1 < len(data) && data[off]|data[off+1] < 0x80 {
+		switch {
+		case off+1 < len(data) && data[off]|data[off+1] < 0x80:
 			// Both varints are one byte, as for most runs of a fine
 			// level: decode the zigzag delta and the length inline.
 			b := data[off]
 			d = int64(b>>1) ^ -int64(b&1)
 			length = uint64(data[off+1])
 			off += 2
-		} else {
+		case off+2 < len(data) && data[off+1]|data[off+2] < 0x80:
+			// A two-byte start delta and a one-byte length, as for nearly
+			// every level-0 run of an annulus.
+			u := uint64(data[off]&0x7f) | uint64(data[off+1])<<7
+			d = int64(u>>1) ^ -int64(u&1)
+			length = uint64(data[off+2])
+			off += 3
+		default:
 			var n int
 			if d, n = binary.Varint(data[off:]); n <= 0 {
 				return runs, 0, nil, errChunkTrunc

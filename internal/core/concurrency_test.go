@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -325,6 +327,62 @@ func TestWriteCancellation(t *testing.T) {
 	if wrapped == 0 {
 		t.Fatal("no cancellation surfaced from inside a write-step unit")
 	}
+
+	// The same for a single write, at one worker (every unit inline between
+	// the chain's steps) and at two (units beside the chain). Each cancelled
+	// write stores nothing, and returns only once every goroutine it started
+	// has stopped checking ctx. At two workers, some cancellation must
+	// surface from the unit of level 0 or 1: those start while the chain
+	// still has a level to make, so the chain stops and the unit is joined
+	// before the error returns.
+	for _, workers := range []int{1, 2} {
+		beside := 0
+		for n := int64(1); ; n++ {
+			ctx := &cancelAfter{Context: context.Background()}
+			ctx.left.Store(n)
+			aio := newIO()
+			before := runtime.NumGoroutine()
+			_, err := Write(ctx, aio, testDataset("dpot", 24), Options{Levels: 4, Chunks: 2, Workers: workers})
+			left := ctx.left.Load()
+			if !goroutinesSettle(before) {
+				t.Fatalf("workers %d, write cancelled at check %d: %d goroutines outlive it (%d before)", workers, n, runtime.NumGoroutine(), before)
+			}
+			if ctx.left.Load() != left {
+				t.Fatalf("workers %d, write cancelled at check %d: ctx checked after the write returned", workers, n)
+			}
+			if err == nil {
+				break
+			}
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("workers %d, write cancelled at check %d: err = %v, want context.Canceled", workers, n, err)
+			}
+			if k := aio.H.Keys(); len(k) != 0 {
+				t.Fatalf("workers %d, write cancelled at check %d stored %v", workers, n, k)
+			}
+			if msg := err.Error(); strings.Contains(msg, "level 0:") || strings.Contains(msg, "level 1:") ||
+				strings.Contains(msg, "delta 0 ") || strings.Contains(msg, "delta 1 ") {
+				beside++
+			}
+			if n == 10000 {
+				t.Fatal("write never completed")
+			}
+		}
+		if workers > 1 && beside == 0 {
+			t.Fatal("no cancellation surfaced from a level unit running beside the chain")
+		}
+	}
+}
+
+// goroutinesSettle waits until no more goroutines run than before: one that
+// has signalled its group may still be on its way out.
+func goroutinesSettle(before int) bool {
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			return false
+		}
+		runtime.Gosched()
+	}
+	return true
 }
 
 // cancelAfter is a context whose Err reports context.Canceled once it has

@@ -12,7 +12,9 @@
 //     that executes units concurrently with context cancellation and
 //     deterministic first-error semantics. A one-worker pool runs units in
 //     the calling goroutine in submission order, so the serial path stays
-//     bit-for-bit identical to a hand-written loop.
+//     bit-for-bit identical to a hand-written loop. A Batch on the same
+//     pool takes units one at a time, so a caller can start each as soon
+//     as its inputs exist while it goes on working.
 //   - Product: the uniform descriptor for every artifact the core moves
 //     between its write and read steps and storage (mesh geometry, vertex
 //     mappings, level data, delta tiles).
@@ -26,6 +28,7 @@ import (
 	"context"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // DefaultWorkers is the pool width used when a caller passes workers <= 0.
@@ -109,23 +112,118 @@ func (p *Pool) Run(ctx context.Context, units ...Unit) error {
 	wg.Wait()
 	// Deterministic error selection: prefer the lowest-indexed real
 	// failure over cancellation fallout, then over the parent ctx error.
-	var firstCancel error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if err == context.Canceled || err == context.DeadlineExceeded {
-			if firstCancel == nil {
-				firstCancel = err
-			}
-			continue
-		}
-		return err
+	failure, cancelled := pickError(errs)
+	if failure != nil {
+		return failure
 	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	return firstCancel
+	return cancelled
+}
+
+// pickError returns the lowest-indexed error of errs that is not a bare
+// cancellation, and the lowest-indexed one that is.
+func pickError(errs []error) (failure, cancelled error) {
+	for _, err := range errs {
+		switch {
+		case err == nil:
+		case err == context.Canceled || err == context.DeadlineExceeded:
+			if cancelled == nil {
+				cancelled = err
+			}
+		default:
+			return err, cancelled
+		}
+	}
+	return nil, cancelled
+}
+
+// Batch runs units that its caller starts one at a time, each as soon as
+// its inputs exist, beside the caller's own work: a writer hands a level's
+// unit over while it goes on to make the next level. At most the pool's
+// width of them run at once. A unit's failure does not interrupt units
+// already running; it skips every unit not yet begun, and Failed tells the
+// caller to stop its own work. Wait joins them all.
+type Batch struct {
+	sem    chan struct{} // nil on a one-worker pool: units run inline
+	wg     sync.WaitGroup
+	failed atomic.Bool
+	mu     sync.Mutex
+	errs   []error // by start order
+}
+
+// Batch returns an empty batch on p's workers.
+func (p *Pool) Batch() *Batch {
+	b := &Batch{}
+	if p.workers > 1 {
+		b.sem = make(chan struct{}, p.workers)
+	}
+	return b
+}
+
+// Go starts u, unless a unit of the batch has failed. On a one-worker pool
+// u runs now, in the calling goroutine, so units run in the order they are
+// started; otherwise Go returns at once and u runs on its own goroutine
+// when one of the pool's slots is free.
+func (b *Batch) Go(ctx context.Context, u Unit) {
+	if b.failed.Load() {
+		return
+	}
+	b.mu.Lock()
+	i := len(b.errs)
+	b.errs = append(b.errs, nil)
+	b.mu.Unlock()
+	if b.sem == nil {
+		b.run(ctx, i, u)
+		return
+	}
+	b.wg.Add(1)
+	go func() {
+		defer b.wg.Done()
+		select {
+		case b.sem <- struct{}{}:
+		case <-ctx.Done():
+			b.fail(i, ctx.Err())
+			return
+		}
+		defer func() { <-b.sem }()
+		b.run(ctx, i, u)
+	}()
+}
+
+func (b *Batch) run(ctx context.Context, i int, u Unit) {
+	if b.failed.Load() {
+		return
+	}
+	err := ctx.Err()
+	if err == nil {
+		err = u(ctx)
+	}
+	if err != nil {
+		b.fail(i, err)
+	}
+}
+
+func (b *Batch) fail(i int, err error) {
+	b.mu.Lock()
+	b.errs[i] = err
+	b.mu.Unlock()
+	b.failed.Store(true)
+}
+
+// Failed reports whether a unit of the batch has failed.
+func (b *Batch) Failed() bool { return b.failed.Load() }
+
+// Wait waits for every started unit and returns the first failure in start
+// order, a real failure ahead of a bare cancellation, or nil.
+func (b *Batch) Wait() error {
+	b.wg.Wait()
+	failure, cancelled := pickError(b.errs)
+	if failure != nil {
+		return failure
+	}
+	return cancelled
 }
 
 // RunRange executes fn over the index range [0, n), sharded into contiguous

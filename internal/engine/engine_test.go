@@ -130,6 +130,64 @@ func TestPoolContextCancellation(t *testing.T) {
 	}
 }
 
+// TestBatch checks the started-one-at-a-time pool: inline in start order at
+// one worker, bounded by the pool's width otherwise, and after a failure no
+// further unit begins, Failed reports it, and Wait returns the first real
+// failure in start order ahead of a bare cancellation.
+func TestBatch(t *testing.T) {
+	ctx := context.Background()
+	b := NewPool(1).Batch()
+	var order []int
+	for i := 0; i < 4; i++ {
+		b.Go(ctx, func(context.Context) error { order = append(order, i); return nil })
+		if len(order) != i+1 {
+			t.Fatalf("one-worker batch: unit %d not run inline", i)
+		}
+	}
+	if err := b.Wait(); err != nil || order[3] != 3 {
+		t.Fatalf("one-worker batch: order %v, err %v", order, err)
+	}
+
+	b = NewPool(2).Batch()
+	var running, peak atomic.Int32
+	release := make(chan struct{})
+	for i := 0; i < 6; i++ {
+		b.Go(ctx, func(context.Context) error {
+			n := running.Add(1)
+			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+			}
+			<-release
+			running.Add(-1)
+			return nil
+		})
+	}
+	close(release)
+	if err := b.Wait(); err != nil || peak.Load() > 2 {
+		t.Fatalf("two-worker batch: peak %d running, err %v", peak.Load(), err)
+	}
+
+	// At two workers a unit started first that ends in a bare cancellation
+	// ranks behind a later one's real failure.
+	boom := errors.New("boom")
+	for _, workers := range []int{1, 2} {
+		b := NewPool(workers).Batch()
+		gate := make(chan struct{})
+		var ran atomic.Int32
+		if workers > 1 {
+			b.Go(ctx, func(context.Context) error { <-gate; return context.Canceled })
+		}
+		b.Go(ctx, func(context.Context) error { return boom })
+		for !b.Failed() {
+			time.Sleep(time.Millisecond)
+		}
+		b.Go(ctx, func(context.Context) error { ran.Add(1); return nil })
+		close(gate)
+		if err := b.Wait(); err != boom || ran.Load() != 0 {
+			t.Fatalf("workers %d: err %v (want boom), %d units begun after the failure", workers, err, ran.Load())
+		}
+	}
+}
+
 func TestProductVarNames(t *testing.T) {
 	cases := []struct {
 		p    Product

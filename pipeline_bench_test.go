@@ -29,7 +29,7 @@ func pipelineDataset(nx int) *core.Dataset {
 	return &core.Dataset{Name: "dpot", Mesh: m, Data: data}
 }
 
-func benchPipeline(b *testing.B, workers int) {
+func benchPipeline(b *testing.B, workers int, read bool) {
 	b.Helper()
 	b.ReportAllocs()
 	ctx := context.Background()
@@ -44,6 +44,9 @@ func benchPipeline(b *testing.B, workers int) {
 		if _, err := core.Write(ctx, aio, ds, opts); err != nil {
 			b.Fatal(err)
 		}
+		if !read {
+			continue
+		}
 		rd, err := core.OpenReader(ctx, aio, "dpot")
 		if err != nil {
 			b.Fatal(err)
@@ -56,8 +59,18 @@ func benchPipeline(b *testing.B, workers int) {
 }
 
 func BenchmarkPipelineWriteRead(b *testing.B) {
-	b.Run("workers=1", func(b *testing.B) { benchPipeline(b, 1) })
+	b.Run("workers=1", func(b *testing.B) { benchPipeline(b, 1, true) })
 	b.Run(fmt.Sprintf("workers=%d", runtime.NumCPU()), func(b *testing.B) {
-		benchPipeline(b, runtime.NumCPU())
+		benchPipeline(b, runtime.NumCPU(), true)
+	})
+}
+
+// BenchmarkPipelineWrite times the write alone: the decimation chain, the
+// level units beside it and placement. At workers=1 the units run inline
+// between the chain's steps; at workers=NumCPU they overlap it.
+func BenchmarkPipelineWrite(b *testing.B) {
+	b.Run("workers=1", func(b *testing.B) { benchPipeline(b, 1, false) })
+	b.Run(fmt.Sprintf("workers=%d", runtime.NumCPU()), func(b *testing.B) {
+		benchPipeline(b, runtime.NumCPU(), false)
 	})
 }
