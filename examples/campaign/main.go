@@ -3,9 +3,10 @@
 // cannot all fit in the fast tier, so the middleware must migrate and evict
 // — "we believe data migration and eviction will play an integral part,
 // which needs to be developed in Canopus". This repository develops it
-// (storage.Hierarchy.Promote / Demote / EnsureRoom with LRU eviction), and
-// this example drives it with a realistic access pattern: a scientist
-// repeatedly explores a handful of recent timesteps while old ones go cold.
+// (storage.Hierarchy.Promote / Demote; a promotion first evicts LRU victims
+// to slower tiers), and this example drives it with a realistic access
+// pattern: a scientist repeatedly explores a handful of recent timesteps
+// while old ones go cold.
 package main
 
 import (

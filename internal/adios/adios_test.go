@@ -3,6 +3,7 @@ package adios
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -181,4 +182,13 @@ func TestTransportByName(t *testing.T) {
 	if _, err := TransportByName("rdma-magic"); err == nil {
 		t.Fatal("unknown method accepted")
 	}
+}
+
+// ReadFloats selectively reads one float64 variable.
+func (h *Handle) ReadFloats(name string, level int) ([]float64, error) {
+	v, ok := h.BP.Inq(name, level)
+	if !ok {
+		return nil, fmt.Errorf("adios: variable %s@%d not in container", name, level)
+	}
+	return h.BP.ReadFloats(v)
 }

@@ -4,13 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/engine"
-	"repro/internal/obs"
 )
-
-// evCacheEvict records each page eviction's storage key. A stream of
-// cache_evict events for one hot key is the "cache too small for the
-// working set" signal.
-var evCacheEvict = obs.RegisterEventType("cache_evict")
 
 // PageCache is an optional fixed-size read cache shared by every handle of
 // one IO: an engine.Cache of aligned pages keyed by (storage key, page
@@ -40,7 +34,7 @@ func NewPageCache(capacity, pageSize int64) *PageCache {
 	// Every page costs a whole pageSize, short tail pages included, so the
 	// cache holds capacity/pageSize pages whatever their lengths.
 	cost := func([]byte) int64 { return pageSize }
-	return &PageCache{pageSize, engine.NewCache[int64](capacity/pageSize*pageSize, cost, evCacheEvict)}
+	return &PageCache{pageSize, engine.NewCache[int64](capacity/pageSize*pageSize, cost)}
 }
 
 // Stats reports cache page hits and misses since construction.

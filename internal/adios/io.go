@@ -58,7 +58,7 @@ func NewIO(h *storage.Hierarchy, t Transport) *IO {
 		t = POSIX{}
 	}
 	one := func(*cachedIndex) int64 { return 1 }
-	return &IO{H: h, Transport: t, index: engine.NewCache[int64](math.MaxInt64, one, obs.EventType{})}
+	return &IO{H: h, Transport: t, index: engine.NewCache[int64](math.MaxInt64, one)}
 }
 
 // SetCache attaches a shared page cache to every handle subsequently opened
@@ -313,17 +313,12 @@ func (h *Handle) InqVar(name string, level int) (bp.VarInfo, bool) {
 	return h.BP.Inq(name, level)
 }
 
-// Attr looks up a file-level attribute from the parsed BP index. Attributes
-// travel with the footer/index extents an Open already fetched, so reading
-// them moves no additional bytes.
-func (h *Handle) Attr(key string) (string, bool) {
-	return h.BP.Attr(key)
-}
-
 // AttrFloat parses a float64 file-level attribute (the retrieval planner's
-// per-level error bounds are persisted this way). The second result is false
-// when the attribute is absent or malformed — callers treat both as "not
-// recorded" so legacy containers keep opening cleanly.
+// per-level error bounds are persisted this way). Attributes travel with the
+// footer/index extents an Open already fetched, so reading them moves no
+// additional bytes. The second result is false when the attribute is absent
+// or malformed — callers treat both as "not recorded" so legacy containers
+// keep opening cleanly.
 func (h *Handle) AttrFloat(key string) (float64, bool) {
 	s, ok := h.BP.Attr(key)
 	if !ok {
@@ -359,15 +354,6 @@ func (h *Handle) ReadBytes(name string, level int) ([]byte, error) {
 		return nil, fmt.Errorf("adios: variable %s@%d not in container", name, level)
 	}
 	return h.BP.ReadBytes(v)
-}
-
-// ReadFloats selectively reads one float64 variable.
-func (h *Handle) ReadFloats(name string, level int) ([]float64, error) {
-	v, ok := h.BP.Inq(name, level)
-	if !ok {
-		return nil, fmt.Errorf("adios: variable %s@%d not in container", name, level)
-	}
-	return h.BP.ReadFloats(v)
 }
 
 // ReadManyBytes fetches several variables' payloads in one planned pass:

@@ -62,7 +62,7 @@ func (r *Runner) fig4App(ds *core.Dataset) error {
 		if err != nil {
 			return err
 		}
-		d, err := delta.Compute(context.Background(), lv[l].mesh, lv[l].data, lv[l+1].mesh, lv[l+1].data, mp, delta.MeanEstimator{})
+		d, err := delta.ComputeInto(context.Background(), nil, lv[l].mesh, lv[l].data, lv[l+1].mesh, lv[l+1].data, mp, delta.MeanEstimator{}, nil)
 		if err != nil {
 			return err
 		}

@@ -64,7 +64,7 @@ func (r *Runner) Fig6b() error {
 	if err != nil {
 		return err
 	}
-	d, err := delta.Compute(context.Background(), ds.Mesh, ds.Data, dec.Coarse, dec.Data, mp, delta.MeanEstimator{})
+	d, err := delta.ComputeInto(context.Background(), nil, ds.Mesh, ds.Data, dec.Coarse, dec.Data, mp, delta.MeanEstimator{}, nil)
 	if err != nil {
 		return err
 	}

@@ -133,34 +133,6 @@ func (r *bitReader) fill() {
 	}
 }
 
-// refillWord tops cur up from the stream a whole 64-bit word at a time,
-// leaving at least 57 buffered bits whenever the stream still has them. It
-// is the batch decoder's refill: one unaligned load and two shifts replace
-// up to seven byte-sized iterations of fill. Bits of the loaded word beyond
-// cur's free space are discarded and re-read by the next refill (pos only
-// advances over fully-accepted bytes), so the consumed stream is identical
-// to fill's. Falls back to fill near the end of the buffer.
-func (r *bitReader) refillWord() {
-	if r.pos+8 <= len(r.buf) && r.n <= 56 {
-		w := binary.LittleEndian.Uint64(r.buf[r.pos:])
-		r.cur |= w << r.n
-		k := (63 - r.n) >> 3
-		r.pos += int(k)
-		r.n += k * 8
-		return
-	}
-	r.fill()
-}
-
-// take consumes k buffered bits without bounds checks. Callers must
-// guarantee k <= r.n (and hence k <= 63).
-func (r *bitReader) take(k uint) uint64 {
-	v := r.cur & (1<<k - 1)
-	r.cur >>= k
-	r.n -= k
-	return v
-}
-
 func (r *bitReader) readBit() (uint64, error) {
 	if r.n == 0 {
 		r.fill()

@@ -30,11 +30,11 @@ import (
 //
 // ChunkedEncode returns a plain v1 codec stream when the input fits in one
 // chunk, so small products (delta tiles, coarse levels) pay zero framing
-// overhead, and readers must sniff: ChunkedDecode falls back to the plain
-// codec when the magic is absent. The raw codec is the one v1 format with no
-// magic of its own; a raw v1 payload whose first 4 bytes collide with "CCK2"
-// (probability 2^-32 on float data) fails the strict header validation below
-// and is rejected loudly rather than misread.
+// overhead, and readers must sniff: ChunkedDecodeInto falls back to the
+// plain codec when the magic is absent. The raw codec is the one v1 format
+// with no magic of its own; a raw v1 payload whose first 4 bytes collide
+// with "CCK2" (probability 2^-32 on float data) fails the strict header
+// validation below and is rejected loudly rather than misread.
 //
 // Chunk bitstreams are assembled in index order regardless of which worker
 // encoded them, so the stored bytes are identical at every worker count.
@@ -49,8 +49,8 @@ const (
 )
 
 // IsChunkedFrame reports whether data starts with the v2 container magic.
-// It is a sniff, not a validation — ChunkedDecode still rejects frames whose
-// headers do not check out.
+// It is a sniff, not a validation — ChunkedDecodeInto still rejects frames
+// whose headers do not check out.
 func IsChunkedFrame(data []byte) bool {
 	return len(data) >= 4 && binary.LittleEndian.Uint32(data) == chunkedMagic
 }
@@ -106,16 +106,12 @@ func ChunkedEncode(ctx context.Context, pool *engine.Pool, c Codec, vals []float
 	return out, nil
 }
 
-// ChunkedDecode reverses ChunkedEncode: framed payloads decode chunk-wise
-// (concurrently on pool), plain v1 payloads fall through to c.Decode.
-func ChunkedDecode(ctx context.Context, pool *engine.Pool, c Codec, data []byte) ([]float64, error) {
-	return ChunkedDecodeInto(ctx, pool, c, nil, data)
-}
-
-// ChunkedDecodeInto is ChunkedDecode with dst reuse, mirroring
-// Codec.DecodeInto. Each chunk decodes directly into its slot of the output
-// slice, so a framed decode performs no per-chunk output allocations, and
-// results are bit-identical at every worker count.
+// ChunkedDecodeInto reverses ChunkedEncode, reusing dst like
+// Codec.DecodeInto (dst may be nil): framed payloads decode chunk-wise
+// (concurrently on pool; a nil pool runs serially), plain v1 payloads fall
+// through to c.DecodeInto. Each chunk decodes directly into its slot of the
+// output slice, so a framed decode performs no per-chunk output
+// allocations, and results are bit-identical at every worker count.
 func ChunkedDecodeInto(ctx context.Context, pool *engine.Pool, c Codec, dst []float64, data []byte) ([]float64, error) {
 	if !IsChunkedFrame(data) {
 		return c.DecodeInto(dst, data)

@@ -20,7 +20,7 @@ func allCodecs(t *testing.T) []Codec {
 
 // v1ChunkwiseDecode is the reference semantics of a v2 frame: encode each
 // chunk independently with the plain codec, decode it back, concatenate.
-// ChunkedDecode of a ChunkedEncode frame must match it bit-exactly.
+// ChunkedDecodeInto of a ChunkedEncode frame must match it bit-exactly.
 func v1ChunkwiseDecode(t *testing.T, c Codec, vals []float64, chunkSize int) []float64 {
 	t.Helper()
 	out := make([]float64, 0, len(vals))
@@ -33,7 +33,7 @@ func v1ChunkwiseDecode(t *testing.T, c Codec, vals []float64, chunkSize int) []f
 		if err != nil {
 			t.Fatalf("%s: v1 encode chunk at %d: %v", c.Name(), lo, err)
 		}
-		dec, err := c.Decode(enc)
+		dec, err := c.DecodeInto(nil, enc)
 		if err != nil {
 			t.Fatalf("%s: v1 decode chunk at %d: %v", c.Name(), lo, err)
 		}
@@ -66,7 +66,7 @@ func TestChunkedRoundTrip(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s cs=%d n=%d: encode: %v", c.Name(), cs, n, err)
 				}
-				got, err := ChunkedDecode(ctx, nil, c, frame)
+				got, err := ChunkedDecodeInto(ctx, nil, c, nil, frame)
 				if err != nil {
 					t.Fatalf("%s cs=%d n=%d: decode: %v", c.Name(), cs, n, err)
 				}
@@ -100,7 +100,7 @@ func TestChunkedWorkerInvariance(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s pool %d: encode: %v", c.Name(), pi, err)
 			}
-			dec, err := ChunkedDecode(ctx, pool, c, frame)
+			dec, err := ChunkedDecodeInto(ctx, pool, c, nil, frame)
 			if err != nil {
 				t.Fatalf("%s pool %d: decode: %v", c.Name(), pi, err)
 			}
@@ -128,7 +128,7 @@ func TestChunkedTypedNilPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ChunkedDecode(ctx, pool, Raw{}, frame)
+	got, err := ChunkedDecodeInto(ctx, pool, Raw{}, nil, frame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestChunkedTypedNilPool(t *testing.T) {
 	}
 }
 
-// TestChunkedV1Fallback: plain v1 payloads must decode through ChunkedDecode
+// TestChunkedV1Fallback: plain v1 payloads must decode through ChunkedDecodeInto
 // bit-exactly as through the codec itself — old containers keep working.
 func TestChunkedV1Fallback(t *testing.T) {
 	ctx := context.Background()
@@ -147,13 +147,13 @@ func TestChunkedV1Fallback(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name(), err)
 		}
-		want, err := c.Decode(enc)
+		want, err := c.DecodeInto(nil, enc)
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name(), err)
 		}
-		got, err := ChunkedDecode(ctx, nil, c, enc)
+		got, err := ChunkedDecodeInto(ctx, nil, c, nil, enc)
 		if err != nil {
-			t.Fatalf("%s: ChunkedDecode of v1 payload: %v", c.Name(), err)
+			t.Fatalf("%s: ChunkedDecodeInto of v1 payload: %v", c.Name(), err)
 		}
 		if !bitEqual(got, want) {
 			t.Fatalf("%s: v1 fallback decode differs from codec decode", c.Name())
@@ -198,12 +198,12 @@ func TestChunkedCorruptFrames(t *testing.T) {
 	// truncations must error (the magic alone survives truncation to < 4
 	// bytes: that is a v1 fallback, exercised separately).
 	for cut := 4; cut < 64 && cut < len(frame); cut++ {
-		if _, err := ChunkedDecode(ctx, nil, Raw{}, frame[:cut]); err == nil {
+		if _, err := ChunkedDecodeInto(ctx, nil, Raw{}, nil, frame[:cut]); err == nil {
 			t.Fatalf("truncation to %d bytes decoded successfully", cut)
 		}
 	}
 	for _, cut := range []int{len(frame) - 1, len(frame) - 100, len(frame) / 2} {
-		if _, err := ChunkedDecode(ctx, nil, Raw{}, frame[:cut]); err == nil {
+		if _, err := ChunkedDecodeInto(ctx, nil, Raw{}, nil, frame[:cut]); err == nil {
 			t.Fatalf("truncation to %d bytes decoded successfully", cut)
 		}
 	}
@@ -222,7 +222,7 @@ func TestChunkedCorruptFrames(t *testing.T) {
 		"length mismatch": mutate(func(b []byte) { b[9]++ }),
 	}
 	for name, b := range cases {
-		if _, err := ChunkedDecode(ctx, nil, Raw{}, b); err == nil {
+		if _, err := ChunkedDecodeInto(ctx, nil, Raw{}, nil, b); err == nil {
 			t.Fatalf("%s: corrupt frame decoded successfully", name)
 		}
 	}
@@ -254,7 +254,7 @@ func TestChunkedCorruptFrames(t *testing.T) {
 		return s
 	}()
 	bad := append(hdr, frame[payloadStart:len(frame)-8]...)
-	if _, err := ChunkedDecode(ctx, nil, Raw{}, bad); err == nil {
+	if _, err := ChunkedDecodeInto(ctx, nil, Raw{}, nil, bad); err == nil {
 		t.Fatal("frame with short last chunk decoded successfully")
 	}
 }
@@ -328,7 +328,7 @@ func FuzzChunkedRoundTrip(f *testing.F) {
 			if err != nil {
 				t.Fatalf("%s: encode: %v", c.Name(), err)
 			}
-			got, err := ChunkedDecode(ctx, nil, c, frame)
+			got, err := ChunkedDecodeInto(ctx, nil, c, nil, frame)
 			if err != nil {
 				t.Fatalf("%s: decode: %v", c.Name(), err)
 			}
@@ -352,7 +352,7 @@ func FuzzChunkedDecode(f *testing.F) {
 	f.Add(frame[:len(frame)-5])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, c := range codecs {
-			vals, err := ChunkedDecode(ctx, nil, c, data)
+			vals, err := ChunkedDecodeInto(ctx, nil, c, nil, data)
 			if err == nil && len(vals) > len(data)*64+64 {
 				t.Fatalf("%s: decoded %d values from %d bytes", c.Name(), len(vals), len(data))
 			}

@@ -16,8 +16,8 @@
 //     purpose baseline the paper compares against implicitly).
 //   - raw:   identity codec, for accounting baselines.
 //
-// All codecs serialize to self-describing byte slices: Decode never needs
-// out-of-band parameters.
+// All codecs serialize to self-describing byte slices: DecodeInto never
+// needs out-of-band parameters.
 //
 // Two layers serve the hot read path on top of the plain codecs:
 //
@@ -43,19 +43,12 @@ type Codec interface {
 	Name() string
 	// Encode compresses vals into a self-describing byte stream.
 	Encode(vals []float64) ([]byte, error)
-	// Decode reverses Encode.
-	Decode(data []byte) ([]float64, error)
-	// DecodeInto reverses Encode like Decode, but reuses dst's backing
-	// array when its capacity suffices, allocating only when the stored
-	// value count needs more room. It returns the decoded values
+	// DecodeInto reverses Encode, reusing dst's backing array when its
+	// capacity suffices and allocating only when the stored value count
+	// needs more room (dst may be nil). It returns the decoded values
 	// (len == stored count); the contents of dst beyond that length are
-	// unspecified. DecodeInto(nil, data) is equivalent to Decode(data).
+	// unspecified.
 	DecodeInto(dst []float64, data []byte) ([]float64, error)
-	// Lossless reports whether Decode(Encode(x)) == x bit-for-bit.
-	Lossless() bool
-	// ErrorBound returns the maximum absolute per-sample error a lossy
-	// codec may introduce (0 for lossless codecs).
-	ErrorBound() float64
 }
 
 // ErrNonFinite is returned when a lossy codec receives NaN or ±Inf, which
@@ -91,9 +84,6 @@ func New(name string, tol float64) (Codec, error) {
 		return nil, fmt.Errorf("compress: unknown codec %q", name)
 	}
 }
-
-// Names lists the registered codec names.
-func Names() []string { return []string{"zfp", "sz", "fpc", "flate", "raw"} }
 
 // sizeFloats returns dst resized to n values, reusing its backing array when
 // possible. It is the single growth policy behind every DecodeInto.
@@ -139,11 +129,6 @@ func floatsToBytesInto(dst []byte, vals []float64) []byte {
 	return dst
 }
 
-// bytesToFloats reverses floatsToBytes.
-func bytesToFloats(data []byte) ([]float64, error) {
-	return bytesToFloatsInto(nil, data)
-}
-
 // bytesToFloatsInto reverses floatsToBytes into dst's backing array when its
 // capacity suffices — the allocation-free half of every lossless DecodeInto.
 func bytesToFloatsInto(dst []float64, data []byte) ([]float64, error) {
@@ -164,20 +149,9 @@ type Raw struct{}
 // Name implements Codec.
 func (Raw) Name() string { return "raw" }
 
-// Lossless implements Codec.
-func (Raw) Lossless() bool { return true }
-
-// ErrorBound implements Codec.
-func (Raw) ErrorBound() float64 { return 0 }
-
 // Encode implements Codec.
 func (Raw) Encode(vals []float64) ([]byte, error) {
 	return floatsToBytes(vals), nil
-}
-
-// Decode implements Codec.
-func (Raw) Decode(data []byte) ([]float64, error) {
-	return bytesToFloats(data)
 }
 
 // DecodeInto implements Codec.

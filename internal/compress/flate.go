@@ -23,12 +23,6 @@ func NewFlate() *Flate { return &Flate{} }
 // Name implements Codec.
 func (*Flate) Name() string { return "flate" }
 
-// Lossless implements Codec.
-func (*Flate) Lossless() bool { return true }
-
-// ErrorBound implements Codec.
-func (*Flate) ErrorBound() float64 { return 0 }
-
 const flateMagic = 0x31464c43 // "CLF1"
 
 // flateWriterPool recycles DEFLATE encoder state (window, hash chains)
@@ -82,11 +76,6 @@ func (*Flate) Encode(vals []float64) ([]byte, error) {
 		return nil, fmt.Errorf("compress: flate: %w", err)
 	}
 	return out.Bytes(), nil
-}
-
-// Decode implements Codec.
-func (f *Flate) Decode(data []byte) ([]float64, error) {
-	return f.DecodeInto(nil, data)
 }
 
 // DecodeInto implements Codec. The inflated byte image lives in a pooled

@@ -38,12 +38,6 @@ func NewFPC(tableLog uint) *FPC {
 // Name implements Codec.
 func (f *FPC) Name() string { return "fpc" }
 
-// Lossless implements Codec.
-func (f *FPC) Lossless() bool { return true }
-
-// ErrorBound implements Codec.
-func (f *FPC) ErrorBound() float64 { return 0 }
-
 const fpcMagic = 0x31435046 // "FPC1"
 
 // fpcPredictor holds the shared FCM/DFCM state. Encode and Decode must
@@ -185,11 +179,6 @@ func (f *FPC) Encode(vals []float64) ([]byte, error) {
 	out = append(out, headers...)
 	out = append(out, residuals...)
 	return out, nil
-}
-
-// Decode implements Codec.
-func (f *FPC) Decode(data []byte) ([]float64, error) {
-	return f.DecodeInto(nil, data)
 }
 
 // DecodeInto implements Codec. Predictor tables come from a pool, so a warm

@@ -36,7 +36,7 @@ func FuzzZFPDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		vals, err := z.Decode(data)
+		vals, err := z.DecodeInto(nil, data)
 		if err == nil {
 			// A successful decode must produce finite-sized output
 			// with plausible magnitudes for re-encoding.
@@ -54,7 +54,7 @@ func FuzzSZDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sz.Decode(data) //nolint:errcheck // must not panic
+		sz.DecodeInto(nil, data) //nolint:errcheck // must not panic
 	})
 }
 
@@ -62,7 +62,7 @@ func FuzzFPCDecode(f *testing.F) {
 	seedCorpus(f)
 	c := NewFPC(8)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		c.Decode(data) //nolint:errcheck // must not panic
+		c.DecodeInto(nil, data) //nolint:errcheck // must not panic
 	})
 }
 
@@ -70,7 +70,7 @@ func FuzzFlateDecode(f *testing.F) {
 	seedCorpus(f)
 	c := NewFlate()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		c.Decode(data) //nolint:errcheck // must not panic
+		c.DecodeInto(nil, data) //nolint:errcheck // must not panic
 	})
 }
 
@@ -110,7 +110,7 @@ func FuzzZFPRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := z.Decode(enc)
+		got, err := z.DecodeInto(nil, enc)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -36,12 +36,6 @@ func NewSZ(eb float64) (*SZ, error) {
 // Name implements Codec.
 func (s *SZ) Name() string { return "sz" }
 
-// Lossless implements Codec.
-func (s *SZ) Lossless() bool { return false }
-
-// ErrorBound implements Codec.
-func (s *SZ) ErrorBound() float64 { return s.eb }
-
 const (
 	szMagic = 0x315a5343 // "CSZ1"
 	// szEscape marks a literal sample in the code stream. Valid codes are
@@ -107,11 +101,6 @@ func (s *SZ) Encode(vals []float64) ([]byte, error) {
 		return nil, fmt.Errorf("compress: sz flate: %w", err)
 	}
 	return out.Bytes(), nil
-}
-
-// Decode implements Codec.
-func (s *SZ) Decode(data []byte) ([]float64, error) {
-	return s.DecodeInto(nil, data)
 }
 
 // DecodeInto implements Codec. The inflated payload lives in a pooled

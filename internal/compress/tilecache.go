@@ -1,9 +1,6 @@
 package compress
 
-import (
-	"repro/internal/engine"
-	"repro/internal/obs"
-)
+import "repro/internal/engine"
 
 // TileCache is an optional byte-budgeted cache of *decoded* tiles, shared
 // across requests: repeated analytics over the same region pay the bit-plane
@@ -40,14 +37,11 @@ const BaseTile = -1
 // It holds at least one tile regardless of capacity.
 func NewTileCache(capacity int64) *TileCache {
 	cost := func(vals []float64) int64 { return 8 * int64(len(vals)) }
-	return &TileCache{tiles: engine.NewCache[tileKey](capacity, cost, obs.EventType{})}
+	return &TileCache{tiles: engine.NewCache[tileKey](capacity, cost)}
 }
 
 // Stats reports tile hits and misses since construction.
 func (c *TileCache) Stats() (hits, misses int64) { return c.tiles.Stats() }
-
-// SizeBytes reports the bytes of decoded values currently held.
-func (c *TileCache) SizeBytes() int64 { return c.tiles.Size() }
 
 // Invalidate drops every cached tile of one storage key. Writers call it
 // when a key is overwritten so readers never see stale decoded values.

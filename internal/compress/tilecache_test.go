@@ -267,3 +267,6 @@ func TestTileCacheConcurrentInvalidate(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// SizeBytes reports the bytes of decoded values currently held.
+func (c *TileCache) SizeBytes() int64 { return c.tiles.Size() }

@@ -50,12 +50,6 @@ func NewZFP(tol float64) (*ZFP, error) {
 // Name implements Codec.
 func (z *ZFP) Name() string { return "zfp" }
 
-// Lossless implements Codec.
-func (z *ZFP) Lossless() bool { return false }
-
-// ErrorBound implements Codec.
-func (z *ZFP) ErrorBound() float64 { return z.tol }
-
 const (
 	zfpMagic = 0x31465a43 // "CZF1"
 	// zfpQ is the fixed-point precision: samples scale to integers of
@@ -284,11 +278,6 @@ func decodePlane(r *bitReader, n *uint) (uint64, error) {
 		}
 	}
 	return x, nil
-}
-
-// Decode implements Codec.
-func (z *ZFP) Decode(data []byte) ([]float64, error) {
-	return z.DecodeInto(nil, data)
 }
 
 // parseZFPHeader validates the stream header shared by the batch and scalar

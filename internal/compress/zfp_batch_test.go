@@ -360,7 +360,7 @@ func FuzzZFPBatchEncodeVsScalar(f *testing.F) {
 			t.Fatalf("tol=%g, %d values: batch stream (%d bytes) differs from scalar (%d bytes) at byte %d",
 				tol, len(vals), len(batch), len(scalar), at)
 		}
-		got, err := z.Decode(batch)
+		got, err := z.DecodeInto(nil, batch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -384,7 +384,7 @@ func TestZFPTinyMagnitudesWithinBound(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := z.Decode(enc)
+			got, err := z.DecodeInto(nil, enc)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -120,13 +120,6 @@ type Options struct {
 	// disables framing and stores plain v1 codec streams. Readers sniff the
 	// frame magic, so either setting reads archives written with the other.
 	CodecChunk int
-	// Degrade is a read-side option (honored by OpenReaderWith and
-	// OpenSeriesReaderWith; nothing is persisted at write time): when a
-	// delta level is corrupt or its tier stays unreachable after the
-	// storage layer's retries, return the best accuracy actually achieved
-	// with a Degradation report attached instead of failing the retrieval.
-	// The base level has no coarser fallback, so its failures still error.
-	Degrade bool
 }
 
 func (o Options) withDefaults() Options {

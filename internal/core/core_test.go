@@ -329,7 +329,11 @@ func TestRawBaseline(t *testing.T) {
 	if rep.Placements[0].TierName != "lustre" {
 		t.Fatalf("raw baseline placed on %s, want slowest tier", rep.Placements[0].TierName)
 	}
-	v, err := ReadRaw(context.Background(), aio, "x")
+	rr, err := OpenRawReader(aio, "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := rr.Retrieve(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,15 +473,14 @@ func TestWriteReportAccounting(t *testing.T) {
 
 func TestPhaseTimings(t *testing.T) {
 	a := PhaseTimings{DecimateSeconds: 1, DeltaSeconds: 2, CompressSeconds: 3,
-		DecompressSeconds: 4, RestoreSeconds: 5, IOSeconds: 6, IOBytes: 7}
+		DecompressSeconds: 4, RestoreSeconds: 5, IOSeconds: 6, IOBytes: 7, IORealBytes: 8}
 	var b PhaseTimings
 	b.Add(a)
 	b.Add(a)
-	if b.TotalSeconds() != 2*a.TotalSeconds() || b.IOBytes != 14 {
-		t.Fatalf("accumulated = %+v", b)
-	}
-	if a.TotalSeconds() != 21 {
-		t.Fatalf("TotalSeconds = %g", a.TotalSeconds())
+	want := PhaseTimings{DecimateSeconds: 2, DeltaSeconds: 4, CompressSeconds: 6,
+		DecompressSeconds: 8, RestoreSeconds: 10, IOSeconds: 12, IOBytes: 14, IORealBytes: 16}
+	if b != want {
+		t.Fatalf("accumulated = %+v, want %+v", b, want)
 	}
 }
 

@@ -194,10 +194,11 @@ func TestSubscribeTerminalViewCarriesCost(t *testing.T) {
 func TestDegradationEventAndCost(t *testing.T) {
 	ds := testDataset("dpot", 24)
 	aio := faultedIO(t, ds, Options{Levels: 3}, "seed=1,tier=lustre,read.err=1")
-	rd, err := OpenReaderWith(context.Background(), aio, "dpot", Options{Degrade: true})
+	rd, err := OpenReader(context.Background(), aio, "dpot")
 	if err != nil {
 		t.Fatal(err)
 	}
+	rd.SetDegrade(true)
 	start := obs.LastEventSeq()
 	v, err := rd.Retrieve(context.Background(), 0)
 	if err != nil {

@@ -13,7 +13,7 @@ import (
 // usable base plus per-level deltas means a broken or unreachable delta
 // does not have to fail a retrieval: every level already restored is a
 // complete, valid view at its own accuracy. With degradation enabled
-// (Options.Degrade at open, or SetDegrade on a live reader) the read paths
+// (SetDegrade on an open reader) the read paths
 // stop at the best accuracy actually achieved and attach a Degradation
 // report instead of returning an error — the paper's accuracy-for-latency
 // elasticity repurposed for availability. The base level itself has nothing

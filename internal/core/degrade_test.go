@@ -13,7 +13,7 @@ import (
 )
 
 // Degradation acceptance tests: with a fault spec injecting 100% read
-// failure on the delta tier, a Retrieve with Options.Degrade returns the
+// failure on the delta tier, a Retrieve with SetDegrade(true) returns the
 // base-accuracy result with a populated Degradation report; without it, the
 // same retrieval returns a typed storage error.
 
@@ -53,10 +53,11 @@ func TestRetrieveDegradesToBaseUnderTierFault(t *testing.T) {
 	}
 
 	// With Degrade the same retrieval lands on the base with a report.
-	rd, err = OpenReaderWith(context.Background(), aio, "dpot", Options{Degrade: true})
+	rd, err = OpenReader(context.Background(), aio, "dpot")
 	if err != nil {
 		t.Fatal(err)
 	}
+	rd.SetDegrade(true)
 	v, err := rd.Retrieve(context.Background(), 0)
 	if err != nil {
 		t.Fatalf("degraded Retrieve: %v", err)
@@ -101,10 +102,11 @@ func TestRetrieveDegradePartialRefinement(t *testing.T) {
 	if err := aio.H.Delete(levelKey("dpot", 0)); err != nil {
 		t.Fatal(err)
 	}
-	rd, err := OpenReaderWith(context.Background(), aio, "dpot", Options{Degrade: true})
+	rd, err := OpenReader(context.Background(), aio, "dpot")
 	if err != nil {
 		t.Fatal(err)
 	}
+	rd.SetDegrade(true)
 	v, err := rd.Retrieve(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -141,10 +143,11 @@ func TestBaseFailureStillErrorsUnderDegrade(t *testing.T) {
 	}
 	// Open before injecting: the metadata container lives on the faulted
 	// tier too, and the reader needs it to get as far as the base read.
-	rd, err := OpenReaderWith(context.Background(), aio, "dpot", Options{Degrade: true})
+	rd, err := OpenReader(context.Background(), aio, "dpot")
 	if err != nil {
 		t.Fatal(err)
 	}
+	rd.SetDegrade(true)
 	if n, err := aio.H.InjectFaults("seed=7,read.err=1"); err != nil || n == 0 {
 		t.Fatalf("InjectFaults = %d, %v", n, err)
 	}
@@ -156,10 +159,11 @@ func TestBaseFailureStillErrorsUnderDegrade(t *testing.T) {
 func TestDirectRetrieveDegrades(t *testing.T) {
 	ds := testDataset("dpot", 24)
 	aio := faultedIO(t, ds, Options{Levels: 3, Mode: ModeDirect}, "seed=3,tier=lustre,read.err=1")
-	rd, err := OpenReaderWith(context.Background(), aio, "dpot", Options{Degrade: true})
+	rd, err := OpenReader(context.Background(), aio, "dpot")
 	if err != nil {
 		t.Fatal(err)
 	}
+	rd.SetDegrade(true)
 	v, err := rd.Retrieve(context.Background(), 0)
 	if err != nil {
 		t.Fatalf("degraded direct Retrieve: %v", err)
@@ -178,10 +182,11 @@ func TestDirectRetrieveDegrades(t *testing.T) {
 func TestRegionRetrieveDegrades(t *testing.T) {
 	ds := testDataset("dpot", 24)
 	aio := faultedIO(t, ds, Options{Levels: 3, Chunks: 4}, "seed=5,tier=lustre,read.err=1")
-	rd, err := OpenReaderWith(context.Background(), aio, "dpot", Options{Degrade: true})
+	rd, err := OpenReader(context.Background(), aio, "dpot")
 	if err != nil {
 		t.Fatal(err)
 	}
+	rd.SetDegrade(true)
 	v, err := rd.RetrieveRegion(context.Background(), 0, 0.2, 0.2, 0.6, 0.6)
 	if err != nil {
 		t.Fatalf("degraded RetrieveRegion: %v", err)
@@ -216,10 +221,11 @@ func TestSeriesRetrieveStepDegrades(t *testing.T) {
 		t.Fatalf("InjectFaults = %d, %v", n, err)
 	}
 
-	sr, err := OpenSeriesReaderWith(context.Background(), aio, "dpot", Options{Degrade: true})
+	sr, err := OpenSeriesReader(context.Background(), aio, "dpot")
 	if err != nil {
 		t.Fatal(err)
 	}
+	sr.SetDegrade(true)
 	v, err := sr.RetrieveStep(context.Background(), 0, 0)
 	if err != nil {
 		t.Fatalf("degraded RetrieveStep: %v", err)
@@ -242,10 +248,11 @@ func TestDegradeDoesNotAbsorbCancellation(t *testing.T) {
 	if _, err := Write(context.Background(), aio, ds, Options{Levels: 3}); err != nil {
 		t.Fatal(err)
 	}
-	rd, err := OpenReaderWith(context.Background(), aio, "dpot", Options{Degrade: true})
+	rd, err := OpenReader(context.Background(), aio, "dpot")
 	if err != nil {
 		t.Fatal(err)
 	}
+	rd.SetDegrade(true)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := rd.Retrieve(ctx, 0); !errors.Is(err, context.Canceled) {
@@ -366,10 +373,11 @@ func TestCorruptDeltaDegradesCleanly(t *testing.T) {
 	if err := backend.Put(key, raw); err != nil {
 		t.Fatal(err)
 	}
-	rd, err := OpenReaderWith(context.Background(), aio, "dpot", Options{Degrade: true})
+	rd, err := OpenReader(context.Background(), aio, "dpot")
 	if err != nil {
 		t.Fatal(err)
 	}
+	rd.SetDegrade(true)
 	v, err := rd.Retrieve(context.Background(), 0)
 	if err != nil {
 		t.Fatalf("degraded Retrieve over corrupt delta: %v", err)
@@ -392,10 +400,11 @@ func TestRegionDegradesOnCorruptTile(t *testing.T) {
 	if _, err := Write(ctx, aio, ds, Options{Levels: 3, Chunks: 4}); err != nil {
 		t.Fatal(err)
 	}
-	rd, err := OpenReaderWith(ctx, aio, "dpot", Options{Degrade: true})
+	rd, err := OpenReader(ctx, aio, "dpot")
 	if err != nil {
 		t.Fatal(err)
 	}
+	rd.SetDegrade(true)
 	// Warm the geometry and the parsed container index.
 	if _, err := rd.Retrieve(ctx, 0); err != nil {
 		t.Fatal(err)

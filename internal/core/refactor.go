@@ -90,12 +90,6 @@ func (t *PhaseTimings) addHandleIO(ctx context.Context, h *adios.Handle) {
 	obs.RequestFrom(ctx).AddCache(h.CacheStats())
 }
 
-// TotalSeconds sums every phase.
-func (t PhaseTimings) TotalSeconds() float64 {
-	return t.DecimateSeconds + t.DeltaSeconds + t.CompressSeconds +
-		t.DecompressSeconds + t.RestoreSeconds + t.IOSeconds
-}
-
 // WriteReport summarizes one refactor-and-store pass.
 type WriteReport struct {
 	Name   string

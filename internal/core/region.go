@@ -34,7 +34,7 @@ type RegionView struct {
 	// predates bound recording.
 	ErrorBound float64
 	// Degradation is non-nil when the view stopped short of the requested
-	// accuracy under Options.Degrade; Level then equals AchievedLevel.
+	// accuracy under SetDegrade; Level then equals AchievedLevel.
 	Degradation *Degradation
 	// Cost is the request-scoped bill for the RetrieveRegion call that
 	// produced this view (see View.Cost).

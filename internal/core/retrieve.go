@@ -152,9 +152,12 @@ func openArchive(ctx context.Context, aio *adios.IO, name string, campaign bool)
 	return a, attr, nil
 }
 
-// SetDegrade toggles graceful degradation on the reader (see
-// Options.Degrade). Safe to call concurrently with retrievals; in-flight
-// retrievals may use either setting.
+// SetDegrade toggles graceful degradation on the reader: when a delta
+// level is corrupt or its tier stays unreachable after the storage layer's
+// retries, reads return the best accuracy actually achieved with a
+// Degradation report attached instead of failing. The base level has no
+// coarser fallback, so its failures still error. Safe to call concurrently
+// with retrievals; in-flight retrievals may use either setting.
 func (a *archive) SetDegrade(on bool) {
 	a.mu.Lock()
 	a.degrade = on
@@ -191,18 +194,6 @@ func (a *archive) Tolerance() float64 { return a.tolerance }
 // loaded are kept for its lifetime, so reopen it after the variable is
 // rewritten.
 type Reader struct{ *archive }
-
-// OpenReaderWith loads the metadata for a refactored variable and applies
-// the read-side options (currently only opts.Degrade; layout options come
-// from the stored metadata, not from opts).
-func OpenReaderWith(ctx context.Context, aio *adios.IO, name string, opts Options) (*Reader, error) {
-	r, err := OpenReader(ctx, aio, name)
-	if err != nil {
-		return nil, err
-	}
-	r.SetDegrade(opts.Degrade)
-	return r, nil
-}
 
 // OpenReader loads the metadata for a refactored variable.
 func OpenReader(ctx context.Context, aio *adios.IO, name string) (*Reader, error) {
@@ -241,7 +232,7 @@ type View struct {
 	// except at full accuracy where the codec tolerance is still known.
 	ErrorBound float64
 	// Degradation is non-nil when the view stopped short of the requested
-	// accuracy under Options.Degrade; Level then equals AchievedLevel.
+	// accuracy under SetDegrade; Level then equals AchievedLevel.
 	Degradation *Degradation
 	// Cost is the request-scoped bill for the Retrieve / RetrieveToTolerance
 	// / RetrieveStep call that produced this view: per-tier reads and
@@ -259,10 +250,10 @@ type View struct {
 func decodeProduct(ctx context.Context, pool *engine.Pool, codec compress.Codec, h *adios.Handle, level int, payload []byte) ([]float64, error) {
 	tc := h.TileCache()
 	if tc == nil {
-		return compress.ChunkedDecode(ctx, pool, codec, payload)
+		return compress.ChunkedDecodeInto(ctx, pool, codec, nil, payload)
 	}
 	vals, hit, err := tc.GetOrDecode(h.Key(), level, compress.BaseTile, func() ([]float64, error) {
-		return compress.ChunkedDecode(ctx, pool, codec, payload)
+		return compress.ChunkedDecodeInto(ctx, pool, codec, nil, payload)
 	})
 	if err != nil {
 		return nil, err
@@ -898,20 +889,11 @@ func (r *RawReader) Retrieve(ctx context.Context) (*View, error) {
 	if err != nil {
 		return nil, err
 	}
-	data, err := compress.Raw{}.Decode(raw)
+	data, err := compress.Raw{}.DecodeInto(nil, raw)
 	if err != nil {
 		return nil, err
 	}
 	v := &View{Level: 0, Mesh: m, Data: data}
 	v.Timings.addHandleIO(ctx, h)
 	return v, nil
-}
-
-// ReadRaw retrieves the WriteRaw baseline product in one (cold) shot.
-func ReadRaw(ctx context.Context, aio *adios.IO, name string) (*View, error) {
-	r, err := OpenRawReader(aio, name)
-	if err != nil {
-		return nil, err
-	}
-	return r.Retrieve(ctx)
 }

@@ -188,9 +188,6 @@ func (sw *SeriesWriter) writeMeta(ctx context.Context) error {
 	return nil
 }
 
-// Levels reports the campaign's level count.
-func (sw *SeriesWriter) Levels() int { return sw.opts.Levels }
-
 // HierarchyBytes reports the one-time shared hierarchy storage.
 func (sw *SeriesWriter) HierarchyBytes() int64 { return sw.hierBytes }
 
@@ -255,17 +252,6 @@ func (sw *SeriesWriter) writeStep(ctx context.Context, data []float64) (*SeriesR
 type SeriesReader struct {
 	*archive
 	steps int
-}
-
-// OpenSeriesReaderWith loads a campaign's metadata and applies the
-// read-side options (currently only opts.Degrade).
-func OpenSeriesReaderWith(ctx context.Context, aio *adios.IO, name string, opts Options) (*SeriesReader, error) {
-	sr, err := OpenSeriesReader(ctx, aio, name)
-	if err != nil {
-		return nil, err
-	}
-	sr.SetDegrade(opts.Degrade)
-	return sr, nil
 }
 
 // OpenSeriesReader loads a campaign's metadata.

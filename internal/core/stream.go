@@ -29,7 +29,7 @@ import (
 //   - A delta could not be read: the stream ends with a final view of the
 //     best accuracy achieved, carrying a terminal Degradation. Streams
 //     always degrade gracefully — every view already delivered is valid, so
-//     there is nothing to roll back — regardless of Options.Degrade.
+//     there is nothing to roll back — regardless of SetDegrade.
 //   - ctx was cancelled: the stream stops without a terminal view. No
 //     goroutine outlives the cancellation.
 //   - The base itself could not be read: nothing was deliverable; the

@@ -88,28 +88,12 @@ type Weight struct {
 // weighted input vertices that produce coarse value j.
 type Restriction [][]Weight
 
-// Apply computes the coarse data for a new field on the same input mesh.
-func (r Restriction) Apply(fine []float64) []float64 {
-	return r.ApplyInto(fine, nil)
-}
-
-// ApplyInto is Apply with dst reuse: the coarse values land in dst's backing
-// array when it has capacity, so a time-series writer restricting every step
-// allocates once.
-func (r Restriction) ApplyInto(fine, dst []float64) []float64 {
-	out := dst
-	if cap(out) >= len(r) {
-		out = out[:len(r)]
-	} else {
-		out = make([]float64, len(r))
-	}
-	r.applyRange(fine, out, 0, len(r))
-	return out
-}
-
-// ApplyParallel is ApplyInto with the per-row loop sharded over pool. Rows
-// are independent (each writes only out[j] from its own weight list), so the
-// result is bit-identical at every worker count.
+// ApplyParallel computes the coarse data for a new field on the same input
+// mesh. The coarse values land in dst's backing array when it has capacity
+// (dst may be nil), so a time-series writer restricting every step
+// allocates once. The per-row loop is sharded over pool (a nil pool runs
+// serially); rows are independent (each writes only out[j] from its own
+// weight list), so the result is bit-identical at every worker count.
 func (r Restriction) ApplyParallel(ctx context.Context, pool *engine.Pool, fine, dst []float64) ([]float64, error) {
 	out := dst
 	if cap(out) >= len(r) {
@@ -145,8 +129,8 @@ type Result struct {
 	// Data is L^(l+1), one value per coarse vertex.
 	Data []float64
 	// Restriction maps input data to coarse data; nil unless
-	// Options.TrackRestriction was set. Restriction.Apply on the input
-	// field reproduces Data up to floating-point association order.
+	// Options.TrackRestriction was set. Restriction.ApplyParallel on the
+	// input field reproduces Data up to floating-point association order.
 	Restriction Restriction
 	// Collapses is the number of edge collapses performed.
 	Collapses int

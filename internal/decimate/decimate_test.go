@@ -1,6 +1,7 @@
 package decimate
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -296,7 +297,10 @@ func TestRestrictionReproducesData(t *testing.T) {
 	if len(res.Restriction) != res.Coarse.NumVerts() {
 		t.Fatalf("restriction rows %d, want %d", len(res.Restriction), res.Coarse.NumVerts())
 	}
-	applied := res.Restriction.Apply(data)
+	applied, err := res.Restriction.ApplyParallel(context.Background(), nil, data, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range applied {
 		// Association order differs between inline collapse arithmetic
 		// and the weighted sum, so allow float rounding only.
@@ -344,7 +348,10 @@ func TestRestrictionAppliesToNewField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	applied := r1.Restriction.Apply(f2)
+	applied, err := r1.Restriction.ApplyParallel(context.Background(), nil, f2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(applied) != len(r2.Data) {
 		t.Fatalf("restriction output %d values, direct %d", len(applied), len(r2.Data))
 	}

@@ -15,9 +15,9 @@
 // Only the barycentric estimator needs geometry. The mean estimator reads
 // the mapping, the coarse triangles' corner indices and the coarse values,
 // never a vertex coordinate, so restoring a mean-estimated level is a
-// corner gather: (L_i + L_j + L_k) / 3 per fine vertex. Compute, Restore and
-// EstimateVertex take that path whenever the estimator is MeanEstimator, and
-// the generic barycentric path otherwise.
+// corner gather: (L_i + L_j + L_k) / 3 per fine vertex. ComputeInto,
+// RestoreInto and EstimateVertex take that path whenever the estimator is
+// MeanEstimator, and the generic barycentric path otherwise.
 //
 // Because adjacent levels are highly correlated, the deltas are much
 // smoother than the levels themselves — that smoothness is what makes the
@@ -120,8 +120,8 @@ func EstimatorByName(name string) (Estimator, error) {
 }
 
 // EstimateVertex computes the Estimate(·) prediction for one fine vertex.
-// Compute, Restore, and the focused-retrieval path all reduce to the same
-// two per-vertex functions, meanAt and estimateGeneric, which guarantees
+// ComputeInto, RestoreInto, and the focused-retrieval path all reduce to the
+// same two per-vertex functions, meanAt and estimateGeneric, which guarantees
 // that restoration — full or regional — reproduces the exact estimates used
 // during refactoring.
 func EstimateVertex(fine, coarse *mesh.Mesh, coarseData []float64, mp Mapping, est Estimator, vi int32) float64 {
@@ -157,7 +157,8 @@ func estimateGeneric(fine, coarse *mesh.Mesh, coarseData []float64, mp Mapping, 
 	return est.Estimate(li, lj, lk, u, v, w)
 }
 
-// validateInputs is the shared precondition check for Compute and Restore.
+// validateInputs is the shared precondition check for ComputeInto and
+// RestoreInto.
 func validateInputs(fine, coarse *mesh.Mesh, coarseData []float64, mp Mapping) error {
 	if err := mp.Validate(fine, coarse); err != nil {
 		return err
@@ -177,17 +178,14 @@ func sizeOut(dst []float64, n int) []float64 {
 	return make([]float64, n)
 }
 
-// Compute is Algorithm 2: it returns delta^(l−(l+1)), one value per fine
-// vertex. ctx bounds the work: cancellation from a caller (a disconnected
-// server request, a shut-down pipeline) stops the per-vertex loop early.
-func Compute(ctx context.Context, fine *mesh.Mesh, fineData []float64, coarse *mesh.Mesh, coarseData []float64, mp Mapping, est Estimator) ([]float64, error) {
-	return ComputeInto(ctx, nil, fine, fineData, coarse, coarseData, mp, est, nil)
-}
-
-// ComputeInto is Compute with dst reuse and the per-vertex loop sharded over
-// pool (nil pool runs serially). dst may alias fineData for an in-place delta
-// calculation: each index is read before it is written and shards are
-// disjoint, so the result is bit-identical at every worker count.
+// ComputeInto is Algorithm 2: it returns delta^(l−(l+1)), one value per
+// fine vertex, in dst's backing array when it has room (dst may be nil).
+// ctx bounds the work: cancellation from a caller (a disconnected server
+// request, a shut-down pipeline) stops the per-vertex loop early. The loop
+// is sharded over pool (nil pool runs serially). dst may alias fineData for
+// an in-place delta calculation: each index is read before it is written
+// and shards are disjoint, so the result is bit-identical at every worker
+// count.
 func ComputeInto(ctx context.Context, pool *engine.Pool, fine *mesh.Mesh, fineData []float64, coarse *mesh.Mesh, coarseData []float64, mp Mapping, est Estimator, dst []float64) ([]float64, error) {
 	if len(fineData) != fine.NumVerts() {
 		return nil, fmt.Errorf("delta: fine data length %d != fine vertex count %d", len(fineData), fine.NumVerts())
@@ -215,17 +213,14 @@ func ComputeInto(ctx context.Context, pool *engine.Pool, fine *mesh.Mesh, fineDa
 	return out, nil
 }
 
-// Restore is Algorithm 3: it reconstructs L^l from the coarse level and the
-// delta. With deltas stored losslessly the result matches the original to
-// within one floating-point rounding of the estimate ((a−e)+e is not always
-// exactly a in IEEE-754); with an error-bounded codec the deviation adds the
-// codec's bound. ctx bounds the work, as in Compute.
-func Restore(ctx context.Context, fine *mesh.Mesh, coarse *mesh.Mesh, coarseData []float64, mp Mapping, deltas []float64, est Estimator) ([]float64, error) {
-	return RestoreInto(ctx, nil, fine, coarse, coarseData, mp, deltas, est, nil)
-}
-
-// RestoreInto is Restore with dst reuse and the per-vertex loop sharded over
-// pool (nil pool runs serially). dst may alias deltas, turning restoration
+// RestoreInto is Algorithm 3: it reconstructs L^l from the coarse level and
+// the delta. With deltas stored losslessly the result matches the original
+// to within one floating-point rounding of the estimate ((a−e)+e is not
+// always exactly a in IEEE-754); with an error-bounded codec the deviation
+// adds the codec's bound. ctx bounds the work, as in ComputeInto. The
+// result lands in dst's backing array when it has room (dst may be nil),
+// and the per-vertex loop is sharded over pool (nil pool runs serially).
+// dst may alias deltas, turning restoration
 // in-place: the read of deltas[vi] happens before the write of out[vi] and
 // shards cover disjoint index ranges, so results are bit-identical at every
 // worker count. This is the hot half of the paper's read path — the restore

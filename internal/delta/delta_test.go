@@ -68,11 +68,11 @@ func TestComputeRestoreRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := Compute(context.Background(), fine, data, coarse, coarseData, mp, est)
+		d, err := ComputeInto(context.Background(), nil, fine, data, coarse, coarseData, mp, est, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Restore(context.Background(), fine, coarse, coarseData, mp, d, est)
+		got, err := RestoreInto(context.Background(), nil, fine, coarse, coarseData, mp, d, est, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +96,7 @@ func TestDeltasSmootherThanLevel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := Compute(context.Background(), fine, data, coarse, coarseData, mp, BarycentricEstimator{})
+	d, err := ComputeInto(context.Background(), nil, fine, data, coarse, coarseData, mp, BarycentricEstimator{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,22 +161,22 @@ func TestComputeArgErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Compute(context.Background(), fine, data[:3], coarse, coarseData, mp, MeanEstimator{}); err == nil {
+	if _, err := ComputeInto(context.Background(), nil, fine, data[:3], coarse, coarseData, mp, MeanEstimator{}, nil); err == nil {
 		t.Error("accepted short fine data")
 	}
-	if _, err := Compute(context.Background(), fine, data, coarse, coarseData[:2], mp, MeanEstimator{}); err == nil {
+	if _, err := ComputeInto(context.Background(), nil, fine, data, coarse, coarseData[:2], mp, MeanEstimator{}, nil); err == nil {
 		t.Error("accepted short coarse data")
 	}
-	if _, err := Compute(context.Background(), fine, data, coarse, coarseData, mp[:4], MeanEstimator{}); err == nil {
+	if _, err := ComputeInto(context.Background(), nil, fine, data, coarse, coarseData, mp[:4], MeanEstimator{}, nil); err == nil {
 		t.Error("accepted short mapping")
 	}
 	bad := append(Mapping(nil), mp...)
 	bad[0] = int32(coarse.NumTris() + 5)
-	if _, err := Compute(context.Background(), fine, data, coarse, coarseData, bad, MeanEstimator{}); err == nil {
+	if _, err := ComputeInto(context.Background(), nil, fine, data, coarse, coarseData, bad, MeanEstimator{}, nil); err == nil {
 		t.Error("accepted out-of-range mapping")
 	}
-	if _, err := Restore(context.Background(), fine, coarse, coarseData, mp, data[:1], MeanEstimator{}); err == nil {
-		t.Error("Restore accepted short delta")
+	if _, err := RestoreInto(context.Background(), nil, fine, coarse, coarseData, mp, data[:1], MeanEstimator{}, nil); err == nil {
+		t.Error("RestoreInto accepted short delta")
 	}
 }
 
@@ -275,11 +275,11 @@ func TestQuickRoundTripVariousRatios(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		d, err := Compute(context.Background(), fine, data, res.Coarse, res.Data, mp, MeanEstimator{})
+		d, err := ComputeInto(context.Background(), nil, fine, data, res.Coarse, res.Data, mp, MeanEstimator{}, nil)
 		if err != nil {
 			return false
 		}
-		got, err := Restore(context.Background(), fine, res.Coarse, res.Data, mp, d, MeanEstimator{})
+		got, err := RestoreInto(context.Background(), nil, fine, res.Coarse, res.Data, mp, d, MeanEstimator{}, nil)
 		if err != nil {
 			return false
 		}
@@ -320,7 +320,7 @@ func BenchmarkComputeDelta(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Compute(context.Background(), fine, data, res.Coarse, res.Data, mp, MeanEstimator{}); err != nil {
+		if _, err := ComputeInto(context.Background(), nil, fine, data, res.Coarse, res.Data, mp, MeanEstimator{}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -337,14 +337,14 @@ func BenchmarkRestore(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	d, err := Compute(context.Background(), fine, data, res.Coarse, res.Data, mp, MeanEstimator{})
+	d, err := ComputeInto(context.Background(), nil, fine, data, res.Coarse, res.Data, mp, MeanEstimator{}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Restore(context.Background(), fine, res.Coarse, res.Data, mp, d, MeanEstimator{}); err != nil {
+		if _, err := RestoreInto(context.Background(), nil, fine, res.Coarse, res.Data, mp, d, MeanEstimator{}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

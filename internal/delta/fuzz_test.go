@@ -84,7 +84,7 @@ func FuzzDecodeMapping(f *testing.F) {
 }
 
 // genericMean computes MeanEstimator's formula under another type, so
-// Compute, Restore and EstimateVertex route it through the generic path that
+// ComputeInto, RestoreInto and EstimateVertex route it through the generic path that
 // computes (and then ignores) clamped barycentric coordinates.
 type genericMean struct{}
 

@@ -20,7 +20,7 @@ func levelPair(t *testing.T) (fine, coarse *mesh.Mesh, data, coarseData, deltas 
 	if mp, err = Build(fine, coarse); err != nil {
 		t.Fatal(err)
 	}
-	if deltas, err = Compute(context.Background(), fine, data, coarse, coarseData, mp, MeanEstimator{}); err != nil {
+	if deltas, err = ComputeInto(context.Background(), nil, fine, data, coarse, coarseData, mp, MeanEstimator{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	return
@@ -42,7 +42,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: RestoreInto: %v", workers, err)
 		}
-		serialR, err := Restore(context.Background(), fine, coarse, coarseData, mp, deltas, MeanEstimator{})
+		serialR, err := RestoreInto(context.Background(), nil, fine, coarse, coarseData, mp, deltas, MeanEstimator{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +63,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 func TestRestoreIntoInPlace(t *testing.T) {
 	ctx := context.Background()
 	fine, coarse, _, coarseData, deltas, mp := levelPair(t)
-	want, err := Restore(context.Background(), fine, coarse, coarseData, mp, deltas, MeanEstimator{})
+	want, err := RestoreInto(context.Background(), nil, fine, coarse, coarseData, mp, deltas, MeanEstimator{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

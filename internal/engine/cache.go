@@ -4,8 +4,6 @@ import (
 	"container/list"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/obs"
 )
 
 // Cache is the one read-cache protocol: an LRU of values keyed by
@@ -26,7 +24,6 @@ import (
 type Cache[K comparable, V any] struct {
 	budget int64
 	cost   func(V) int64
-	evict  obs.EventType
 
 	mu      sync.Mutex
 	entries map[cacheKey[K]]*list.Element
@@ -57,14 +54,12 @@ type cacheEntry[K comparable, V any] struct {
 	cost int64
 }
 
-// NewCache builds a cache holding entries of total cost up to budget.
-// evict, when registered, records each eviction's namespace under "key";
+// NewCache builds a cache holding entries of total cost up to budget;
 // per-instance hit and miss counts come from Stats.
-func NewCache[K comparable, V any](budget int64, cost func(V) int64, evict obs.EventType) *Cache[K, V] {
+func NewCache[K comparable, V any](budget int64, cost func(V) int64) *Cache[K, V] {
 	return &Cache[K, V]{
 		budget:  budget,
 		cost:    cost,
-		evict:   evict,
 		entries: make(map[cacheKey[K]]*list.Element),
 		spaces:  make(map[string]space),
 	}
@@ -137,7 +132,7 @@ func (c *Cache[K, V]) insert(key cacheKey[K], v V) {
 	c.entries[key] = c.lru.PushFront(&cacheEntry[K, V]{key: key, val: v, cost: cost})
 	c.size += cost
 	for c.size > c.budget && c.lru.Len() > 1 {
-		c.evict.Emit("key", c.remove(c.lru.Back()))
+		c.remove(c.lru.Back())
 	}
 }
 
@@ -177,10 +172,9 @@ func (c *Cache[K, V]) Invalidate(ns string) {
 	}
 }
 
-// remove drops one entry and returns its namespace.
-func (c *Cache[K, V]) remove(el *list.Element) string {
+// remove drops one entry.
+func (c *Cache[K, V]) remove(el *list.Element) {
 	e := c.lru.Remove(el).(*cacheEntry[K, V])
 	delete(c.entries, e.key)
 	c.size -= e.cost
-	return e.key.ns
 }

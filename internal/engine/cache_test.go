@@ -3,14 +3,11 @@ package engine
 import (
 	"fmt"
 	"testing"
-
-	"repro/internal/obs"
 )
 
-// testCache builds a cache of int slices costing their length, recording no
-// eviction events.
+// testCache builds a cache of int slices costing their length.
 func testCache(budget int64) *Cache[int, []int] {
-	return NewCache[int](budget, func(v []int) int64 { return int64(len(v)) }, obs.EventType{})
+	return NewCache[int](budget, func(v []int) int64 { return int64(len(v)) })
 }
 
 // TestCacheDropsDeadFill invalidates a namespace while one of its fills is

@@ -286,12 +286,6 @@ func (m *Mesh) Bounds() (minX, minY, maxX, maxY float64) {
 	return minX, minY, maxX, maxY
 }
 
-// EdgeLength returns the Euclidean length of edge e.
-func (m *Mesh) EdgeLength(e Edge) float64 {
-	a, b := m.Verts[e.A], m.Verts[e.B]
-	return math.Hypot(a.X-b.X, a.Y-b.Y)
-}
-
 // TotalArea sums the unsigned areas of all triangles.
 func (m *Mesh) TotalArea() float64 {
 	var sum float64

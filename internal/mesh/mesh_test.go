@@ -338,10 +338,3 @@ func TestBoundsEmpty(t *testing.T) {
 		t.Fatalf("empty Bounds = (%g,%g,%g,%g), want zeros", x0, y0, x1, y1)
 	}
 }
-
-func TestEdgeLength(t *testing.T) {
-	m := &Mesh{Verts: []Vertex{{0, 0}, {3, 4}}}
-	if l := m.EdgeLength(Edge{0, 1}); math.Abs(l-5) > 1e-12 {
-		t.Fatalf("EdgeLength = %g, want 5", l)
-	}
-}

@@ -167,7 +167,6 @@ func TestEventTaxonomyRegistered(t *testing.T) {
 		"promotion",
 		"demotion",
 		"corruption",
-		"cache_evict",
 	}
 	have := make(map[string]bool)
 	for _, n := range obs.EventTypes() {
@@ -176,6 +175,43 @@ func TestEventTaxonomyRegistered(t *testing.T) {
 	for _, w := range want {
 		if !have[w] {
 			t.Errorf("event type %q not registered", w)
+		}
+	}
+}
+
+// eventReaders is the whole registered event taxonomy, each type with the
+// test that asserts on its emission. An event nobody reads is cost on its
+// emit path, so TestEventReaders fails on any registered type missing here:
+// a new event arrives with its reader.
+var eventReaders = map[string]string{
+	"degradation":     "core.TestDegradationEventAndCost",
+	"fault_injected":  "storage.TestFaultAndCorruptionEvents",
+	"corruption":      "storage.TestFaultAndCorruptionEvents",
+	"retry":           "storage.TestRetryEventChainAndRequestAttribution",
+	"retry_exhausted": "storage.TestRetryExhaustedEvent",
+	"migration":       "storage.TestMigrationEvents",
+	"promotion":       "storage.TestMigrationEvents",
+	"demotion":        "storage.TestMigrationEvents",
+	"throttled":       "server.TestQuotaExhaustion (reason=quota)",
+	"handler_panic":   "server.TestGuardRecoversPanic",
+}
+
+// TestEventReaders checks the registered event types against eventReaders
+// in both directions, as TestMetricReaders does for metrics.
+func TestEventReaders(t *testing.T) {
+	registered := make(map[string]bool)
+	for _, name := range obs.EventTypes() {
+		if strings.HasPrefix(name, "obs_test_") {
+			continue // fixtures of obs's own tests
+		}
+		registered[name] = true
+		if _, ok := eventReaders[name]; !ok {
+			t.Errorf("event type %q has no reader: add it to eventReaders with its reader, or delete it", name)
+		}
+	}
+	for name := range eventReaders {
+		if !registered[name] {
+			t.Errorf("event type %q is not registered", name)
 		}
 	}
 }

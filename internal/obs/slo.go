@@ -112,10 +112,3 @@ func ObserveLatency(h *Histogram, span *Span, seconds float64) {
 	}
 	h.Observe(seconds)
 }
-
-// ResetObjectives clears declared objectives (tests).
-func ResetObjectives() {
-	sloMu.Lock()
-	sloObjectives = map[string]Objective{}
-	sloMu.Unlock()
-}

@@ -225,3 +225,15 @@ func TestByName(t *testing.T) {
 		t.Fatal("ByName(bogus) succeeded")
 	}
 }
+
+// SetHalfLife overrides the decay half-life in logical ticks (values < 1
+// restore the default). Tests with short workloads shrink it so the
+// hot set converges within the run.
+func (tr *Tracker) SetHalfLife(ticks float64) {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	if ticks < 1 {
+		ticks = DefaultHalfLife
+	}
+	tr.halfLife = ticks
+}

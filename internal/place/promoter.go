@@ -78,9 +78,6 @@ func NewPromoter(mover Mover, pol Policy, interval time.Duration) *Promoter {
 	}
 }
 
-// Policy reports the policy the promoter runs.
-func (pr *Promoter) Policy() Policy { return pr.pol }
-
 // Start launches the background goroutine. Idempotent; a no-op after Stop.
 func (pr *Promoter) Start() {
 	pr.mu.Lock()

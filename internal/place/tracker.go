@@ -44,18 +44,6 @@ func NewTracker() *Tracker {
 	return &Tracker{halfLife: DefaultHalfLife, m: make(map[string]*kstat)}
 }
 
-// SetHalfLife overrides the decay half-life in logical ticks (values < 1
-// restore the default). Benchmarks with short workloads shrink it so the
-// hot set converges within the run.
-func (tr *Tracker) SetHalfLife(ticks float64) {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	if ticks < 1 {
-		ticks = DefaultHalfLife
-	}
-	tr.halfLife = ticks
-}
-
 // decayTo folds the elapsed ticks since s.freqAt into s.freq. Caller holds
 // the lock. The decay factor is 2^(-dt/halfLife); dt is never negative
 // because the clock is monotone.

@@ -138,9 +138,6 @@ func New(mode Mode, prods []Product) (*Planner, error) {
 	return &Planner{mode: mode, prods: append([]Product(nil), prods...)}, nil
 }
 
-// Levels reports the number of stored accuracy levels.
-func (p *Planner) Levels() int { return len(p.prods) }
-
 // Bound reports the recorded composed error bound of a view at the given
 // level, or -1 when the hierarchy predates bound recording (or the level is
 // out of range).

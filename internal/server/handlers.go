@@ -94,7 +94,8 @@ func tenantName(r *http.Request) string {
 type handler func(w http.ResponseWriter, r *http.Request, sh *shard, fin func() *obs.CostReport) error
 
 // guard wraps an endpoint with the full request protocol: accounting,
-// quota, admission, tracing, cost attribution, and error mapping.
+// quota, admission, tracing, cost attribution, error mapping and panic
+// recovery.
 func (s *Server) guard(op string, fn handler) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		tenant := tenantName(r)
@@ -131,15 +132,33 @@ func (s *Server) guard(op string, fn handler) http.HandlerFunc {
 			}
 			return rep
 		}
-		err := fn(w, r.WithContext(ctx), s.shardFor(r.PathValue("name")), fin)
-		fin()
-		obs.ObserveLatency(metricLatency, span, time.Since(start).Seconds())
-		s.tenants.charge(tenant, rep, err != nil)
-		if err != nil {
-			if code := errCode(err); code != statusClientClosed {
-				httpError(w, code, err.Error())
+		// The bill, latency and error answer are settled in one deferred
+		// step, so a panicking body is charged and recorded like any other
+		// failure. The response writers set Content-Type before any byte
+		// goes out: without it nothing was written and a panic can still
+		// answer 500; with it a partial body is out, and ErrAbortHandler
+		// makes net/http cut the connection rather than let it look
+		// complete.
+		var err error
+		defer func() {
+			p := recover()
+			fin()
+			obs.ObserveLatency(metricLatency, span, time.Since(start).Seconds())
+			s.tenants.charge(tenant, rep, err != nil || p != nil)
+			switch {
+			case p != nil:
+				evHandlerPanic.Emit("op", op, "tenant", tenant, "panic", fmt.Sprint(p))
+				if w.Header().Get("Content-Type") != "" {
+					panic(http.ErrAbortHandler)
+				}
+				httpError(w, http.StatusInternalServerError, "internal error")
+			case err != nil:
+				if code := errCode(err); code != statusClientClosed {
+					httpError(w, code, err.Error())
+				}
 			}
-		}
+		}()
+		err = fn(w, r.WithContext(ctx), s.shardFor(r.PathValue("name")), fin)
 	}
 }
 

@@ -44,6 +44,10 @@ var (
 	// recorder, so a tenant's 429s are inspectable next to the engine load
 	// that caused them.
 	evThrottled = obs.RegisterEventType("throttled")
+
+	// evHandlerPanic records an endpoint body that panicked, with the
+	// operation, the tenant and the panic value.
+	evHandlerPanic = obs.RegisterEventType("handler_panic")
 )
 
 func init() {
@@ -80,7 +84,7 @@ type Config struct {
 	// Workers sets each cached Reader's engine pool size (0 = NumCPU).
 	Workers int
 	// Degrade enables best-effort views on partially unreadable campaigns
-	// (core's Options.Degrade) instead of failing the request.
+	// (core's SetDegrade) instead of failing the request.
 	Degrade bool
 }
 
@@ -118,7 +122,7 @@ func New(cfg Config) (*Server, error) {
 		if aio == nil {
 			return nil, fmt.Errorf("server: shard %d is nil", i)
 		}
-		s.shards = append(s.shards, &shard{aio: aio, workers: cfg.Workers, degrade: cfg.Degrade, readers: engine.NewCache[struct{}](math.MaxInt64, one, obs.EventType{})})
+		s.shards = append(s.shards, &shard{aio: aio, workers: cfg.Workers, degrade: cfg.Degrade, readers: engine.NewCache[struct{}](math.MaxInt64, one)})
 	}
 	s.mux = s.routes()
 	return s, nil

@@ -250,14 +250,6 @@ func (h *Hierarchy) Where(key string) int {
 	return -1
 }
 
-// Accesses reports how many times key has been read. Get and GetRange both
-// count — a ranged read of a footer or delta tile carries the same heat
-// signal as a whole-value read, so the placement policies never under-count
-// selectively-read products.
-func (h *Hierarchy) Accesses(key string) int64 {
-	return h.tracker.Stats(key).Accesses
-}
-
 // Delete removes key from the hierarchy and drops its access history.
 func (h *Hierarchy) Delete(key string) error {
 	h.mu.Lock()

@@ -295,16 +295,6 @@ func (h *Hierarchy) Demote(key string, to int) (Migration, error) {
 	return m, err
 }
 
-// EnsureRoom evicts policy-chosen victims from tier `tier` into slower
-// tiers until `bytes` additional bytes fit, returning the migrations
-// performed. It fails with ErrCapacity if the hierarchy as a whole cannot
-// absorb the spill.
-func (h *Hierarchy) EnsureRoom(tier int, bytes int64) ([]Migration, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.ensureRoomLocked(tier, bytes, "")
-}
-
 // ensureRoomLocked evicts from `tier` until `bytes` fit, never moving
 // `protect`. Caller holds the lock.
 func (h *Hierarchy) ensureRoomLocked(tier int, bytes int64, protect string) ([]Migration, error) {

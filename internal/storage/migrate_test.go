@@ -228,3 +228,13 @@ func TestMigrationDeterministicTieBreak(t *testing.T) {
 		t.Fatalf("eviction order differs: %v vs %v", a, b)
 	}
 }
+
+// EnsureRoom evicts policy-chosen victims from tier `tier` into slower
+// tiers until `bytes` additional bytes fit, returning the migrations
+// performed. It fails with ErrCapacity if the hierarchy as a whole cannot
+// absorb the spill.
+func (h *Hierarchy) EnsureRoom(tier int, bytes int64) ([]Migration, error) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.ensureRoomLocked(tier, bytes, "")
+}

@@ -36,10 +36,6 @@ func (h *Hierarchy) Policy() place.Policy {
 	return h.policy
 }
 
-// Tracker exposes the access tracker the read paths feed, so policies,
-// benchmarks, and tests can inspect or tune the heat signal.
-func (h *Hierarchy) Tracker() *place.Tracker { return h.tracker }
-
 // PlacementView snapshots the hierarchy for a policy decision: every
 // tier's capacity envelope and usage, and every cataloged key's residency,
 // sizes, and tracked heat, key-sorted for deterministic policy output.

@@ -194,3 +194,11 @@ func TestPlacementViewSnapshot(t *testing.T) {
 		t.Fatal("clock not snapshotted")
 	}
 }
+
+// Accesses reports how many times key has been read. Get and GetRange both
+// count — a ranged read of a footer or delta tile carries the same heat
+// signal as a whole-value read, so the placement policies never under-count
+// selectively-read products.
+func (h *Hierarchy) Accesses(key string) int64 {
+	return h.tracker.Stats(key).Accesses
+}
