@@ -21,7 +21,6 @@ import (
 	"repro/internal/adios"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/place"
 	"repro/internal/sim"
 	"repro/internal/storage"
 )
@@ -40,7 +39,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "workload seed")
 	workers := flag.Int("workers", 0, "concurrent pipeline workers (0 = NumCPU, 1 = serial)")
 	codecChunk := flag.Int("codec-chunk", 0, "values per chunk of the chunked codec container (0 = default, negative = plain v1 streams)")
-	placePolicy := flag.String("place-policy", "lru", "placement policy governing which tier each product lands on: lru (static fall-through), freq, or cost")
 	var ocli obs.CLI
 	ocli.Bind(flag.CommandLine)
 	flag.Parse()
@@ -49,7 +47,7 @@ func main() {
 	defer stop()
 	ctx, finish, err := ocli.Start(ctx, "canopus-refactor")
 	if err == nil {
-		err = run(ctx, *app, *dir, *levels, *ratio, *codec, *tol, *mode, *estimator, *transport, *chunks, *seed, *workers, *codecChunk, *placePolicy)
+		err = run(ctx, *app, *dir, *levels, *ratio, *codec, *tol, *mode, *estimator, *transport, *chunks, *seed, *workers, *codecChunk)
 		if ferr := finish(); err == nil {
 			err = ferr
 		}
@@ -60,7 +58,7 @@ func main() {
 	}
 }
 
-func run(ctx context.Context, app, dir string, levels int, ratio float64, codec string, tol float64, modeStr, estimator, transport string, chunks int, seed int64, workers, codecChunk int, placePolicy string) error {
+func run(ctx context.Context, app, dir string, levels int, ratio float64, codec string, tol float64, modeStr, estimator, transport string, chunks int, seed int64, workers, codecChunk int) error {
 	ds, err := makeDataset(app, seed)
 	if err != nil {
 		return err
@@ -77,11 +75,6 @@ func run(ctx context.Context, app, dir string, levels int, ratio float64, codec 
 	if err != nil {
 		return err
 	}
-	pol, err := place.ByName(placePolicy)
-	if err != nil {
-		return err
-	}
-	h.SetPolicy(pol)
 	aio := adios.NewIO(h, tr)
 	rep, err := core.Write(ctx, aio, ds, core.Options{
 		Levels:        levels,

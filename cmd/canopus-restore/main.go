@@ -39,7 +39,7 @@ func main() {
 	cacheMB := flag.Int("cache-mb", 0, "page cache size in MiB shared across reads (0 = no cache)")
 	tileCacheMB := flag.Int("tile-cache-mb", 0, "decoded-tile cache size in MiB shared across reads: repeated retrievals over the same tiles skip decompression (0 = no cache)")
 	degrade := flag.Bool("degrade", false, "return the best accuracy achieved when a delta level is corrupt or unreachable, instead of failing")
-	placePolicy := flag.String("place-policy", "lru", "placement policy: lru (static), freq, or cost; adaptive policies run a background promoter that physically reorganizes the hierarchy around observed reads")
+	placePolicy := flag.String("place-policy", "lru", "placement policy, one of "+strings.Join(place.Names(), ", ")+"; every policy but lru runs a background promoter that physically reorganizes the hierarchy around observed reads")
 	var ocli obs.CLI
 	ocli.Bind(flag.CommandLine)
 	flag.Parse()

@@ -47,7 +47,7 @@ func main() {
 	workers := flag.Int("workers", 0, "engine workers per cached reader (0 = NumCPU)")
 	cacheMB := flag.Int("cache-mb", 64, "page cache MiB per shard (0 = off)")
 	tileCacheMB := flag.Int("tile-cache-mb", 32, "decoded-tile cache MiB per shard (0 = off)")
-	placePolicy := flag.String("place-policy", "lru", "placement policy per shard: lru, freq, or cost (adaptive policies run a background promoter)")
+	placePolicy := flag.String("place-policy", "lru", "placement policy per shard, one of "+strings.Join(place.Names(), ", ")+" (every policy but lru runs a background promoter)")
 	degrade := flag.Bool("degrade", false, "serve best-effort views when a delta level is unreadable instead of failing the request")
 	var ocli obs.CLI
 	ocli.Bind(flag.CommandLine)

@@ -30,7 +30,6 @@ var exportAllowlist = map[string]string{
 	"obs.SetTraceRetention":              "test hook: obs_test bounds the trace ring",
 	"obs.SetEventRetention":              "test hook: obs_test bounds the flight recorder",
 	"obs.EventTypes":                     "test hook: obs_test's event lints walk the registered set",
-	"obs.Registry.Names":                 "test hook: obs_test's metric lints walk the registered set",
 	"obs.Span.Dump":                      "test hook: core and obs_test print span trees on failure",
 	"bp.Writer.PutFloats":                "test hook: adios and bp_test build containers of raw floats",
 	"bp.Reader.AttrKeys":                 "test hook: core's golden and geometry tests hash every attribute",

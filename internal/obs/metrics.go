@@ -289,18 +289,6 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	})
 }
 
-// Names lists every registered metric name, sorted.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.metrics))
-	for k := range r.metrics {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // HistogramSnapshot is the JSON shape of one exported histogram.
 type HistogramSnapshot struct {
 	Count   int64     `json:"count"`

@@ -103,14 +103,6 @@ func RequestFrom(ctx context.Context) *Request {
 	return r
 }
 
-// Op reports the operation name the request was opened under.
-func (r *Request) Op() string {
-	if r == nil {
-		return ""
-	}
-	return r.op
-}
-
 // AddIO folds one handle's accumulated I/O: modeled bytes (what the cost
 // model charged), real bytes (what the backend actually returned), and
 // modeled seconds.

@@ -1,7 +1,9 @@
 // Package place owns every placement decision in the Canopus storage
-// hierarchy: which tier a new product is admitted to, which resident is
-// evicted when a tier runs out of room, and which products a background
-// promoter moves between tiers as the observed read workload shifts.
+// hierarchy: which resident is evicted when a tier runs out of room, and
+// which products a background promoter moves between tiers as the observed
+// read workload shifts. Admission is fixed: a write lands on the first tier
+// at or below its preferred one that takes it (the paper's §III-D
+// fall-through), and the hierarchy walks that order itself.
 //
 // The split follows ScaleStore (SIGMOD '22): the storage engine
 // (internal/storage) is pure mechanism — race-safe reads, envelope-verbatim
@@ -12,19 +14,13 @@
 // react to capacity pressure and to the read heat the access tracker
 // observes on the Get/GetRange paths.
 //
-// Three policies ship:
+// Two policies ship:
 //
-//   - lru: byte-compatible with the historical behavior — write-time
-//     fall-through admission, least-recently-used eviction, no background
-//     movement. The default.
+//   - lru: byte-compatible with the historical behavior — least-recently-
+//     used eviction and no background movement. The default.
 //   - freq: frequency-decay — eviction and promotion rank products by an
 //     exponentially decayed access frequency, so yesterday's hot set ages
 //     out instead of pinning the fast tier forever.
-//   - cost: cost-aware — products are ranked by the modeled seconds a
-//     fast-tier residency saves per access (bytes x tier latency/bandwidth
-//     gap, the same cost model internal/plan estimates retrievals with),
-//     times the decayed frequency. A large product on a slow tier beats a
-//     small one with equal heat.
 //
 // The storage hierarchy consults the policy through narrow callbacks and
 // feeds the Tracker from its read paths; the Promoter runs the policy's
@@ -36,8 +32,7 @@ import "repro/internal/obs"
 
 // Placement metrics, canopus_place_*: background cycles run, moves applied
 // (split by direction) and the bytes they shuttled, moves that failed (the
-// key vanished, the destination filled up mid-cycle), and admission hints
-// overridden by the policy.
+// key vanished, the destination filled up mid-cycle), and read touches.
 var (
 	metricCycles     = obs.NewCounter("canopus_place_cycles_total")
 	metricPromotions = obs.NewCounter("canopus_place_promotions_total")
@@ -56,62 +51,35 @@ type Stats struct {
 	// Accesses counts read attempts (Get and GetRange both count; ranged
 	// reads carry the same heat signal as whole-value reads).
 	Accesses int64
-	// BytesRead is the cumulative payload bytes served.
-	BytesRead int64
 	// Freq is the exponentially decayed access frequency: each access adds
 	// 1, and the sum halves every half-life of logical clock ticks.
 	Freq float64
 }
 
 // Candidate is one stored key as a policy decision sees it: its residency,
-// its sizes (payload vs stored-with-envelope), and its tracked heat.
+// its stored footprint, and its tracked heat.
 type Candidate struct {
 	Key    string
 	Tier   int
-	Size   int64 // caller-visible payload bytes
 	Stored int64 // real backend footprint (envelope framing included)
 	Stats  Stats
 }
 
-// TierInfo is the capacity and performance envelope of one tier, fastest
-// first, as a policy decision sees it.
+// TierInfo is the capacity and usage of one tier, fastest first, as a
+// policy decision sees it.
 type TierInfo struct {
-	Index          int
-	Name           string
-	Capacity       int64 // <= 0 means unlimited
-	Used           int64 // stored bytes currently resident
-	LatencySeconds float64
-	ReadBandwidth  float64 // bytes/second
-	WriteBandwidth float64
-}
-
-// readSeconds models one full read of n stored bytes from the tier — the
-// same latency + bytes/bandwidth model internal/plan prices retrievals
-// with. Cost-aware scoring is built on the gap between two tiers' values.
-func (t TierInfo) readSeconds(n int64) float64 {
-	s := t.LatencySeconds
-	if t.ReadBandwidth > 0 {
-		s += float64(n) / t.ReadBandwidth
-	}
-	return s
+	Index    int
+	Capacity int64 // <= 0 means unlimited
+	Used     int64 // stored bytes currently resident
 }
 
 // View is a consistent snapshot of the whole hierarchy handed to
-// Promote/Demote: every tier's envelope and every key's residency and heat,
-// keys sorted so policy output is deterministic for a given history.
+// Promote/Demote: every tier's capacity and usage and every key's residency
+// and heat, keys sorted so policy output is deterministic for a given
+// history.
 type View struct {
-	// Clock is the tracker's logical clock at snapshot time.
-	Clock int64
 	Tiers []TierInfo
 	Keys  []Candidate
-}
-
-// tier returns the TierInfo for index i, or a zero TierInfo out of range.
-func (v View) tier(i int) TierInfo {
-	if i < 0 || i >= len(v.Tiers) {
-		return TierInfo{}
-	}
-	return v.Tiers[i]
 }
 
 // Move is one placement change a policy wants applied: relocate Key to tier
@@ -124,17 +92,12 @@ type Move struct {
 }
 
 // Policy decides placement. Implementations must be safe for concurrent
-// use: Admit/Victim are called with the hierarchy lock held on the write
-// and eviction paths, while Promote/Demote run on the promoter goroutine
-// against a View snapshot.
+// use: Victim is called with the hierarchy lock held on the eviction path,
+// while Promote/Demote run on the promoter goroutine against a View
+// snapshot.
 type Policy interface {
 	// Name identifies the policy in flags and reports.
 	Name() string
-	// Admit returns the ordered tier candidates for a new write of stored
-	// bytes whose caller prefers tier pref (already clamped to [0, tiers)).
-	// The storage layer tries them in order, skipping tiers that are full
-	// or transiently faulted; an empty slice rejects the write.
-	Admit(key string, stored int64, pref, tiers int) []int
 	// Victim picks the key to evict from a tier under capacity pressure,
 	// from candidates resident on that tier (sorted by key), or "" when
 	// nothing should be evicted.

@@ -1,7 +1,9 @@
 package place
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -25,10 +27,6 @@ func TestTrackerTouchWroteBump(t *testing.T) {
 	tr.Wrote("a")
 	if s := tr.Stats("a"); s.Accesses != 0 || s.Freq != 0 || s.LastUsed != 5 {
 		t.Fatalf("after wrote: %+v, want reset with lastUsed 5", s)
-	}
-	tr.ReadBytes("b", 100)
-	if s := tr.Stats("b"); s.BytesRead != 100 {
-		t.Fatalf("b bytes = %d, want 100", s.BytesRead)
 	}
 	tr.Forget("b")
 	if s := tr.Stats("b"); !reflect.DeepEqual(s, Stats{}) {
@@ -66,16 +64,6 @@ func TestTrackerFreqDecays(t *testing.T) {
 	}
 }
 
-func TestLRUAdmitFallThrough(t *testing.T) {
-	got := (LRU{}).Admit("k", 10, 1, 4)
-	if !reflect.DeepEqual(got, []int{1, 2, 3}) {
-		t.Fatalf("Admit(pref=1, tiers=4) = %v, want [1 2 3]", got)
-	}
-	if got := (LRU{}).Admit("k", 10, 0, 1); !reflect.DeepEqual(got, []int{0}) {
-		t.Fatalf("Admit(pref=0, tiers=1) = %v, want [0]", got)
-	}
-}
-
 func TestLRUVictim(t *testing.T) {
 	cands := []Candidate{
 		{Key: "a", Stats: Stats{LastUsed: 5}},
@@ -108,12 +96,8 @@ func TestFreqVictimPicksColdest(t *testing.T) {
 // one, with the given resident/outsider candidates.
 func twoTierView(fastCap, fastUsed int64, keys ...Candidate) View {
 	return View{
-		Clock: 100,
-		Tiers: []TierInfo{
-			{Index: 0, Name: "fast", Capacity: fastCap, Used: fastUsed, LatencySeconds: 1e-6, ReadBandwidth: 1e9},
-			{Index: 1, Name: "slow", LatencySeconds: 1e-3, ReadBandwidth: 1e7},
-		},
-		Keys: keys,
+		Tiers: []TierInfo{{Index: 0, Capacity: fastCap, Used: fastUsed}, {Index: 1}},
+		Keys:  keys,
 	}
 }
 
@@ -154,13 +138,12 @@ func TestFreqPromoteDisplacesWithHysteresis(t *testing.T) {
 
 func TestPromoteRespectsMaxMoves(t *testing.T) {
 	var keys []Candidate
-	for _, k := range []string{"a", "b", "c", "d"} {
-		keys = append(keys, Candidate{Key: k, Tier: 1, Stored: 10, Stats: Stats{Freq: 2}})
+	for i := 0; i < maxMoves+2; i++ {
+		keys = append(keys, Candidate{Key: fmt.Sprintf("k%02d", i), Tier: 1, Stored: 10, Stats: Stats{Freq: 2}})
 	}
 	v := twoTierView(1000, 0, keys...)
-	p := &FreqDecay{Knobs: Knobs{MaxMoves: 2}}
-	if moves := p.Promote(v); len(moves) != 2 {
-		t.Fatalf("moves = %v, want 2 (MaxMoves)", moves)
+	if moves := NewFreqDecay().Promote(v); len(moves) != maxMoves {
+		t.Fatalf("moves = %v, want %d (maxMoves)", moves, maxMoves)
 	}
 }
 
@@ -179,20 +162,6 @@ func TestDemoteOnCapacityPressure(t *testing.T) {
 	v.Tiers[0].Used = 800
 	if moves := NewFreqDecay().Demote(v); len(moves) != 0 {
 		t.Fatalf("demotion below high watermark: %v", moves)
-	}
-}
-
-func TestCostAwarePrefersBulkyOnSlow(t *testing.T) {
-	// Equal heat; the larger product saves more modeled seconds per
-	// access, so it wins the promotion slot.
-	v := twoTierView(100, 0,
-		Candidate{Key: "small", Tier: 1, Stored: 10, Stats: Stats{Freq: 2}},
-		Candidate{Key: "big", Tier: 1, Stored: 100, Stats: Stats{Freq: 2}},
-	)
-	p := &CostAware{Knobs: Knobs{MaxMoves: 1}}
-	moves := p.Promote(v)
-	if len(moves) != 1 || moves[0].Key != "big" {
-		t.Fatalf("moves = %v, want big promoted first", moves)
 	}
 }
 
@@ -221,8 +190,14 @@ func TestByName(t *testing.T) {
 	if p, err := ByName(""); err != nil || p.Name() != "lru" {
 		t.Fatalf("ByName(\"\") = %v, %v; want lru default", p, err)
 	}
-	if _, err := ByName("bogus"); err == nil {
-		t.Fatal("ByName(bogus) succeeded")
+	for _, name := range []string{"bogus", "cost"} {
+		_, err := ByName(name)
+		if err == nil {
+			t.Fatalf("ByName(%q) succeeded", name)
+		}
+		if !strings.HasSuffix(err.Error(), "(want lru, freq)") {
+			t.Fatalf("ByName(%q) error %q does not name the policies lru, freq", name, err)
+		}
 	}
 }
 
@@ -236,4 +211,11 @@ func (tr *Tracker) SetHalfLife(ticks float64) {
 		ticks = DefaultHalfLife
 	}
 	tr.halfLife = ticks
+}
+
+// Clock reports the current logical clock.
+func (tr *Tracker) Clock() int64 {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	return tr.clock
 }

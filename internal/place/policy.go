@@ -6,46 +6,21 @@ import (
 	"strings"
 )
 
-// fallThrough is the §III-D admission order every shipped policy uses: try
-// the preferred tier, then each slower one in turn. Adaptive policies keep
-// the write-time preference as a hint and correct placement from observed
-// reads instead of second-guessing the writer.
-func fallThrough(pref, tiers int) []int {
-	out := make([]int, 0, tiers-pref)
-	for i := pref; i < tiers; i++ {
-		out = append(out, i)
-	}
-	return out
-}
-
 // LRU is the default policy, byte-compatible with the hierarchy's
-// historical behavior: fall-through admission, least-recently-used
-// eviction (lexicographically first key among recency ties), and no
-// background movement — placement stays wherever the write landed it.
+// historical behavior: least-recently-used eviction (lexicographically
+// first key among recency ties), and no background movement — placement
+// stays wherever the write landed it.
 type LRU struct{}
 
 // Name implements Policy.
 func (LRU) Name() string { return "lru" }
-
-// Admit implements Policy.
-func (LRU) Admit(key string, stored int64, pref, tiers int) []int {
-	return fallThrough(pref, tiers)
-}
 
 // Victim implements Policy: the least-recently-used candidate. Candidates
 // arrive sorted by key and the comparison is strict, so ties break to the
 // lexicographically smallest key — the historical eviction order,
 // deterministic for a given access history.
 func (LRU) Victim(tier int, cands []Candidate) string {
-	best := ""
-	var bestUsed int64
-	for _, c := range cands {
-		if best == "" || c.Stats.LastUsed < bestUsed {
-			best = c.Key
-			bestUsed = c.Stats.LastUsed
-		}
-	}
-	return best
+	return victimByScore(cands, func(Candidate) float64 { return 0 })
 }
 
 // Promote implements Policy: LRU placement is static.
@@ -54,79 +29,53 @@ func (LRU) Promote(View) []Move { return nil }
 // Demote implements Policy: LRU placement is static.
 func (LRU) Demote(View) []Move { return nil }
 
-// Knobs bound how aggressively an adaptive policy moves data.
-type Knobs struct {
-	// MaxMoves caps promotions (and separately demotions) per cycle, so a
+// How aggressively FreqDecay moves data.
+const (
+	// maxMoves caps promotions (and separately demotions) per cycle, so a
 	// workload shift migrates incrementally instead of stalling reads
-	// behind a burst of copies. <= 0 means DefaultMaxMoves.
-	MaxMoves int
-	// Hysteresis is how many times hotter an outsider must score than the
+	// behind a burst of copies.
+	maxMoves = 8
+	// hysteresis is how many times hotter an outsider must be than the
 	// residents it would displace before a promotion is worth the copy.
-	// <= 1 disables the guard. Thrash protection: under a uniform
-	// workload scores tie and nothing moves.
-	Hysteresis float64
-	// HighWater/LowWater are the capacity fractions that trigger and end
-	// background demotion on a bounded tier: above HighWater, coldest
-	// keys demote until usage falls below LowWater, keeping admission
+	// Thrash protection: under a uniform workload frequencies tie and
+	// nothing moves.
+	hysteresis = 1.25
+	// highWater and lowWater are the capacity fractions that trigger and
+	// end background demotion on a bounded tier: above highWater, coldest
+	// keys demote until usage falls below lowWater, keeping admission
 	// headroom so writes and promotions do not synchronously evict.
-	HighWater, LowWater float64
-}
+	highWater, lowWater = 0.95, 0.85
+)
 
-// DefaultMaxMoves is the per-cycle move cap.
-const DefaultMaxMoves = 8
-
-func (k Knobs) withDefaults() Knobs {
-	if k.MaxMoves <= 0 {
-		k.MaxMoves = DefaultMaxMoves
-	}
-	if k.Hysteresis < 1 {
-		k.Hysteresis = 1.25
-	}
-	if k.HighWater <= 0 || k.HighWater > 1 {
-		k.HighWater = 0.95
-	}
-	if k.LowWater <= 0 || k.LowWater >= k.HighWater {
-		k.LowWater = 0.85
-	}
-	return k
-}
-
-// scored pairs a candidate with its policy score for sorting.
-type scored struct {
-	Candidate
-	score float64
-}
-
-// rank scores every candidate and returns them split by residency on the
-// fast tier, hot first (outsiders) and cold first (residents), with
+// rank splits the candidates by residency on the fast tier, hot first
+// (outsiders) and cold first (residents) by decayed frequency, with
 // deterministic key-order tie-breaks.
-func rank(v View, score func(Candidate, View) float64) (outsiders, residents []scored) {
+func rank(v View) (outsiders, residents []Candidate) {
 	for _, c := range v.Keys {
-		s := scored{Candidate: c, score: score(c, v)}
 		if c.Tier == 0 {
-			residents = append(residents, s)
+			residents = append(residents, c)
 		} else {
-			outsiders = append(outsiders, s)
+			outsiders = append(outsiders, c)
 		}
 	}
-	sort.SliceStable(outsiders, func(i, j int) bool { return outsiders[i].score > outsiders[j].score })
-	sort.SliceStable(residents, func(i, j int) bool { return residents[i].score < residents[j].score })
+	sort.SliceStable(outsiders, func(i, j int) bool { return outsiders[i].Stats.Freq > outsiders[j].Stats.Freq })
+	sort.SliceStable(residents, func(i, j int) bool { return residents[i].Stats.Freq < residents[j].Stats.Freq })
 	return outsiders, residents
 }
 
-// promoteByScore is the shared promotion planner: walk outsiders hot-first,
-// filling free fast-tier space outright and displacing the coldest
-// residents only when the outsider out-scores them by the hysteresis
+// promoteHot is the promotion planner: walk outsiders hot-first, filling
+// free fast-tier space outright and displacing the coldest residents only
+// when the outsider is hotter than all of them together by the hysteresis
 // factor. The returned moves name only the promoted keys — the eviction of
-// displaced residents happens inside the hierarchy's Promote through this
-// same policy's Victim, which ranks by the same score, so the resident this
+// displaced residents happens inside the hierarchy's Promote through
+// FreqDecay.Victim, which ranks by the same frequency, so the resident this
 // planner chose to displace is the one the eviction machinery picks.
-func promoteByScore(v View, k Knobs, score func(Candidate, View) float64) []Move {
+func promoteHot(v View) []Move {
 	if len(v.Tiers) < 2 {
 		return nil
 	}
-	outsiders, residents := rank(v, score)
-	fast := v.tier(0)
+	outsiders, residents := rank(v)
+	fast := v.Tiers[0]
 	free := fast.Capacity - fast.Used
 	if fast.Capacity <= 0 {
 		// Unbounded fast tier: everything hot belongs there.
@@ -135,10 +84,10 @@ func promoteByScore(v View, k Knobs, score func(Candidate, View) float64) []Move
 	var moves []Move
 	ri := 0
 	for _, c := range outsiders {
-		if len(moves) >= k.MaxMoves {
+		if len(moves) >= maxMoves {
 			break
 		}
-		if c.score <= 0 {
+		if c.Stats.Freq <= 0 {
 			break
 		}
 		if c.Stored <= free {
@@ -147,16 +96,16 @@ func promoteByScore(v View, k Knobs, score func(Candidate, View) float64) []Move
 			continue
 		}
 		// Full: displace the coldest residents covering the shortfall, if
-		// the newcomer beats their combined score with margin.
+		// the newcomer beats their combined frequency with margin.
 		need := c.Stored - free
-		var dispScore float64
+		var dispFreq float64
 		var dispBytes int64
 		j := ri
 		for ; j < len(residents) && dispBytes < need; j++ {
-			dispScore += residents[j].score
+			dispFreq += residents[j].Stats.Freq
 			dispBytes += residents[j].Stored
 		}
-		if dispBytes < need || c.score <= k.Hysteresis*dispScore {
+		if dispBytes < need || c.Stats.Freq <= hysteresis*dispFreq {
 			// Outsiders are sorted hot-first: if this one cannot displace
 			// the coldest residents, none of the colder ones can either.
 			break
@@ -168,29 +117,28 @@ func promoteByScore(v View, k Knobs, score func(Candidate, View) float64) []Move
 	return moves
 }
 
-// demoteCold is the shared capacity-pressure demoter: on every bounded tier
-// above the bottom whose usage exceeds the high watermark, demote the
-// coldest keys one tier down until projected usage falls below the low
-// watermark.
-func demoteCold(v View, k Knobs, score func(Candidate, View) float64) []Move {
+// demoteCold is the capacity-pressure demoter: on every bounded tier above
+// the bottom whose usage exceeds the high watermark, demote the coldest
+// keys one tier down until projected usage falls below the low watermark.
+func demoteCold(v View) []Move {
 	var moves []Move
 	for _, t := range v.Tiers {
 		if t.Capacity <= 0 || t.Index+1 >= len(v.Tiers) {
 			continue
 		}
-		if float64(t.Used) <= k.HighWater*float64(t.Capacity) {
+		if float64(t.Used) <= highWater*float64(t.Capacity) {
 			continue
 		}
-		var cands []scored
+		var cands []Candidate
 		for _, c := range v.Keys {
 			if c.Tier == t.Index {
-				cands = append(cands, scored{Candidate: c, score: score(c, v)})
+				cands = append(cands, c)
 			}
 		}
-		sort.SliceStable(cands, func(i, j int) bool { return cands[i].score < cands[j].score })
+		sort.SliceStable(cands, func(i, j int) bool { return cands[i].Stats.Freq < cands[j].Stats.Freq })
 		used := t.Used
 		for _, c := range cands {
-			if len(moves) >= k.MaxMoves || float64(used) <= k.LowWater*float64(t.Capacity) {
+			if len(moves) >= maxMoves || float64(used) <= lowWater*float64(t.Capacity) {
 				break
 			}
 			moves = append(moves, Move{Key: c.Key, To: t.Index + 1})
@@ -205,22 +153,13 @@ func demoteCold(v View, k Knobs, score func(Candidate, View) float64) []Move {
 // lowest-frequency residents (recency breaks frequency ties, then key
 // order), so a product the workload abandoned ages out at the decay
 // half-life instead of squatting.
-type FreqDecay struct {
-	Knobs Knobs
-}
+type FreqDecay struct{}
 
-// NewFreqDecay returns the frequency-decay policy with default knobs.
+// NewFreqDecay returns the frequency-decay policy.
 func NewFreqDecay() *FreqDecay { return &FreqDecay{} }
 
 // Name implements Policy.
 func (*FreqDecay) Name() string { return "freq" }
-
-// Admit implements Policy.
-func (*FreqDecay) Admit(key string, stored int64, pref, tiers int) []int {
-	return fallThrough(pref, tiers)
-}
-
-func freqScore(c Candidate, _ View) float64 { return c.Stats.Freq }
 
 // Victim implements Policy: the lowest decayed frequency, recency then key
 // order breaking ties.
@@ -229,68 +168,10 @@ func (*FreqDecay) Victim(tier int, cands []Candidate) string {
 }
 
 // Promote implements Policy.
-func (p *FreqDecay) Promote(v View) []Move {
-	return promoteByScore(v, p.Knobs.withDefaults(), freqScore)
-}
+func (*FreqDecay) Promote(v View) []Move { return promoteHot(v) }
 
 // Demote implements Policy.
-func (p *FreqDecay) Demote(v View) []Move {
-	return demoteCold(v, p.Knobs.withDefaults(), freqScore)
-}
-
-// CostAware ranks products by the modeled seconds per access a fast-tier
-// residency saves: decayed frequency times the read-cost gap between the
-// tier the product occupies and the fast tier, under the same
-// latency + bytes/bandwidth model internal/plan prices retrievals with. A
-// bulky product on a high-latency tier outranks an equally hot small one,
-// because moving it up buys more wall time.
-type CostAware struct {
-	Knobs Knobs
-}
-
-// NewCostAware returns the cost-aware policy with default knobs.
-func NewCostAware() *CostAware { return &CostAware{} }
-
-// Name implements Policy.
-func (*CostAware) Name() string { return "cost" }
-
-// Admit implements Policy.
-func (*CostAware) Admit(key string, stored int64, pref, tiers int) []int {
-	return fallThrough(pref, tiers)
-}
-
-// costScore is freq x (seconds saved per full read by living on tier 0
-// instead of the current tier). Residents score against the *slowest*
-// tier they could be displaced to (one tier down), valuing what their
-// residency is currently worth.
-func costScore(c Candidate, v View) float64 {
-	cur := v.tier(c.Tier)
-	if c.Tier == 0 {
-		down := v.tier(min(c.Tier+1, len(v.Tiers)-1))
-		return c.Stats.Freq * (down.readSeconds(c.Stored) - cur.readSeconds(c.Stored))
-	}
-	return c.Stats.Freq * (cur.readSeconds(c.Stored) - v.tier(0).readSeconds(c.Stored))
-}
-
-// Victim implements Policy: the resident whose fast-tier residency is worth
-// the least modeled time.
-func (*CostAware) Victim(tier int, cands []Candidate) string {
-	return victimByScore(cands, func(c Candidate) float64 {
-		// Within one tier the read-cost gap is proportional to stored
-		// bytes, so score by freq x bytes: evict the cheapest-to-lose.
-		return c.Stats.Freq * float64(c.Stored)
-	})
-}
-
-// Promote implements Policy.
-func (p *CostAware) Promote(v View) []Move {
-	return promoteByScore(v, p.Knobs.withDefaults(), costScore)
-}
-
-// Demote implements Policy.
-func (p *CostAware) Demote(v View) []Move {
-	return demoteCold(v, p.Knobs.withDefaults(), costScore)
-}
+func (*FreqDecay) Demote(v View) []Move { return demoteCold(v) }
 
 // victimByScore picks the minimum-score candidate, breaking score ties by
 // older recency and then (candidates arrive key-sorted, comparisons are
@@ -312,7 +193,7 @@ func victimByScore(cands []Candidate, score func(Candidate) float64) string {
 
 // Names lists the selectable policies, default first — the -place-policy
 // flag's value set.
-func Names() []string { return []string{"lru", "freq", "cost"} }
+func Names() []string { return []string{"lru", "freq"} }
 
 // ByName resolves a -place-policy flag value to a fresh policy instance.
 func ByName(name string) (Policy, error) {
@@ -321,8 +202,6 @@ func ByName(name string) (Policy, error) {
 		return LRU{}, nil
 	case "freq":
 		return NewFreqDecay(), nil
-	case "cost":
-		return NewCostAware(), nil
 	}
 	return nil, fmt.Errorf("place: unknown policy %q (want %s)", name, strings.Join(Names(), ", "))
 }

@@ -48,11 +48,7 @@ func (f *fakeMover) ApplyMove(m Move) (int64, error) {
 
 func hotColdView() View {
 	return View{
-		Clock: 50,
-		Tiers: []TierInfo{
-			{Index: 0, Name: "fast", Capacity: 100, LatencySeconds: 1e-6, ReadBandwidth: 1e9},
-			{Index: 1, Name: "slow", LatencySeconds: 1e-3, ReadBandwidth: 1e7},
-		},
+		Tiers: []TierInfo{{Index: 0, Capacity: 100}, {Index: 1}},
 		Keys: []Candidate{
 			{Key: "hot", Tier: 1, Stored: 10, Stats: Stats{Freq: 5, LastUsed: 50}},
 			{Key: "lukewarm", Tier: 1, Stored: 10, Stats: Stats{Freq: 1, LastUsed: 40}},

@@ -16,9 +16,8 @@ const DefaultHalfLife = 4096
 // storage hierarchy drives it from the paths the obs counters already see:
 // every Get/GetRange attempt Touches the key, every Put Wrotes it, every
 // completed promotion Bumps it. It maintains the logical LRU clock that
-// used to live inside the hierarchy, plus per-key access counts, byte
-// totals, and an exponentially decayed access frequency for the adaptive
-// policies.
+// used to live inside the hierarchy, plus per-key access counts and an
+// exponentially decayed access frequency for the adaptive policy.
 //
 // Lock order: the hierarchy calls Tracker methods while holding its own
 // lock; the Tracker never calls back out, so its mutex is always innermost.
@@ -32,11 +31,10 @@ type Tracker struct {
 // kstat is one key's raw history. freq is valued at clock freqAt; readers
 // decay it forward to the current clock.
 type kstat struct {
-	lastUsed  int64
-	accesses  int64
-	bytesRead int64
-	freq      float64
-	freqAt    int64
+	lastUsed int64
+	accesses int64
+	freq     float64
+	freqAt   int64
 }
 
 // NewTracker returns an empty tracker with the default half-life.
@@ -102,26 +100,11 @@ func (tr *Tracker) Wrote(key string) {
 	tr.m[key] = &kstat{lastUsed: tr.clock, freqAt: tr.clock}
 }
 
-// ReadBytes adds n served payload bytes to key's totals, without advancing
-// the clock (the byte count arrives after the Touch that already did).
-func (tr *Tracker) ReadBytes(key string, n int64) {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	tr.stat(key).bytesRead += n
-}
-
 // Forget drops key's history (deletion).
 func (tr *Tracker) Forget(key string) {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
 	delete(tr.m, key)
-}
-
-// Clock reports the current logical clock.
-func (tr *Tracker) Clock() int64 {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	return tr.clock
 }
 
 // Stats reports key's history valued at the current clock (frequency
@@ -135,5 +118,5 @@ func (tr *Tracker) Stats(key string) Stats {
 		return Stats{}
 	}
 	tr.decayTo(s, tr.clock)
-	return Stats{LastUsed: s.lastUsed, Accesses: s.accesses, BytesRead: s.bytesRead, Freq: s.freq}
+	return Stats{LastUsed: s.lastUsed, Accesses: s.accesses, Freq: s.freq}
 }

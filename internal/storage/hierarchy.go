@@ -34,19 +34,19 @@ func newTierMetrics(tierName string) tierMetrics {
 	}
 }
 
-// Hierarchy is an ordered stack of tiers, fastest first. It is pure
-// mechanism: every placement decision — which tier admits a write (the
-// paper's §III-D fall-through is the default policy's choice), who gets
-// evicted under capacity pressure, what the background promoter moves — is
-// delegated to the pluggable place.Policy (SetPolicy), fed by the access
-// tracker the read paths drive.
+// Hierarchy is an ordered stack of tiers, fastest first. It is mechanism
+// plus one fixed rule: a write falls through from its preferred tier to the
+// first slower one that takes it (the paper's §III-D). Every other placement
+// decision — who gets evicted under capacity pressure, what the background
+// promoter moves — is delegated to the pluggable place.Policy (SetPolicy),
+// fed by the access tracker the read paths drive.
 type Hierarchy struct {
 	mu      sync.Mutex
 	tiers   []*Tier
 	tm      []tierMetrics // parallel to tiers
 	catalog map[string]*entry
-	// policy decides placement; place.LRU by default (byte-compatible
-	// with the historical static fall-through + LRU eviction).
+	// policy decides eviction and background movement; place.LRU by
+	// default (byte-compatible with the historical LRU eviction).
 	policy place.Policy
 	// tracker is the per-key access tracker feeding the policy; it owns
 	// the logical clock that keeps placement deterministic.
@@ -133,45 +133,39 @@ func (h *Hierarchy) SetEnvelopeBlock(n int64) {
 	h.envBlock = n
 }
 
-// Put writes data to the first tier the placement policy's admission order
-// accepts, preferring tier `pref`. Under the default policy that is the
-// paper's §III-D fall-through: the preferred tier, then each slower one in
-// turn when capacity is exhausted. `pref` is a hint — the policy owns the
-// candidate order; this method only executes it, skipping tiers that are
-// full or transiently faulted (the write must land somewhere durable now,
-// not after the tier recovers). The value is sealed in a checksum envelope
-// (see envelope.go); capacity accounting uses the real sealed size while
-// the simulated cost charges the payload, so modeled timings are envelope-
-// independent. writers models how many clients share the tier's bandwidth
-// for this operation (1 for serial writes). A cancelled ctx aborts before
-// any byte lands.
+// Put writes data to the first tier at or below `pref` that takes it: the
+// paper's §III-D fall-through, trying the preferred tier, then each slower
+// one in turn, skipping tiers that are full or transiently faulted (the
+// write must land somewhere durable now, not after the tier recovers).
+// `pref` is a hint; the placement policy may move the value later. The
+// value is sealed in a checksum envelope (see envelope.go); capacity
+// accounting uses the real sealed size while the simulated cost charges the
+// payload, so modeled timings are envelope-independent. writers models how
+// many clients share the tier's bandwidth for this operation (1 for serial
+// writes). A cancelled ctx aborts before any byte lands.
 func (h *Hierarchy) Put(ctx context.Context, key string, data []byte, pref int, writers int) (Placement, error) {
 	if err := ctx.Err(); err != nil {
 		return Placement{}, err
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if pref < 0 {
-		pref = 0
-	}
 	if pref >= len(h.tiers) {
 		pref = len(h.tiers) - 1
+	}
+	if pref < 0 {
+		pref = 0
 	}
 	var bypassed []string
 	var lastErr error
 	sealed, env := h.seal(data)
-	candidates := h.policy.Admit(key, int64(len(sealed)), pref, len(h.tiers))
-	for ci, i := range candidates {
-		if i < 0 || i >= len(h.tiers) {
-			continue
-		}
+	for i := pref; i < len(h.tiers); i++ {
 		t := h.tiers[i]
 		if !t.fits(int64(len(sealed))) {
 			bypassed = append(bypassed, t.Name)
 			continue
 		}
 		if err := t.backend().Put(key, sealed); err != nil {
-			if errors.Is(err, ErrTransient) && ci+1 < len(candidates) {
+			if errors.Is(err, ErrTransient) && i+1 < len(h.tiers) {
 				bypassed = append(bypassed, t.Name)
 				lastErr = err
 				continue

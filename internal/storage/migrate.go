@@ -170,7 +170,6 @@ func (h *Hierarchy) readRetrying(ctx context.Context, key string, readers int, o
 			h.tm[tierIdx].readBytes.Add(int64(len(data)))
 			h.tm[tierIdx].readOps.Inc()
 			req.AddTierRead(t.Name, len(data))
-			h.tracker.ReadBytes(key, int64(len(data)))
 			h.kickPromoter()
 			span.SetAttrInt("bytes", len(data))
 			return data, Placement{
@@ -305,8 +304,9 @@ func (h *Hierarchy) ensureRoomLocked(tier int, bytes int64, protect string) ([]M
 	var out []Migration
 	for !t.fits(bytes) {
 		// The victim choice is the policy's: LRU picks the least recently
-		// used, the adaptive policies the lowest-scored resident.
-		victim := h.policy.Victim(tier, h.candidatesLocked(tier, protect))
+		// used, freq the least frequently read resident.
+		cands := h.candidatesLocked(func(k string, e *entry) bool { return e.tier == tier && k != protect })
+		victim := h.policy.Victim(tier, cands)
 		if victim == "" {
 			return out, fmt.Errorf("storage: tier %s: %w (nothing evictable)", t.Name, ErrCapacity)
 		}

@@ -11,12 +11,12 @@ import (
 // Placement policy wiring. The hierarchy is pure mechanism: it gathers the
 // facts a decision needs (residency, capacity, tracked heat), hands them to
 // the pluggable place.Policy, and executes the verdicts through the
-// migration-race-safe machinery in migrate.go. All decision logic — the
-// admission fall-through order, eviction victim choice, hot-set promotion,
-// capacity-pressure demotion — lives in internal/place.
+// migration-race-safe machinery in migrate.go. The decision logic — eviction
+// victim choice, hot-set promotion, capacity-pressure demotion — lives in
+// internal/place; admission is the fixed fall-through in Put.
 
-// SetPolicy installs the placement policy consulted for admission, eviction
-// victims, and background movement. nil restores the default (place.LRU,
+// SetPolicy installs the placement policy consulted for eviction victims
+// and background movement. nil restores the default (place.LRU,
 // byte-compatible with the historical static behavior). The policy applies
 // to subsequent decisions; residency already established stays put until
 // the policy moves it.
@@ -37,47 +37,25 @@ func (h *Hierarchy) Policy() place.Policy {
 }
 
 // PlacementView snapshots the hierarchy for a policy decision: every
-// tier's capacity envelope and usage, and every cataloged key's residency,
-// sizes, and tracked heat, key-sorted for deterministic policy output.
+// tier's capacity and usage, and every cataloged key's residency, stored
+// size, and tracked heat, key-sorted for deterministic policy output.
 func (h *Hierarchy) PlacementView() place.View {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	v := place.View{Clock: h.tracker.Clock()}
+	var v place.View
 	for i, t := range h.tiers {
-		v.Tiers = append(v.Tiers, place.TierInfo{
-			Index:          i,
-			Name:           t.Name,
-			Capacity:       t.Capacity,
-			Used:           t.backend().Used(),
-			LatencySeconds: t.LatencySeconds,
-			ReadBandwidth:  t.ReadBandwidth,
-			WriteBandwidth: t.WriteBandwidth,
-		})
+		v.Tiers = append(v.Tiers, place.TierInfo{Index: i, Capacity: t.Capacity, Used: t.backend().Used()})
 	}
-	keys := make([]string, 0, len(h.catalog))
-	for k := range h.catalog {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		e := h.catalog[k]
-		v.Keys = append(v.Keys, place.Candidate{
-			Key:    k,
-			Tier:   e.tier,
-			Size:   e.size,
-			Stored: e.stored,
-			Stats:  h.tracker.Stats(k),
-		})
-	}
+	v.Keys = h.candidatesLocked(func(string, *entry) bool { return true })
 	return v
 }
 
-// candidatesLocked builds the policy's eviction candidates resident on a
-// tier, key-sorted, excluding protect. Caller holds the lock.
-func (h *Hierarchy) candidatesLocked(tier int, protect string) []place.Candidate {
+// candidatesLocked builds key-sorted policy candidates from the catalog
+// entries keep accepts. Caller holds the lock.
+func (h *Hierarchy) candidatesLocked(keep func(key string, e *entry) bool) []place.Candidate {
 	keys := make([]string, 0)
 	for k, e := range h.catalog {
-		if e.tier == tier && k != protect {
+		if keep(k, e) {
 			keys = append(keys, k)
 		}
 	}
@@ -85,13 +63,7 @@ func (h *Hierarchy) candidatesLocked(tier int, protect string) []place.Candidate
 	cands := make([]place.Candidate, 0, len(keys))
 	for _, k := range keys {
 		e := h.catalog[k]
-		cands = append(cands, place.Candidate{
-			Key:    k,
-			Tier:   e.tier,
-			Size:   e.size,
-			Stored: e.stored,
-			Stats:  h.tracker.Stats(k),
-		})
+		cands = append(cands, place.Candidate{Key: k, Tier: e.tier, Stored: e.stored, Stats: h.tracker.Stats(k)})
 	}
 	return cands
 }

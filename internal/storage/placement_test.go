@@ -190,9 +190,6 @@ func TestPlacementViewSnapshot(t *testing.T) {
 	if v.Keys[1].Tier != 0 || v.Keys[1].Stats.Accesses != 0 {
 		t.Fatalf("b candidate = %+v", v.Keys[1])
 	}
-	if v.Clock == 0 {
-		t.Fatal("clock not snapshotted")
-	}
 }
 
 // Accesses reports how many times key has been read. Get and GetRange both

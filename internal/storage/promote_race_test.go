@@ -77,7 +77,7 @@ func TestPromoterVsReaders(t *testing.T) {
 // key vanished or changed underneath it must fail softly, never corrupt the
 // catalog, and never deadlock. Run under -race.
 func TestPromoterVsWriters(t *testing.T) {
-	h, pr := raceHierarchy(t, 16, place.NewCostAware())
+	h, pr := raceHierarchy(t, 16, place.NewFreqDecay())
 	pr.Start()
 	defer pr.Stop()
 	ctx := context.Background()
