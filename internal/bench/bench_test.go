@@ -214,3 +214,49 @@ func TestFmtBytes(t *testing.T) {
 		}
 	}
 }
+
+// TestFig5Shape checks Figure 5's claim at paper scale instead of printing
+// it: for each application, compressing base plus deltas (Canopus) stores
+// the same payload as compressing every level directly at one level, where
+// no delta exists, strictly less at two or more, and its improvement over
+// the direct payload does not shrink as levels are added from two to four.
+func TestFig5Shape(t *testing.T) {
+	r := New(io.Discard, ScalePaper)
+	apps := []struct {
+		name string
+		ds   *core.Dataset
+	}{
+		{"XGC1", r.xgc1().Dataset},
+		{"GenASiS", r.genasis()},
+		{"CFD", r.cfd()},
+	}
+	const relTol = 1e-4
+	for _, app := range apps {
+		t.Run(app.name, func(t *testing.T) {
+			prev := math.Inf(-1)
+			for n := 1; n <= 4; n++ {
+				direct, err := fig5Payload(app.ds, n, core.ModeDirect, relTol, r.Workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				canopus, err := fig5Payload(app.ds, n, core.ModeDelta, relTol, r.Workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				improve := (direct.normalized - canopus.normalized) / direct.normalized
+				t.Logf("levels=%d direct %.4f canopus %.4f improvement %.1f%%", n, direct.normalized, canopus.normalized, 100*improve)
+				switch {
+				case n == 1 && canopus.payloadBytes != direct.payloadBytes:
+					t.Errorf("1 level: canopus stores %d bytes, direct %d; want equal", canopus.payloadBytes, direct.payloadBytes)
+				case n >= 2 && canopus.payloadBytes >= direct.payloadBytes:
+					t.Errorf("%d levels: canopus stores %d bytes, direct %d; want strictly fewer", n, canopus.payloadBytes, direct.payloadBytes)
+				case n > 2 && improve < prev:
+					t.Errorf("%d levels: improvement %.2f%% fell from %.2f%% at %d", n, 100*improve, 100*prev, n-1)
+				}
+				if n >= 2 {
+					prev = improve
+				}
+			}
+		})
+	}
+}
