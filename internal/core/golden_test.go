@@ -22,14 +22,16 @@ import (
 // contents. They move only if the hierarchy (collapse order, coarse
 // geometry, restriction weights), the delta, a codec or a container layout
 // changes — i.e. if old archives and new ones would differ. They were first
-// recorded from the map-based decimation this repository started with and
-// re-recorded once, in the change that moved geometry to CMSH version 2
-// (internal/mesh/codec.go); nonGeometryGolden below, untouched by that
-// change, shows everything else stayed where it was.
+// recorded from the map-based decimation this repository started with,
+// re-recorded once in the change that moved geometry to CMSH version 2
+// (internal/mesh/codec.go) — nonGeometryGolden below, untouched by that
+// change, showed everything else stayed where it was — and both re-recorded
+// once more when the plane's hierarchy moved to the partitioned collapse
+// order (internal/decimate), which changes every level's geometry and data.
 var storedGolden = map[string]string{
-	"write/delta":  "730d3f7bb347734d13cfd022c124dc407e7552a9a6ebc9b23e183a5ff715b952",
-	"write/direct": "27c88277193bb94e0c474130bc0c08ba76018b14d065cd1f6978bcd48244c3fb",
-	"series/delta": "4d2984d84d72f0cf48a317b741ed9ab8a578d710acf023b5ae5aa2ef46014926",
+	"write/delta":  "e7428494d6396ee45ac3c1e2008541de90986e4039985231121170b97a721164",
+	"write/direct": "a72fd2bf9270b139630c6f6cb4b83bdb0205fa0c2adb5851f39ddfc6cd3030c1",
+	"series/delta": "417bb817f6c5cfb2233c6b5ce86a10bf151a3a0032cbbcb563a7a2685159996b",
 }
 
 // hashStored digests every key in the hierarchy and its stored bytes.
@@ -107,9 +109,9 @@ func TestWriteStoredBytesGolden(t *testing.T) {
 // container sizes and so moves with the geometry's size). A change to how
 // geometry is encoded must leave these hashes alone.
 var nonGeometryGolden = map[string]string{
-	"write/delta":  "19fd90da1c46886294e9640fdb82c717caf4f2b2515cefeb3d29931699fa0c79",
-	"write/direct": "f19a6a576af35562c86ff804168749bdcca41539254ba93fc7e436659b93899c",
-	"series/delta": "ba76464e1972c0790a0bc6204d3fe747d98ee158e369094dea722582a9313b98",
+	"write/delta":  "dcaeb0a6792b5e511ed9dff983d2e93c6a84e5bafbb5c0278e98365ce869bd06",
+	"write/direct": "aa93ff894a1d41e1c47af5811f68815d288bf2f61b1c07650e0bd38f4c16caf4",
+	"series/delta": "f4e76d7d99285e4bc431e73b05d88aed30128c2ae96f94c2bccf8d47e01596aa",
 }
 
 // hashNonGeometry digests, for every stored container in key order, the

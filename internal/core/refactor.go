@@ -437,9 +437,9 @@ func Write(ctx context.Context, aio *adios.IO, ds *Dataset, opts Options) (*Writ
 	// The decimation chain (Algorithm 1 per level), each level's unit beside
 	// it. Direct mode stores no deltas; it measures them only to calibrate
 	// the bounds, below.
-	err = c.chain(ctx, &rep.Timings, func(_ context.Context, l int) error {
+	err = c.chain(ctx, &rep.Timings, func(ctx context.Context, l int) error {
 		fine := &c.levels[l]
-		res, err := decimate.Decimate(fine.mesh, fine.data, decimate.TargetForRatio(fine.mesh.NumVerts(), opts.RatioPerLevel), decimate.Options{})
+		res, err := decimate.DecimateParallel(ctx, c.pool, fine.mesh, fine.data, decimate.TargetForRatio(fine.mesh.NumVerts(), opts.RatioPerLevel), decimate.Options{})
 		if err != nil {
 			return fmt.Errorf("decimate level %d: %w", l, err)
 		}

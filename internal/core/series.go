@@ -122,9 +122,9 @@ func NewSeriesWriter(ctx context.Context, aio *adios.IO, name string, m *mesh.Me
 	// default priority, so a zero field yields the canonical collapse
 	// sequence and its restriction operators; the mappings are built beside.
 	zeros := make([]float64, m.NumVerts())
-	err = sw.c.chain(ctx, &PhaseTimings{}, func(_ context.Context, l int) error {
+	err = sw.c.chain(ctx, &PhaseTimings{}, func(ctx context.Context, l int) error {
 		cur := sw.c.levels[l].mesh
-		res, err := decimate.Decimate(cur, zeros[:cur.NumVerts()],
+		res, err := decimate.DecimateParallel(ctx, sw.c.pool, cur, zeros[:cur.NumVerts()],
 			decimate.TargetForRatio(cur.NumVerts(), opts.RatioPerLevel),
 			decimate.Options{TrackRestriction: true})
 		if err != nil {

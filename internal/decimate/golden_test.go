@@ -13,23 +13,26 @@ import (
 
 // decimateGolden pins Decimate's complete output. Each hash covers a 3-step
 // ratio-2 cascade: per step the coarse vertices, triangles, data, restriction
-// rows and the Collapses/Rejected counters. The values were recorded from the
-// map-based implementation this package started with; any change to collapse
-// order, tie-breaking, vertex placement or restriction weights changes them,
-// and with them every stored byte and recorded error bound downstream.
+// rows and the Collapses/Rejected counters. Both planes are large enough to
+// be decimated in parts, and the values were recorded from the partitioned
+// collapse order; meshes of one part keep the serial order the map-based
+// implementation this package started with defined. Any change to the parts,
+// collapse order, tie-breaking, vertex placement or restriction weights
+// changes them, and with them every stored byte and recorded error bound
+// downstream.
 var decimateGolden = map[string]string{
-	"plane/edge-length":           "ab14ea2317176c7c4030a99e1f60f37bdb6380b47508cf2f04af4b23bbfa0159",
-	"plane/edge-length/track":     "e8fbb782747629c30726a26f6063386df98794d57ebd9b719abafcbe4dd2b2d7",
-	"plane/data-weighted":         "1fb0509f7a3155e9074340c3035a993731a8ce9b03a584d5f9b8684b2642cba2",
-	"plane/data-weighted/track":   "58d9d4085b203d135dd081455d807b7c5039598759a66c4db2ca1b1898c2df86",
-	"plane/hash-order":            "c2264213251cf118659e9cb225dd2218eeae0330bcd05d9aecdec10465194571",
-	"plane/hash-order/track":      "f6bdca98f719dcf88f5837b2910cc4f9b5da2031004ea301f8cc2155ffe3d536",
-	"plane2x/edge-length":         "659b7d21b436085083164e531a1f2e13f001c057d334cc58d0b04491bbc621d1",
-	"plane2x/edge-length/track":   "410a693e6a7a49f9d77364a9853c0916e3fb01c6ef444262401b5d3f822bb8e8",
-	"plane2x/data-weighted":       "05b2094058ed63debce75ababf3345281b6d7a4bef00a2357ee90205e65d7d18",
-	"plane2x/data-weighted/track": "9ce5538275c1ff7f92c3728f0e2bbe23b0c7a9fc8b09258bc83b8ceedbc5d40d",
-	"plane2x/hash-order":          "bb99f75a6db287977cf965cd28f887d9f715e033d36b98132c4529cccb6ca9cd",
-	"plane2x/hash-order/track":    "bdba98c31dc545237af0f9fc2d3b146b1982e1d4d31e08612f220b738c5f66ca",
+	"plane/edge-length":           "c7584b651d7977feae4d72389a59fcfc9449de38f95b8bd630f19282033464a6",
+	"plane/edge-length/track":     "f2671e442c05ad8e0a1686a70c422f721f5c2a7e277a65da267cd3275fdf8e5a",
+	"plane/data-weighted":         "27ac2f18639154ab2ea0128bb03b76f7b95b59d3611717668140b8c745c5edc4",
+	"plane/data-weighted/track":   "0f8e4cecefae2d55a92ae9d22f3f8875d1d34223a1ccc4f47df1113e01236c18",
+	"plane/hash-order":            "8c8defb1f860a89e8018aa326fdf19838cdd4b8f78099423bc9cb1c00e95f2cf",
+	"plane/hash-order/track":      "f40e306fcc4b27c63fc77e7cb12c2fa63ddaa040c4f9ede9f3c7872db8aca01d",
+	"plane2x/edge-length":         "76bca97d91e7b8048c1d0e81f084aea0ffb089725a377e649869bf15603b36ab",
+	"plane2x/edge-length/track":   "345822e23ff38694399ce136b7bee0d6d87617a59865f8d7bdd8f0d121ec31d7",
+	"plane2x/data-weighted":       "84f5d2dc1257e55d117ef0fe81cb41a97555041425f56fc30bb76796f4fee348",
+	"plane2x/data-weighted/track": "e47fa2c715529bc3c8552c40250f4ea5444ba1c81573d6b2dcb3943aba2f930e",
+	"plane2x/hash-order":          "2125aeaa34ba999854869396bbe1f52ef0cb9569d39374008ebbfaa20d2a038b",
+	"plane2x/hash-order/track":    "b1b9b2f4ac48e24b9176a9da3a26d4923786c33a22a3457b55df4ce056a1875c",
 }
 
 func TestDecimateGolden(t *testing.T) {

@@ -280,3 +280,65 @@ func BenchmarkPushPop(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDecimationPattern replays the decimator's use of the queue, which
+// BenchmarkPushPop's fill-then-drain does not: about 116k seed entries (the
+// edges of a 39,200-vertex mesh), then one collapse per live pop, each
+// pushing six new entries a little above the popped priority and leaving
+// six older ones stale, skipped when they surface. It reports the time per
+// collapse and per queue operation.
+func BenchmarkDecimationPattern(b *testing.B) {
+	const (
+		seeds     = 116_000
+		collapses = seeds / 6
+		ring      = 6   // entries pushed, and entries gone stale, per collapse
+		lag       = 500 // collapses between a push and its going stale
+	)
+	rng := rand.New(rand.NewSource(7))
+	prios := make([]float64, seeds+ring*collapses)
+	for i := range prios[:seeds] {
+		prios[i] = rng.Float64()
+	}
+	steps := prios[seeds:]
+	for i := range steps {
+		steps[i] = 0.05 * rng.Float64()
+	}
+	stale := make([]bool, len(prios))
+	var q Queue
+	var ops int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		clear(stale)
+		q.Reset(seeds)
+		for id, p := range prios[:seeds] {
+			q.Push(id, p)
+		}
+		ops += seeds
+		next := seeds
+		for c := 0; c < collapses; c++ {
+			id, p, ok := q.Pop()
+			ops++
+			for ok && stale[id] {
+				id, p, ok = q.Pop()
+				ops++
+			}
+			if !ok {
+				b.Fatal("queue ran dry")
+			}
+			stale[id] = true
+			for k := 0; k < ring; k++ {
+				q.Push(next, p+prios[next])
+				next++
+			}
+			ops += ring
+			if old := next - ring*lag; old >= seeds {
+				for k := 0; k < ring; k++ {
+					stale[old-1-k] = true
+				}
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*collapses), "ns/collapse")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ops), "ns/queue-op")
+}
