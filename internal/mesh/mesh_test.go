@@ -218,12 +218,17 @@ func TestAdjacency(t *testing.T) {
 	}
 }
 
-// boundaryVertices flags m's boundary vertices and counts them.
+// boundaryVertices flags m's boundary vertices, the ends of an edge in one
+// triangle, and counts them.
 func boundaryVertices(m *Mesh) ([]bool, int) {
 	var et EdgeTable
 	et.Build(m)
 	b := make([]bool, len(m.Verts))
-	et.MarkBoundary(b)
+	for i, e := range et.Edges {
+		if et.Tris[i] == 1 {
+			b[e.A], b[e.B] = true, true
+		}
+	}
 	n := 0
 	for _, on := range b {
 		if on {
