@@ -8,7 +8,7 @@
 //	canopus-bench -fig all            # every figure, paper-scale meshes
 //	canopus-bench -fig 5              # one figure
 //	canopus-bench -fig 9 -scale quick # reduced meshes for a fast pass
-//	canopus-bench -fig 7 -ascii       # include text-art galleries
+//	canopus-bench -fig 4 -ascii       # include Fig. 4's text-art gallery
 package main
 
 import (
@@ -25,7 +25,7 @@ import (
 func main() {
 	fig := flag.String("fig", "all", "figure to regenerate: "+strings.Join(bench.Figures(), ", ")+", or all")
 	scale := flag.String("scale", "paper", "dataset scale: paper or quick")
-	ascii := flag.Bool("ascii", false, "render text-art galleries for Figs. 4 and 7")
+	ascii := flag.Bool("ascii", false, "render Fig. 4's text-art gallery")
 	workers := flag.Int("workers", 0, "concurrent pipeline workers (0 = NumCPU, 1 = serial)")
 	var ocli obs.CLI
 	ocli.Bind(flag.CommandLine)

@@ -1,8 +1,10 @@
 // Package bench regenerates every table and figure of the Canopus paper's
-// evaluation (§IV). Each Fig* function runs the full pipeline — synthetic
+// evaluation (§IV). Each figure driver runs the full pipeline — synthetic
 // workload generation, refactoring, placement, retrieval, analytics — and
-// prints the series the paper plots. cmd/canopus-bench is the CLI front
-// end; performance is measured by the separate benchmark/ module, not here.
+// returns the series the paper plots as a figure of numbers; one renderer
+// prints them. cmd/canopus-bench is the CLI front end; the shapes the paper
+// claims are asserted on the returned numbers by this package's tests, and
+// performance is measured by the separate benchmark/ module, not here.
 //
 // Compute phases report real wall time on the host machine; I/O phases
 // report the deterministic simulated time of the storage model, so the
@@ -13,8 +15,11 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
+	"strconv"
+	"strings"
 	"text/tabwriter"
 
 	"repro/internal/adios"
@@ -39,7 +44,7 @@ const (
 type Runner struct {
 	Out   io.Writer
 	Scale Scale
-	// ASCII enables the qualitative text-art galleries in Fig. 4/7.
+	// ASCII enables the text-art gallery of Fig. 4.
 	ASCII bool
 	// Workers bounds the engine worker pool for refactoring pipelines
 	// (0 = NumCPU, 1 = serial).
@@ -51,60 +56,118 @@ func New(out io.Writer, scale Scale) *Runner {
 	return &Runner{Out: out, Scale: scale}
 }
 
-// Figures lists the available figure ids in paper order.
-func Figures() []string {
-	return []string{"4", "5", "6a", "6b", "7", "8", "9", "10", "11", "ablation"}
+// drivers maps each figure id, in paper order, to the driver computing it.
+var drivers = []struct {
+	id  string
+	run func(*Runner) (*figure, error)
+}{
+	{"4", (*Runner).fig4},
+	{"5", (*Runner).fig5},
+	{"6a", (*Runner).fig6a},
+	{"6b", (*Runner).fig6b},
+	{"7", (*Runner).fig7},
+	{"8", (*Runner).fig8},
+	{"9", (*Runner).fig9},
+	{"10", (*Runner).fig10},
+	{"11", (*Runner).fig11},
+	{"ablation", (*Runner).ablation},
 }
 
-// Run dispatches one figure id ("4" ... "11", "6a", "6b", "ablation", or
-// "all").
+// Figures lists the available figure ids in paper order.
+func Figures() []string {
+	ids := make([]string, len(drivers))
+	for i, d := range drivers {
+		ids[i] = d.id
+	}
+	return ids
+}
+
+// Run computes one figure id (one of Figures(), or "all") and prints it.
 func (r *Runner) Run(id string) error {
-	switch id {
-	case "4":
-		return r.Fig4()
-	case "5":
-		return r.Fig5()
-	case "6a":
-		return r.Fig6a()
-	case "6b":
-		return r.Fig6b()
-	case "6":
-		if err := r.Fig6a(); err != nil {
-			return err
-		}
-		return r.Fig6b()
-	case "7":
-		return r.Fig7()
-	case "8":
-		return r.Fig8()
-	case "9":
-		return r.Fig9()
-	case "10":
-		return r.Fig10()
-	case "11":
-		return r.Fig11()
-	case "ablation":
-		return r.Ablation()
-	case "all":
+	if id == "all" {
 		for _, f := range Figures() {
 			if err := r.Run(f); err != nil {
 				return fmt.Errorf("figure %s: %w", f, err)
 			}
 		}
 		return nil
-	default:
-		return fmt.Errorf("bench: unknown figure %q (have %v)", id, Figures())
 	}
+	for _, d := range drivers {
+		if d.id == id {
+			f, err := d.run(r)
+			if err != nil {
+				return err
+			}
+			return r.render(f)
+		}
+	}
+	return fmt.Errorf("bench: unknown figure %q (have %v)", id, Figures())
 }
 
-// header prints a figure banner.
-func (r *Runner) header(title string) {
-	fmt.Fprintf(r.Out, "\n=== %s ===\n", title)
+// figure is what every driver returns: the numbers of one paper figure.
+type figure struct {
+	title    string
+	workload string // one line describing the input, or ""
+	tables   []table
 }
 
-// table starts an aligned table.
-func (r *Runner) table() *tabwriter.Writer {
-	return tabwriter.NewWriter(r.Out, 2, 4, 2, ' ', 0)
+// table is one table of a figure: labelled rows of numbers under column
+// heads, each value column with its own format.
+type table struct {
+	caption string   // line above the table, or ""
+	heads   []string // heads[0] names the row labels
+	formats []string // per value column: a fmt verb, "bytes" or "bool"
+	rows    []row
+	gallery string // text art printed below the table (Fig. 4 with ASCII)
+}
+
+type row struct {
+	label string
+	vals  []float64
+}
+
+// render prints f. It is the only code in the package that writes to r.Out.
+func (r *Runner) render(f *figure) error {
+	fmt.Fprintf(r.Out, "\n=== %s ===\n", f.title)
+	if f.workload != "" {
+		fmt.Fprintf(r.Out, "workload: %s\n", f.workload)
+	}
+	for _, t := range f.tables {
+		// A blank line sets each table off from the lines above it, except
+		// an uncaptioned table directly under the banner (Fig. 6a).
+		if t.caption != "" || f.workload != "" {
+			fmt.Fprintln(r.Out)
+		}
+		if t.caption != "" {
+			fmt.Fprintln(r.Out, t.caption)
+		}
+		tw := tabwriter.NewWriter(r.Out, 2, 4, 2, ' ', 0)
+		fmt.Fprintln(tw, strings.Join(t.heads, "\t"))
+		for _, rw := range t.rows {
+			cells := []string{rw.label}
+			for i, v := range rw.vals {
+				cells = append(cells, cell(t.formats[i], v))
+			}
+			fmt.Fprintln(tw, strings.Join(cells, "\t"))
+		}
+		if err := tw.Flush(); err != nil {
+			return err
+		}
+		fmt.Fprint(r.Out, t.gallery)
+	}
+	return nil
+}
+
+// cell formats one value of a table.
+func cell(format string, v float64) string {
+	switch format {
+	case "bytes":
+		return fmtBytes(int64(v))
+	case "bool":
+		return strconv.FormatBool(v != 0)
+	default:
+		return fmt.Sprintf(format, v)
+	}
 }
 
 // Dataset constructors per scale. The timing figures (9–11) need enough
@@ -168,5 +231,16 @@ func fmtBytes(b int64) string {
 	}
 }
 
-// ms renders seconds as milliseconds.
-func ms(s float64) string { return fmt.Sprintf("%.2f", s*1e3) }
+// storedPayload writes ds with opts to a fresh two-tier stack and returns
+// the bytes of its stored payloads and their share of the raw size.
+func storedPayload(ds *core.Dataset, opts core.Options) (int64, float64, error) {
+	rep, err := core.Write(context.Background(), newIO(), ds, opts)
+	if err != nil {
+		return 0, 0, err
+	}
+	var payload int64
+	for _, b := range rep.PayloadBytes {
+		payload += b
+	}
+	return payload, float64(payload) / float64(rep.RawBytes), nil
+}

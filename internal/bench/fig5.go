@@ -1,20 +1,19 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/core"
 )
 
-// Fig5 reproduces "Canopus vs. direct compression": for each application and
+// fig5 reproduces "Canopus vs. direct compression": for each application and
 // each total level count 1–4, compress (a) every level directly and (b) the
 // base plus deltas — both with the ZFP-like codec — and report the
 // normalized stored size (compressed payload / raw full-accuracy size). The
 // paper reports Canopus improving the ratio by 14% (XGC1) up to 62.5%
 // (GenASiS) at deeper level counts.
-func (r *Runner) Fig5() error {
-	r.header("Figure 5: Canopus vs direct multi-level compression (normalized size)")
+func (r *Runner) fig5() (*figure, error) {
+	f := &figure{title: "Figure 5: Canopus vs direct multi-level compression (normalized size)"}
 	apps := []struct {
 		name string
 		ds   func() *core.Dataset
@@ -23,57 +22,30 @@ func (r *Runner) Fig5() error {
 		{"GenASiS (normVec magnitude)", r.genasis},
 		{"CFD (pressure)", r.cfd},
 	}
-	const relTol = 1e-4
 	for _, app := range apps {
-		fmt.Fprintf(r.Out, "\n-- %s --\n", app.name)
-		tw := r.table()
-		fmt.Fprintln(tw, "levels\tdirect\tcanopus\timprovement")
+		t := table{
+			caption: "-- " + app.name + " --",
+			heads:   []string{"levels", "direct", "canopus", "improvement"},
+			formats: []string{"%.4f", "%.4f", "%.1f%%"},
+		}
 		for n := 1; n <= 4; n++ {
-			direct, err := fig5Payload(app.ds(), n, core.ModeDirect, relTol, r.Workers)
+			opts := core.Options{Levels: n, RelTolerance: 1e-4, Mode: core.ModeDirect, Workers: r.Workers}
+			_, direct, err := storedPayload(app.ds(), opts)
 			if err != nil {
-				return fmt.Errorf("%s direct n=%d: %w", app.name, n, err)
+				return nil, fmt.Errorf("%s direct n=%d: %w", app.name, n, err)
 			}
-			canopus, err := fig5Payload(app.ds(), n, core.ModeDelta, relTol, r.Workers)
+			opts.Mode = core.ModeDelta
+			_, canopus, err := storedPayload(app.ds(), opts)
 			if err != nil {
-				return fmt.Errorf("%s canopus n=%d: %w", app.name, n, err)
+				return nil, fmt.Errorf("%s canopus n=%d: %w", app.name, n, err)
 			}
 			improve := 0.0
-			if direct.normalized > 0 {
-				improve = (direct.normalized - canopus.normalized) / direct.normalized * 100
+			if direct > 0 {
+				improve = (direct - canopus) / direct * 100
 			}
-			fmt.Fprintf(tw, "%d\t%.4f\t%.4f\t%.1f%%\n", n, direct.normalized, canopus.normalized, improve)
+			t.rows = append(t.rows, row{fmt.Sprint(n), []float64{direct, canopus, improve}})
 		}
-		if err := tw.Flush(); err != nil {
-			return err
-		}
+		f.tables = append(f.tables, t)
 	}
-	fmt.Fprintln(r.Out, "\nShape check: identical at 1 level (no deltas exist), Canopus strictly")
-	fmt.Fprintln(r.Out, "smaller at >= 2 levels, and the gap widens with the level count.")
-	return nil
-}
-
-type fig5Result struct {
-	payloadBytes int64
-	normalized   float64
-}
-
-func fig5Payload(ds *core.Dataset, levels int, mode core.Mode, relTol float64, workers int) (fig5Result, error) {
-	aio := newIO()
-	rep, err := core.Write(context.Background(), aio, ds, core.Options{
-		Levels:       levels,
-		RelTolerance: relTol,
-		Mode:         mode,
-		Workers:      workers,
-	})
-	if err != nil {
-		return fig5Result{}, err
-	}
-	var payload int64
-	for _, b := range rep.PayloadBytes {
-		payload += b
-	}
-	return fig5Result{
-		payloadBytes: payload,
-		normalized:   float64(payload) / float64(rep.RawBytes),
-	}, nil
+	return f, nil
 }

@@ -55,49 +55,44 @@ func (r *Runner) buildBlobLevels() (*blobLevels, error) {
 	return out, nil
 }
 
-// Fig7 reproduces the macroscopic blob-detection gallery: blob detection on
-// L0 through L5 with Config1, listing each detected blob. The qualitative
-// claim being checked: most full-accuracy blobs survive moderate
-// decimation, expanding and merging before they vanish (§IV-D).
-func (r *Runner) Fig7() error {
-	r.header("Figure 7: blob detection across accuracy levels (XGC1, Config1)")
+// fig7 reproduces the macroscopic blob-detection gallery: blob detection on
+// L0 through L5 with Config1, listing each detected blob (§IV-D).
+func (r *Runner) fig7() (*figure, error) {
 	bl, err := r.buildBlobLevels()
 	if err != nil {
-		return err
+		return nil, err
 	}
+	f := &figure{title: "Figure 7: blob detection across accuracy levels (XGC1, Config1)"}
 	for l, ratio := range bl.ratios {
 		blobs, err := analysis.DetectBlobs(bl.gray[l], bl.w, bl.h, analysis.Config1)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		label := "full accuracy"
 		if ratio > 1 {
 			label = fmt.Sprintf("decimation %dx", ratio)
 		}
-		fmt.Fprintf(r.Out, "\nL%d (%s, %d vertices): %d blobs\n", l, label, bl.verts[l], len(blobs))
-		tw := r.table()
-		fmt.Fprintln(tw, "  center(px)\tradius(px)\tarea(px^2)")
+		t := table{
+			caption: fmt.Sprintf("L%d (%s, %d vertices): %d blobs", l, label, bl.verts[l], len(blobs)),
+			heads:   []string{"  center(px)", "radius(px)", "area(px^2)"},
+			formats: []string{"%.1f", "%.0f"},
+		}
 		for _, b := range blobs {
-			fmt.Fprintf(tw, "  (%.0f, %.0f)\t%.1f\t%.0f\n", b.X, b.Y, b.Radius, b.Area)
+			t.rows = append(t.rows, row{fmt.Sprintf("  (%.0f, %.0f)", b.X, b.Y), []float64{b.Radius, b.Area}})
 		}
-		if err := tw.Flush(); err != nil {
-			return err
-		}
+		f.tables = append(f.tables, t)
 	}
-	fmt.Fprintln(r.Out, "\nShape check: blob count stays near the full-accuracy count through")
-	fmt.Fprintln(r.Out, "moderate decimation, and detected blobs swell/merge before disappearing.")
-	return nil
+	return f, nil
 }
 
-// Fig8 reproduces the quantitative blob evaluation: number of blobs, mean
+// fig8 reproduces the quantitative blob evaluation: number of blobs, mean
 // blob diameter, aggregate blob area, and overlap ratio against the
 // full-accuracy detections, for decimation ratios {None, 2, ..., 32} and
 // the paper's three detector configurations.
-func (r *Runner) Fig8() error {
-	r.header("Figure 8: quantitative blob detection vs decimation ratio (XGC1)")
+func (r *Runner) fig8() (*figure, error) {
 	bl, err := r.buildBlobLevels()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	configs := []struct {
 		name   string
@@ -107,34 +102,35 @@ func (r *Runner) Fig8() error {
 		{"Config2 <150,200,100>", analysis.Config2},
 		{"Config3 <10,200,200>", analysis.Config3},
 	}
+	f := &figure{title: "Figure 8: quantitative blob detection vs decimation ratio (XGC1)"}
 	for _, cfg := range configs {
-		fmt.Fprintf(r.Out, "\n-- %s --\n", cfg.name)
 		ref, err := analysis.DetectBlobs(bl.gray[0], bl.w, bl.h, cfg.params)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		tw := r.table()
-		fmt.Fprintln(tw, "decimation\t#blobs\tavg diameter(px)\taggr area(px^2)\toverlap ratio")
+		t := table{
+			caption: "-- " + cfg.name + " --",
+			heads:   []string{"decimation", "#blobs", "avg diameter(px)", "aggr area(px^2)", "overlap ratio"},
+			formats: []string{"%.0f", "%.1f", "%.0f", "%.2f"},
+		}
 		for l, ratio := range bl.ratios {
 			blobs, err := analysis.DetectBlobs(bl.gray[l], bl.w, bl.h, cfg.params)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			st := analysis.Stats(blobs)
-			overlap := analysis.OverlapRatio(blobs, ref)
-			label := "None"
-			if ratio > 1 {
-				label = fmt.Sprintf("%dx", ratio)
-			}
-			fmt.Fprintf(tw, "%s\t%d\t%.1f\t%.0f\t%.2f\n",
-				label, st.Count, st.AvgDiameter, st.TotalArea, overlap)
+			t.rows = append(t.rows, row{ratioLabel(ratio), []float64{
+				float64(st.Count), st.AvgDiameter, st.TotalArea, analysis.OverlapRatio(blobs, ref)}})
 		}
-		if err := tw.Flush(); err != nil {
-			return err
-		}
+		f.tables = append(f.tables, t)
 	}
-	fmt.Fprintln(r.Out, "\nShape check: blob count falls with decimation while surviving blobs")
-	fmt.Fprintln(r.Out, "inflate (diameter/area grow), and the overlap ratio stays high through")
-	fmt.Fprintln(r.Out, "moderate ratios — low-accuracy passes still find the real features.")
-	return nil
+	return f, nil
+}
+
+// ratioLabel names a decimation ratio as the figures print it.
+func ratioLabel(ratio int) string {
+	if ratio == 1 {
+		return "None"
+	}
+	return fmt.Sprintf("%dx", ratio)
 }
