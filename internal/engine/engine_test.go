@@ -255,3 +255,27 @@ func TestGroupDistinctKeys(t *testing.T) {
 		t.Fatal("keys interfered")
 	}
 }
+
+// TestPoolInlinePathsAllocateNothing guards Run's inline paths: a lone unit
+// on a wide pool and any number of units on a one-worker pool run in the
+// calling goroutine with no fan-out state, so the serial reference path and
+// a warm reader's single-unit steps cost no allocation.
+func TestPoolInlinePathsAllocateNothing(t *testing.T) {
+	ctx := context.Background()
+	var n int
+	u := func(context.Context) error { n++; return nil }
+	lone, two := []Unit{u}, []Unit{u, u}
+	for _, tc := range []struct {
+		workers int
+		units   []Unit
+	}{{4, lone}, {1, two}} {
+		p := NewPool(tc.workers)
+		if allocs := testing.AllocsPerRun(100, func() {
+			if err := p.Run(ctx, tc.units...); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%d unit(s) on %d worker(s): %v allocations per Run, want 0", len(tc.units), tc.workers, allocs)
+		}
+	}
+}
