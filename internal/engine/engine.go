@@ -14,7 +14,8 @@
 //     the calling goroutine in submission order, so the serial path stays
 //     bit-for-bit identical to a hand-written loop. A Batch on the same
 //     pool takes units one at a time, so a caller can start each as soon
-//     as its inputs exist while it goes on working.
+//     as its inputs exist while it goes on working; Run is a Batch whose
+//     first failure cancels its siblings.
 //   - Product: the uniform descriptor for every artifact the core moves
 //     between its write and read steps and storage (mesh geometry, vertex
 //     mappings, level data, delta tiles).
@@ -60,13 +61,15 @@ func (p *Pool) Workers() int { return p.workers }
 // what a serial loop would report) cancels the remaining units; units not
 // yet started are skipped. A cancelled ctx yields ctx.Err().
 //
-// With one worker, units run in the calling goroutine in order — the exact
-// serial semantics of the pre-engine code path.
+// With one worker, or a lone unit, units run in the calling goroutine in
+// order — the exact serial semantics of the pre-engine code path, with no
+// fan-out state. Otherwise Run is a Batch whose first failure cancels the
+// context its units run under.
 func (p *Pool) Run(ctx context.Context, units ...Unit) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if p.workers == 1 || len(units) == 1 {
+	if p.workers == 1 || len(units) <= 1 {
 		for _, u := range units {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -77,76 +80,55 @@ func (p *Pool) Run(ctx context.Context, units ...Unit) error {
 		}
 		return nil
 	}
-
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		errs = make([]error, len(units))
-	)
-	sem := make(chan struct{}, p.workers)
-	for i, u := range units {
-		if runCtx.Err() != nil {
-			break
-		}
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(i int, u Unit) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if err := runCtx.Err(); err != nil {
-				mu.Lock()
-				errs[i] = err
-				mu.Unlock()
-				return
-			}
-			if err := u(runCtx); err != nil {
-				mu.Lock()
-				errs[i] = err
-				mu.Unlock()
-				cancel()
-			}
-		}(i, u)
+	b := p.Batch()
+	b.cancel, b.errs = cancel, make([]error, 0, len(units))
+	for _, u := range units {
+		b.Go(runCtx, u)
 	}
-	wg.Wait()
-	// Deterministic error selection: prefer the lowest-indexed real
-	// failure over cancellation fallout, then over the parent ctx error.
-	failure, cancelled := pickError(errs)
-	if failure != nil {
-		return failure
+	// Cancellation fallout of the parent ctx reports the parent's error.
+	err := b.Wait()
+	if perr := ctx.Err(); perr != nil && (err == nil || cancellation(err)) {
+		return perr
 	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return cancelled
+	return err
+}
+
+// cancellation reports whether err is a bare context cancellation rather
+// than a unit's own failure.
+func cancellation(err error) bool {
+	return err == context.Canceled || err == context.DeadlineExceeded
 }
 
 // pickError returns the lowest-indexed error of errs that is not a bare
-// cancellation, and the lowest-indexed one that is.
-func pickError(errs []error) (failure, cancelled error) {
+// cancellation, else the lowest-indexed one that is, else nil.
+func pickError(errs []error) error {
+	var cancelled error
 	for _, err := range errs {
 		switch {
 		case err == nil:
-		case err == context.Canceled || err == context.DeadlineExceeded:
+		case cancellation(err):
 			if cancelled == nil {
 				cancelled = err
 			}
 		default:
-			return err, cancelled
+			return err
 		}
 	}
-	return nil, cancelled
+	return cancelled
 }
 
 // Batch runs units that its caller starts one at a time, each as soon as
 // its inputs exist, beside the caller's own work: a writer hands a level's
 // unit over while it goes on to make the next level. At most the pool's
-// width of them run at once. A unit's failure does not interrupt units
-// already running; it skips every unit not yet begun, and Failed tells the
-// caller to stop its own work. Wait joins them all.
+// width of them run at once. A unit's failure skips every unit not yet
+// begun, and Failed tells the caller to stop its own work; it interrupts
+// units already running only in Run's batch, which cancels their context.
+// Wait joins them all.
 type Batch struct {
-	sem    chan struct{} // nil on a one-worker pool: units run inline
+	sem    chan struct{}      // nil on a one-worker pool: units run inline
+	cancel context.CancelFunc // Run's: cancels the units' context on failure
 	wg     sync.WaitGroup
 	failed atomic.Bool
 	mu     sync.Mutex
@@ -210,6 +192,9 @@ func (b *Batch) fail(i int, err error) {
 	b.errs[i] = err
 	b.mu.Unlock()
 	b.failed.Store(true)
+	if b.cancel != nil {
+		b.cancel()
+	}
 }
 
 // Failed reports whether a unit of the batch has failed.
@@ -219,11 +204,7 @@ func (b *Batch) Failed() bool { return b.failed.Load() }
 // order, a real failure ahead of a bare cancellation, or nil.
 func (b *Batch) Wait() error {
 	b.wg.Wait()
-	failure, cancelled := pickError(b.errs)
-	if failure != nil {
-		return failure
-	}
-	return cancelled
+	return pickError(b.errs)
 }
 
 // RunRange executes fn over the index range [0, n), sharded into contiguous
@@ -245,11 +226,8 @@ func (p *Pool) RunRange(ctx context.Context, n int, fn func(start, end int) erro
 	}
 	// Two shards per worker evens out ragged per-element costs without
 	// shrinking shards below a useful grain.
-	shards := workers * 2
 	const minShard = 1024
-	if shards > (n+minShard-1)/minShard {
-		shards = (n + minShard - 1) / minShard
-	}
+	shards := min(workers*2, (n+minShard-1)/minShard)
 	if workers == 1 || shards <= 1 {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -259,11 +237,7 @@ func (p *Pool) RunRange(ctx context.Context, n int, fn func(start, end int) erro
 	units := make([]Unit, shards)
 	per := (n + shards - 1) / shards
 	for i := range units {
-		start := i * per
-		end := start + per
-		if end > n {
-			end = n
-		}
+		start, end := i*per, min(i*per+per, n)
 		units[i] = func(context.Context) error { return fn(start, end) }
 	}
 	return p.Run(ctx, units...)
