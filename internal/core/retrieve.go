@@ -248,24 +248,13 @@ type View struct {
 // skips only the decompress CPU. Cached slices are shared and read-only,
 // while Augment/restore mutate View data in place, so hits are copied out.
 func decodeProduct(ctx context.Context, pool *engine.Pool, codec compress.Codec, h *adios.Handle, level int, payload []byte) ([]float64, error) {
-	tc := h.TileCache()
-	if tc == nil {
-		return compress.ChunkedDecodeInto(ctx, pool, codec, nil, payload)
+	var st decodeStats
+	vals, err := st.decode(ctx, pool, codec, h, level, compress.BaseTile, nil, payload)
+	if err != nil || h.TileCache() == nil {
+		return vals, err
 	}
-	vals, hit, err := tc.GetOrDecode(h.Key(), level, compress.BaseTile, func() ([]float64, error) {
-		return compress.ChunkedDecodeInto(ctx, pool, codec, nil, payload)
-	})
-	if err != nil {
-		return nil, err
-	}
-	if hit {
-		obs.RequestFrom(ctx).AddTileCache(1, 0)
-	} else {
-		obs.RequestFrom(ctx).AddTileCache(0, 1)
-	}
-	out := make([]float64, len(vals))
-	copy(out, vals)
-	return out, nil
+	st.report(ctx)
+	return append([]float64(nil), vals...), nil
 }
 
 // Base retrieves the lowest-accuracy view: read L^(N-1) from the fast tier
@@ -319,7 +308,9 @@ func (r *Reader) RetrieveToTolerance(ctx context.Context, eps float64) (*View, e
 
 // finishTolerance attaches the tolerance context to a tolerance-driven
 // view: the eps on any degradation report, and a terminal "unreachable"
-// report when the plan already knew eps undercuts the finest bound.
+// report when the plan already knew eps undercuts the finest bound. A level
+// plan's Tolerance is 0 and it is never Unreachable, so its view is left as
+// it was.
 func finishTolerance(ctx context.Context, v *View, pl *plan.Plan) {
 	if v.Degradation != nil {
 		v.Degradation.RequestedTolerance = pl.Tolerance
@@ -349,7 +340,7 @@ func (a *archive) runPlan(ctx context.Context, step int, makePlan func(*plan.Pla
 	if err != nil {
 		return nil, err
 	}
-	return a.run(ctx, step, pl)
+	return a.run(ctx, step, pl, nil)
 }
 
 // run walks a planner-produced plan over step's containers. A progressive
@@ -358,9 +349,17 @@ func (a *archive) runPlan(ctx context.Context, step int, makePlan func(*plan.Pla
 // direct plan reads its single product and, under degradation, falls back
 // along pl.Fallbacks — coarser levels, nearest first — until one reads
 // cleanly. All level selection lives in the plan; run only follows it.
-func (a *archive) run(ctx context.Context, step int, pl *plan.Plan) (*View, error) {
+//
+// A non-nil send makes the walk a subscription: run hands send a snapshot
+// of every view before the last, and stops with ctx's error when send
+// reports the subscriber gone. Every degradable failure then degrades,
+// whatever SetDegrade says, because the views already sent are valid.
+func (a *archive) run(ctx context.Context, step int, pl *plan.Plan, send func(*View) bool) (*View, error) {
 	op, latency := "core.retrieve", metricRetrieveSeconds
-	if a.campaign {
+	switch {
+	case send != nil:
+		op, latency = "core.subscribe", metricSubscribeSeconds
+	case a.campaign:
 		op, latency = "core.retrieve_step", metricRetrieveStepSeconds
 	}
 	ctx, req, owned := obs.BeginRequest(ctx, op)
@@ -378,15 +377,18 @@ func (a *archive) run(ctx context.Context, step int, pl *plan.Plan) (*View, erro
 		v   *View
 		err error
 	)
-	for _, st := range pl.Steps {
+	for i, st := range pl.Steps {
 		var nv *View
 		if nv, err = a.advance(ctx, step, v, st.Level); err != nil {
 			break
 		}
 		v = nv
+		if send != nil && i < len(pl.Steps)-1 && !send(snapshotView(v)) {
+			return nil, ctx.Err()
+		}
 	}
 	if err != nil {
-		if !a.degradeOn() || !degradable(err) {
+		if !(a.degradeOn() || send != nil) || !degradable(err) {
 			return nil, err
 		}
 		for _, l := range pl.Fallbacks {
@@ -404,9 +406,7 @@ func (a *archive) run(ctx context.Context, step int, pl *plan.Plan) (*View, erro
 		}
 		a.degradeAt(ctx, span, v, pl, err)
 	}
-	if pl.Tolerance > 0 {
-		finishTolerance(ctx, v, pl)
-	}
+	finishTolerance(ctx, v, pl)
 	finishView(v, req, owned, span, latency)
 	return v, nil
 }
@@ -535,8 +535,7 @@ func (a *archive) refine(ctx context.Context, step int, v *View, h *adios.Handle
 		if want != nil {
 			have = make([]bool, n)
 		}
-		dec, err = tiles.decodeInto(ctx, a.pool, h, a.codec, d, have)
-		return err
+		return tiles.decodeInto(ctx, a.pool, h, a.codec, d, have, &dec)
 	})
 	// The step's costs fold only once every unit has succeeded, so a failed
 	// step folds into neither ledger.
@@ -545,7 +544,7 @@ func (a *archive) refine(ctx context.Context, step int, v *View, h *adios.Handle
 	}
 	v.Timings.addHandleIO(ctx, h)
 	v.Timings.fold(ctx, PhaseTimings{DecompressSeconds: dec.seconds})
-	obs.RequestFrom(ctx).AddTileCache(dec.tileHits, dec.tileMisses)
+	dec.report(ctx)
 	// In-place restore: the delta buffer becomes the fine data, and the
 	// per-vertex loop shards over the reader's pool. A masked restore
 	// computes only the wanted vertices, each exactly as RestoreInto would;
@@ -716,11 +715,39 @@ var tileScratchPool = sync.Pool{
 	},
 }
 
-// decodeStats is what one decode pass over a level's delta tiles measured:
-// its wall time and its decoded-tile cache hits and misses.
+// decodeStats is what one decode pass measured: its wall time and its
+// decoded-tile cache hits and misses.
 type decodeStats struct {
-	seconds              float64
-	tileHits, tileMisses int64
+	seconds      float64
+	hits, misses atomic.Int64
+}
+
+// decode decodes enc, tile `tile` of level's products in h (compress.BaseTile
+// for a whole product), into dst. With h's decoded-tile cache attached a
+// repeat is served from the cache, a miss decodes into a fresh slice the
+// cache keeps — the result is then shared and read-only, and dst unused —
+// and a successful lookup is counted.
+func (st *decodeStats) decode(ctx context.Context, pool *engine.Pool, codec compress.Codec, h *adios.Handle, level, tile int, dst []float64, enc []byte) ([]float64, error) {
+	tc := h.TileCache()
+	if tc == nil {
+		return compress.ChunkedDecodeInto(ctx, pool, codec, dst, enc)
+	}
+	vals, hit, err := tc.GetOrDecode(h.Key(), level, tile, func() ([]float64, error) {
+		return compress.ChunkedDecodeInto(ctx, pool, codec, nil, enc)
+	})
+	switch {
+	case err != nil:
+	case hit:
+		st.hits.Add(1)
+	default:
+		st.misses.Add(1)
+	}
+	return vals, err
+}
+
+// report adds the counted lookups to the request carried by ctx.
+func (st *decodeStats) report(ctx context.Context) {
+	obs.RequestFrom(ctx).AddTileCache(st.hits.Load(), st.misses.Load())
 }
 
 // deltaTiles is one level's delta tiles as fetched: still encoded, in
@@ -768,9 +795,9 @@ func fetchDeltaChunks(h *adios.Handle, tb tileBox, level int, want []bool) (*del
 // depend on the worker count. When the container holds fewer tiles than the
 // pool has workers (the Chunks=1 layout), the chunked codec container
 // supplies the parallelism instead: each tile's frame fans out chunk-wise on
-// the same pool. It folds nothing: the caller folds the returned stats once
-// the whole step has succeeded.
-func (dt *deltaTiles) decodeInto(ctx context.Context, pool *engine.Pool, h *adios.Handle, codec compress.Codec, out []float64, have []bool) (decodeStats, error) {
+// the same pool. It folds nothing: it measures into st, which the caller
+// folds once the whole step has succeeded.
+func (dt *deltaTiles) decodeInto(ctx context.Context, pool *engine.Pool, h *adios.Handle, codec compress.Codec, out []float64, have []bool, st *decodeStats) error {
 	level, present, payloads := dt.level, dt.present, dt.payloads
 	dspan := obs.FromContext(ctx).Child("core.decompress")
 	dspan.SetAttrInt("tiles", len(present))
@@ -778,19 +805,13 @@ func (dt *deltaTiles) decodeInto(ctx context.Context, pool *engine.Pool, h *adio
 	// Tile-level and chunk-level parallelism compete for the same pool;
 	// route the pool to whichever axis has the fan-out.
 	var innerPool *engine.Pool
-	workers := 1
-	if pool != nil {
-		workers = pool.Workers()
-	}
-	if len(present) < workers {
+	if len(present) < pool.Workers() {
 		innerPool = pool
 	}
 	// Decoded-tile cache hits skip the decode, never the fetch above. Cached
-	// slices are read-only — the scatter below only copies out of vals —
-	// and misses decode into a fresh slice, not the reused pooled scratch.
-	tc := h.TileCache()
-	key := h.Key()
-	var tileHits, tileMisses atomic.Int64
+	// slices are read-only — the scatter below only copies out of vals — so
+	// only an uncached decode lands in, and may grow, the pooled scratch.
+	cached := h.TileCache() != nil
 	t0 := time.Now()
 	err := pool.RunRange(ctx, len(present), func(start, end int) error {
 		scratch := tileScratchPool.Get().(*tileScratch)
@@ -802,22 +823,9 @@ func (dt *deltaTiles) decodeInto(ctx context.Context, pool *engine.Pool, h *adio
 			if err != nil {
 				return fmt.Errorf("canopus: level %d chunk %d: %w", level, ci, err)
 			}
-			var vals []float64
-			if tc != nil {
-				var hit bool
-				vals, hit, err = tc.GetOrDecode(key, level, ci, func() ([]float64, error) {
-					return compress.ChunkedDecodeInto(ctx, innerPool, codec, nil, enc)
-				})
-				if hit {
-					tileHits.Add(1)
-				} else {
-					tileMisses.Add(1)
-				}
-			} else {
-				vals, err = compress.ChunkedDecodeInto(ctx, innerPool, codec, scratch.vals[:0], enc)
-				if err == nil && cap(vals) > cap(scratch.vals) {
-					scratch.vals = vals[:0]
-				}
+			vals, err := st.decode(ctx, innerPool, codec, h, level, ci, scratch.vals[:0], enc)
+			if !cached && cap(vals) > cap(scratch.vals) {
+				scratch.vals = vals[:0]
 			}
 			if err != nil {
 				return fmt.Errorf("canopus: decompress delta %d chunk %d: %w", level, ci, err)
@@ -831,7 +839,8 @@ func (dt *deltaTiles) decodeInto(ctx context.Context, pool *engine.Pool, h *adio
 		}
 		return nil
 	})
-	return decodeStats{time.Since(t0).Seconds(), tileHits.Load(), tileMisses.Load()}, err
+	st.seconds = time.Since(t0).Seconds()
+	return err
 }
 
 // tileFrame parses the tiling frame recorded on a container.

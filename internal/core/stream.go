@@ -1,11 +1,6 @@
 package core
 
-import (
-	"context"
-
-	"repro/internal/obs"
-	"repro/internal/plan"
-)
+import "context"
 
 // Streaming refinement: Subscribe turns the progressive retrieval loop
 // inside-out. Instead of the caller driving Base/Augment, the reader pushes
@@ -36,7 +31,10 @@ import (
 //     channel closes with no views. Callers needing the cause should use
 //     RetrieveToTolerance instead.
 //
-// Subscribe returns an error only for an invalid eps.
+// Subscribe returns an error only for an invalid eps. The stream is the
+// retrieval walk with a send hook: sends are unbuffered and every send
+// selects on ctx.Done, so a cancelled subscriber never strands the
+// goroutine.
 func (r *Reader) Subscribe(ctx context.Context, eps float64) (<-chan *View, error) {
 	p, err := r.planner()
 	if err != nil {
@@ -47,21 +45,6 @@ func (r *Reader) Subscribe(ctx context.Context, eps float64) (<-chan *View, erro
 		return nil, err
 	}
 	ch := make(chan *View)
-	go r.stream(ctx, pl, ch)
-	return ch, nil
-}
-
-// stream executes a streaming plan, sending a snapshot per completed step.
-// Sends are unbuffered and every send selects on ctx.Done, so a cancelled
-// subscriber never strands the goroutine.
-func (r *Reader) stream(ctx context.Context, pl *plan.Plan, ch chan<- *View) {
-	defer close(ch)
-	ctx, req, owned := obs.BeginRequest(ctx, "core.subscribe")
-	ctx, span := obs.StartSpan(ctx, "core.subscribe")
-	span.SetAttr("name", r.name)
-	span.SetAttrInt("target_level", pl.Target)
-	defer span.End()
-
 	send := func(v *View) bool {
 		select {
 		case ch <- v:
@@ -70,36 +53,14 @@ func (r *Reader) stream(ctx context.Context, pl *plan.Plan, ch chan<- *View) {
 			return false
 		}
 	}
-
-	var v *View
-	for i, st := range pl.Steps {
-		nv, err := r.advance(ctx, 0, v, st.Level)
-		if err != nil && (ctx.Err() != nil || v == nil || !degradable(err)) {
-			// Cancelled, base failure, or a non-storage bug: nothing more
-			// to deliver.
-			return
+	go func() {
+		defer close(ch)
+		// The terminal view carries the whole stream's bill.
+		if v, err := r.run(ctx, 0, pl, send); err == nil && ctx.Err() == nil {
+			send(v)
 		}
-		if err == nil {
-			v = nv
-		}
-		out := snapshotView(v)
-		if err != nil {
-			// Refinement failed but every delivered view is valid: end the
-			// stream with a terminal degradation report at the accuracy
-			// achieved.
-			r.degradeAt(ctx, span, out, pl, err)
-		}
-		last := err != nil || i == len(pl.Steps)-1
-		if last {
-			// The terminal view reports an eps the plan already knew was
-			// unreachable, and carries the whole stream's bill.
-			finishTolerance(ctx, out, pl)
-			finishView(out, req, owned, span, metricSubscribeSeconds)
-		}
-		if !send(out) || last {
-			return
-		}
-	}
+	}()
+	return ch, nil
 }
 
 // snapshotView clones a view for delivery: Data is copied (the stream keeps
