@@ -67,16 +67,12 @@ func HashOrder(_ *mesh.Mesh, a, b int32, _ []float64) float64 {
 	return float64(h%(1<<52)) / (1 << 52)
 }
 
-// Options configures a decimation pass.
+// Options configures a decimation pass. The area guard every collapse
+// passes (minAreaFrac of the mean input triangle area) is fixed, not an
+// option.
 type Options struct {
 	// Priority orders collapses; nil means EdgeLength.
 	Priority Priority
-	// MinAreaFrac rejects collapses that would create a triangle whose
-	// area falls below this fraction of the mean input triangle area.
-	// Guards the point-location and estimation steps downstream against
-	// degenerate geometry. Zero means the default (1e-6); negative
-	// disables the guard.
-	MinAreaFrac float64
 	// TrackRestriction records, for every coarse vertex, its value as a
 	// weighted sum of *input* vertex values (Result.Restriction). With a
 	// geometry-only priority the collapse sequence depends only on the
@@ -209,7 +205,7 @@ func decimate(ctx context.Context, pool *engine.Pool, m *mesh.Mesh, data []float
 
 	w := getWork()
 	defer putWork(w)
-	w.init(m, data, targetVerts, prio, opts.TrackRestriction, opts.minArea(m), cols, rows)
+	w.init(m, data, targetVerts, prio, opts.TrackRestriction, minArea(m), cols, rows)
 	if err := w.runParts(ctx, pool); err != nil {
 		return nil, err
 	}
@@ -240,18 +236,18 @@ func TargetForRatio(n int, ratio float64) int {
 	return t
 }
 
-func (o Options) minArea(m *mesh.Mesh) float64 {
-	frac := o.MinAreaFrac
-	if frac < 0 {
-		return 0
-	}
-	if frac == 0 {
-		frac = 1e-6
-	}
+// minAreaFrac is the collapse guard: no collapse may leave a triangle whose
+// area falls below this fraction of the mean input triangle area, which
+// keeps the point-location and estimation steps downstream clear of
+// degenerate geometry.
+const minAreaFrac = 1e-6
+
+// minArea is the guard's absolute area on m.
+func minArea(m *mesh.Mesh) float64 {
 	if len(m.Tris) == 0 {
 		return 0
 	}
-	return frac * m.TotalArea() / float64(len(m.Tris))
+	return minAreaFrac * m.TotalArea() / float64(len(m.Tris))
 }
 
 // work is the mutable decimation state, all of it index-addressed slices.
