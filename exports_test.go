@@ -31,6 +31,7 @@ var exportAllowlist = map[string]string{
 	"obs.SetEventRetention":              "test hook: obs_test bounds the flight recorder",
 	"obs.EventTypes":                     "test hook: obs_test's event lints walk the registered set",
 	"obs.Span.Dump":                      "test hook: core and obs_test print span trees on failure",
+	"engine.Cache.Size":                  "test hook: compress's TileCache.SizeBytes and server's reader-cache tests read a cache's resident cost",
 	"bp.Writer.PutFloats":                "test hook: adios and bp_test build containers of raw floats",
 	"bp.Reader.AttrKeys":                 "test hook: core's golden and geometry tests hash every attribute",
 	"bp.Reader.ReadFloats":               "test hook: adios and bp tests read back what PutFloats wrote",
@@ -56,10 +57,18 @@ var ifaceMethodsOutside = map[string]string{
 // the module takes tens of seconds) and reports:
 //   - an exported top-level name in internal/ that no other declaration
 //     references, as pkg.Name from another package or as Name in its own;
-//   - an exported method in internal/ whose .Name selector appears nowhere,
-//     unless some interface carries a method of that name;
-//   - an exported method of an internal/ interface whose .Name selector
-//     appears nowhere.
+//   - an exported method in internal/ that no selector reaches, unless its
+//     name satisfies an interface outside the module or its type has every
+//     method of a module interface that carries it;
+//   - an exported method of an internal/ interface that no selector
+//     reaches.
+//
+// Methods are keyed by receiver type. A selector X.Name reaches T.Name when
+// the syntax tells that X is a T, or a type embedding one (typer, in
+// exports_typer_test.go). When it does not tell, the selector reaches every
+// method of that name in its own package and in those it imports, directly
+// or not, since only those can hold a T: a .Size on an os.FileInfo in storage,
+// which does not import engine, does not reach engine.Cache.Size.
 //
 // A name only tests use belongs in a _test.go file of its package, or on
 // exportAllowlist with its reason when tests of other packages need it.
@@ -228,28 +237,34 @@ func recvName(e ast.Expr) string {
 
 // refs is every reference the parsed program makes, by syntax alone.
 type refs struct {
-	selectors map[string]bool            // every .Name of a selector
+	*typer                               // selectors, by receiver type where the syntax tells it
+	reach     map[string]map[string]bool // import path → module packages it imports, directly or not, and itself
 	qualified map[string]map[string]bool // import path → names used as pkg.Name
 	local     map[*goPkg][]*ast.Ident    // bare identifiers, by package
-	ifaceName map[string]bool            // method names of every interface declared
 }
 
 func collectRefs(pkgs map[string]*goPkg) *refs {
 	r := &refs{
-		selectors: map[string]bool{},
+		typer:     newTyper(),
+		reach:     map[string]map[string]bool{},
 		qualified: map[string]map[string]bool{},
 		local:     map[*goPkg][]*ast.Ident{},
-		ifaceName: map[string]bool{},
 	}
+	direct := map[string]map[string]bool{} // import path → module packages it imports
+	var files []fileCtx
 	byName := map[string]string{} // import path → package clause, for unaliased imports
 	for ip, pkg := range pkgs {
 		byName[ip] = pkg.name
 	}
 	for _, pkg := range pkgs {
+		direct[pkg.path] = map[string]bool{}
 		for _, f := range pkg.files {
 			imports := map[string]string{} // local name → import path
 			for _, im := range f.Imports {
 				ip, _ := strconv.Unquote(im.Path.Value)
+				if pkgs[ip] != nil {
+					direct[pkg.path][ip] = true
+				}
 				local := byName[ip]
 				if local == "" {
 					local = path.Base(ip)
@@ -259,12 +274,12 @@ func collectRefs(pkgs map[string]*goPkg) *refs {
 				}
 				imports[local] = ip
 			}
+			files = append(files, fileCtx{pkg.path, imports, f})
 			skip := map[*ast.Ident]bool{}
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.SelectorExpr:
 					skip[n.Sel] = true
-					r.selectors[n.Sel.Name] = true
 					if x, ok := n.X.(*ast.Ident); ok {
 						if ip, ok := imports[x.Name]; ok {
 							if r.qualified[ip] == nil {
@@ -295,12 +310,6 @@ func collectRefs(pkgs map[string]*goPkg) *refs {
 					for _, id := range n.Names {
 						skip[id] = true
 					}
-				case *ast.InterfaceType:
-					for _, m := range n.Methods.List {
-						for _, id := range m.Names {
-							r.ifaceName[id.Name] = true
-						}
-					}
 				case *ast.Ident:
 					if !skip[n] {
 						r.local[pkg] = append(r.local[pkg], n)
@@ -310,6 +319,22 @@ func collectRefs(pkgs map[string]*goPkg) *refs {
 			})
 		}
 	}
+	var reach func(ip string) map[string]bool
+	reach = func(ip string) map[string]bool {
+		if r.reach[ip] == nil {
+			r.reach[ip] = map[string]bool{ip: true}
+			for dep := range direct[ip] {
+				for p := range reach(dep) {
+					r.reach[ip][p] = true
+				}
+			}
+		}
+		return r.reach[ip]
+	}
+	for ip := range pkgs {
+		reach(ip)
+	}
+	r.index(files)
 	return r
 }
 
@@ -318,14 +343,19 @@ func (r *refs) referenced(d decl) bool {
 	if d.recv == "" {
 		return r.qualified[d.pkg.path][d.name] || usedLocally(r.local[d.pkg], d)
 	}
-	if r.selectors[d.name] {
+	if r.typed[d.pkg.path+"."+d.recv+"."+d.name] {
 		return true
+	}
+	for ip, sel := range r.untyped {
+		if sel[d.name] && r.reach[ip][d.pkg.path] {
+			return true
+		}
 	}
 	if d.iface {
 		return false
 	}
 	_, outside := ifaceMethodsOutside[d.name]
-	return outside || r.ifaceName[d.name]
+	return outside || r.viaIface(d.pkg.path+"."+d.recv, d.name)
 }
 
 // usedLocally reports whether a bare identifier in d's package, outside d's
