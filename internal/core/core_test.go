@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/adios"
@@ -292,6 +293,36 @@ func TestWriteValidation(t *testing.T) {
 	}
 	if _, err := Write(context.Background(), aio, ds, Options{Mode: Mode(9)}); err == nil {
 		t.Error("accepted bad mode")
+	}
+}
+
+// TestWriteRejectsNonFiniteCoordinates: every write input is validated, so
+// a vertex coordinate that is not a finite number is refused up front by
+// Write, WriteRaw and NewSeriesWriter rather than decimated, located and
+// failed on far downstream.
+func TestWriteRejectsNonFiniteCoordinates(t *testing.T) {
+	ctx := context.Background()
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for axis := 0; axis < 2; axis++ {
+			ds := testDataset("x", 40)
+			if axis == 0 {
+				ds.Mesh.Verts[100].X = bad
+			} else {
+				ds.Mesh.Verts[100].Y = bad
+			}
+			check := func(what string, err error) {
+				t.Helper()
+				if err == nil || !strings.Contains(err.Error(), "vertex 100 has a non-finite coordinate") {
+					t.Errorf("%s, coordinate %d = %g: err = %v", what, axis, bad, err)
+				}
+			}
+			_, err := Write(ctx, newIO(), ds, Options{Levels: 3})
+			check("Write", err)
+			_, err = WriteRaw(ctx, newIO(), ds)
+			check("WriteRaw", err)
+			_, err = NewSeriesWriter(ctx, newIO(), "x", ds.Mesh, 1, Options{Levels: 3})
+			check("NewSeriesWriter", err)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package mesh
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -121,6 +122,23 @@ func TestValidateCatchesIsolatedVertex(t *testing.T) {
 	}
 	if err := m.Validate(); err == nil {
 		t.Fatal("Validate accepted isolated vertex")
+	}
+}
+
+func TestValidateCatchesNonFiniteCoordinate(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for axis := 0; axis < 2; axis++ {
+			m := Rect(4, 4, 1, 1)
+			if axis == 0 {
+				m.Verts[7].X = bad
+			} else {
+				m.Verts[7].Y = bad
+			}
+			err := m.Validate()
+			if err == nil || !strings.Contains(err.Error(), "vertex 7 has a non-finite coordinate") {
+				t.Errorf("coordinate %d = %g: Validate = %v", axis, bad, err)
+			}
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package mesh
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -9,6 +10,11 @@ import (
 // validateReference is the map-based Validate that the bucketed one
 // replaced; it defines the violation each input must report.
 func validateReference(m *Mesh) error {
+	for v, p := range m.Verts {
+		if math.IsNaN(p.X) || math.IsInf(p.X, 0) || math.IsNaN(p.Y) || math.IsInf(p.Y, 0) {
+			return fmt.Errorf("mesh: vertex %d has a non-finite coordinate (%g, %g)", v, p.X, p.Y)
+		}
+	}
 	n := int32(len(m.Verts))
 	used := make([]bool, n)
 	seen := make(map[[3]int32]struct{}, len(m.Tris))
@@ -82,6 +88,16 @@ func TestValidateMatchesReference(t *testing.T) {
 		}},
 		{"isolated vertex", func(m *Mesh) *Mesh {
 			m.Verts = append(m.Verts, Vertex{X: 9, Y: 9})
+			return m
+		}},
+		{"non-finite coordinate", func(m *Mesh) *Mesh {
+			v := &m.Verts[rng.Intn(len(m.Verts))]
+			bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[rng.Intn(3)]
+			if rng.Intn(2) == 0 {
+				v.X = bad
+			} else {
+				v.Y = bad
+			}
 			return m
 		}},
 	}
