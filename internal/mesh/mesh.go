@@ -182,11 +182,17 @@ func (a *Adjacency) Neighbors(m *Mesh, v int32) []int32 {
 	return out
 }
 
-// Validate checks structural invariants: vertex indices in range, no
-// repeated vertex within a triangle, no exact-duplicate triangles, and no
-// isolated vertices (every vertex referenced by at least one triangle).
-// It returns the first violation found, in triangle order.
+// Validate checks structural invariants: finite vertex coordinates, vertex
+// indices in range, no repeated vertex within a triangle, no exact-duplicate
+// triangles, and no isolated vertices (every vertex referenced by at least
+// one triangle). It returns the first non-finite vertex if there is one,
+// and otherwise the first violation found, in triangle order.
 func (m *Mesh) Validate() error {
+	for v, p := range m.Verts {
+		if math.IsNaN(p.X) || math.IsInf(p.X, 0) || math.IsNaN(p.Y) || math.IsInf(p.Y, 0) {
+			return fmt.Errorf("mesh: vertex %d has a non-finite coordinate (%g, %g)", v, p.X, p.Y)
+		}
+	}
 	n := int32(len(m.Verts))
 	// The first triangle with a vertex out of range or repeated ends the
 	// checks, unless a duplicate comes before it. Count the triangles before
