@@ -27,11 +27,13 @@ import (
 // (internal/mesh/codec.go) — nonGeometryGolden below, untouched by that
 // change, showed everything else stayed where it was — and both re-recorded
 // once more when the plane's hierarchy moved to the partitioned collapse
-// order (internal/decimate), which changes every level's geometry and data.
+// order (internal/decimate), which changes every level's geometry and data,
+// and again when each coarse level came to be numbered in its input's order,
+// which changes every coarse level's geometry, mapping and tile contents.
 var storedGolden = map[string]string{
-	"write/delta":  "e7428494d6396ee45ac3c1e2008541de90986e4039985231121170b97a721164",
-	"write/direct": "a72fd2bf9270b139630c6f6cb4b83bdb0205fa0c2adb5851f39ddfc6cd3030c1",
-	"series/delta": "417bb817f6c5cfb2233c6b5ce86a10bf151a3a0032cbbcb563a7a2685159996b",
+	"write/delta":  "78f0f6c3457d2e4d264cb4608617ebcb02cef5c466e767c54665b4c0253a2f38",
+	"write/direct": "21464bbe3be08729ff62c88f369b66e59962ec6e16eed013b805742758eff3aa",
+	"series/delta": "24267d17e343676dad0fd9d509c2952fe5d94ffc3910481ea295c5a366653190",
 }
 
 // hashStored digests every key in the hierarchy and its stored bytes.
@@ -109,9 +111,9 @@ func TestWriteStoredBytesGolden(t *testing.T) {
 // container sizes and so moves with the geometry's size). A change to how
 // geometry is encoded must leave these hashes alone.
 var nonGeometryGolden = map[string]string{
-	"write/delta":  "dcaeb0a6792b5e511ed9dff983d2e93c6a84e5bafbb5c0278e98365ce869bd06",
-	"write/direct": "aa93ff894a1d41e1c47af5811f68815d288bf2f61b1c07650e0bd38f4c16caf4",
-	"series/delta": "f4e76d7d99285e4bc431e73b05d88aed30128c2ae96f94c2bccf8d47e01596aa",
+	"write/delta":  "825406a4f5c1d70052e7543fecf0b4b674637b87d9b8aa8eec4ca7a20ada1c0d",
+	"write/direct": "67676ea051d0e75a8cd1790427ae9caa6806d9790f06c9497815a8137d3bac06",
+	"series/delta": "9a3fe281ea052d429962582c3d21ae35800ae614563bd55843f8f72b2672a492",
 }
 
 // hashNonGeometry digests, for every stored container in key order, the

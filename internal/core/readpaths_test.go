@@ -27,118 +27,118 @@ import (
 // and 4 must produce the same lines.
 var readPathsGolden = map[string][]string{
 	"write/delta/cold": {
-		"retrieve 0: L0 bound=8.884036627336806e-06 data=61825e75cb107508 have=- io=14173/0.00425158 modeled=14173 deg=- hier=-",
-		"retrieve 1: L1 bound=0.20889129422426506 data=da09a043b0464c10 have=- io=9928/0.00282708 modeled=9928 deg=- hier=-",
-		"retrieve 2: L2 bound=0.4808484093331313 data=85216739aadc37b6 have=- io=5185/0.00135278 modeled=5185 deg=- hier=-",
-		"retrieve 3: L3 bound=0.8690061426643385 data=7362047f40b58bab have=- io=1680/2.28e-06 modeled=1680 deg=- hier=-",
-		"tolerance 0: L3 bound=0.8690061426643385 data=7362047f40b58bab have=- io=1680/2.28e-06 modeled=1680 deg=- hier=-",
-		"tolerance 1: L1 bound=0.20889129422426506 data=da09a043b0464c10 have=- io=9928/0.00282708 modeled=9928 deg=- hier=-",
-		"tolerance 2: L0 bound=8.884036627336806e-06 data=61825e75cb107508 have=- io=14173/0.00425158 modeled=14173 deg=0/0 hier=-",
-		"region 0: L0 bound=8.884036627336806e-06 data=27e97764ba646a1e have=196350585cd65fdb io=11634/0.00399768 modeled=11634 deg=- hier=-",
-		"region 1: L1 bound=0.20889129422426506 data=e1b9be73ef4f8364 have=b992f07ba98a8208 io=8671/0.00270138 modeled=8671 deg=- hier=-",
-		"subscribe 0 view 0: L3 bound=0.8690061426643385 data=7362047f40b58bab have=- io=1680/2.28e-06 modeled=-1 deg=- hier=-",
-		"subscribe 0 view 1: L2 bound=0.4808484093331313 data=85216739aadc37b6 have=- io=5185/0.00135278 modeled=-1 deg=- hier=-",
-		"subscribe 0 view 2: L1 bound=0.20889129422426506 data=da09a043b0464c10 have=- io=9928/0.00282708 modeled=9928 deg=- hier=-",
-		"subscribe 1 view 0: L3 bound=0.8690061426643385 data=7362047f40b58bab have=- io=1680/2.28e-06 modeled=-1 deg=- hier=-",
-		"subscribe 1 view 1: L2 bound=0.4808484093331313 data=85216739aadc37b6 have=- io=5185/0.00135278 modeled=-1 deg=- hier=-",
-		"subscribe 1 view 2: L1 bound=0.20889129422426506 data=da09a043b0464c10 have=- io=9928/0.00282708 modeled=-1 deg=- hier=-",
-		"subscribe 1 view 3: L0 bound=8.884036627336806e-06 data=61825e75cb107508 have=- io=14173/0.00425158 modeled=14173 deg=0/0 hier=-",
+		"retrieve 0: L0 bound=8.884036627336806e-06 data=8458aa5fb8072102 have=- io=11906/0.004040953167 modeled=11906 deg=- hier=-",
+		"retrieve 1: L1 bound=0.20889129422426506 data=3fe19b916566b060 have=- io=7665/0.002616853167 modeled=7665 deg=- hier=-",
+		"retrieve 2: L2 bound=0.4808484093331313 data=855135fec3d07d42 have=- io=4263/0.001276653167 modeled=4263 deg=- hier=-",
+		"retrieve 3: L3 bound=0.8690061426643385 data=ebd92d204c46471b have=- io=1519/2.253166667e-06 modeled=1519 deg=- hier=-",
+		"tolerance 0: L3 bound=0.8690061426643385 data=ebd92d204c46471b have=- io=1519/2.253166667e-06 modeled=1519 deg=- hier=-",
+		"tolerance 1: L1 bound=0.20889129422426506 data=3fe19b916566b060 have=- io=7665/0.002616853167 modeled=7665 deg=- hier=-",
+		"tolerance 2: L0 bound=8.884036627336806e-06 data=8458aa5fb8072102 have=- io=11906/0.004040953167 modeled=11906 deg=0/0 hier=-",
+		"region 0: L0 bound=8.884036627336806e-06 data=ab0273ae0c36f88c have=196350585cd65fdb io=9438/0.003794153167 modeled=9438 deg=- hier=-",
+		"region 1: L1 bound=0.20889129422426506 data=5cbcfdb9a3b0942f have=c5a974f30d698869 io=6500/0.002500353167 modeled=6500 deg=- hier=-",
+		"subscribe 0 view 0: L3 bound=0.8690061426643385 data=ebd92d204c46471b have=- io=1519/2.253166667e-06 modeled=-1 deg=- hier=-",
+		"subscribe 0 view 1: L2 bound=0.4808484093331313 data=855135fec3d07d42 have=- io=4263/0.001276653167 modeled=-1 deg=- hier=-",
+		"subscribe 0 view 2: L1 bound=0.20889129422426506 data=3fe19b916566b060 have=- io=7665/0.002616853167 modeled=7665 deg=- hier=-",
+		"subscribe 1 view 0: L3 bound=0.8690061426643385 data=ebd92d204c46471b have=- io=1519/2.253166667e-06 modeled=-1 deg=- hier=-",
+		"subscribe 1 view 1: L2 bound=0.4808484093331313 data=855135fec3d07d42 have=- io=4263/0.001276653167 modeled=-1 deg=- hier=-",
+		"subscribe 1 view 2: L1 bound=0.20889129422426506 data=3fe19b916566b060 have=- io=7665/0.002616853167 modeled=-1 deg=- hier=-",
+		"subscribe 1 view 3: L0 bound=8.884036627336806e-06 data=8458aa5fb8072102 have=- io=11906/0.004040953167 modeled=11906 deg=0/0 hier=-",
 	},
 	"write/delta/warm": {
-		"retrieve 0: L0 bound=8.884036627336806e-06 data=61825e75cb107508 have=- io=6935/0.0036580625 modeled=6935 deg=- hier=-",
-		"retrieve 1: L1 bound=0.20889129422426506 data=da09a043b0464c10 have=- io=3931/0.0023576625 modeled=3931 deg=- hier=-",
-		"retrieve 2: L2 bound=0.4808484093331313 data=85216739aadc37b6 have=- io=1888/0.0011533625 modeled=1888 deg=- hier=-",
-		"retrieve 3: L3 bound=0.8690061426643385 data=7362047f40b58bab have=- io=375/2.0625e-06 modeled=375 deg=- hier=-",
-		"tolerance 0: L3 bound=0.8690061426643385 data=7362047f40b58bab have=- io=375/2.0625e-06 modeled=375 deg=- hier=-",
-		"tolerance 1: L1 bound=0.20889129422426506 data=da09a043b0464c10 have=- io=3931/0.0023576625 modeled=3931 deg=- hier=-",
-		"tolerance 2: L0 bound=8.884036627336806e-06 data=61825e75cb107508 have=- io=6935/0.0036580625 modeled=6935 deg=0/0 hier=-",
-		"region 0: L0 bound=8.884036627336806e-06 data=27e97764ba646a1e have=196350585cd65fdb io=4396/0.0034041625 modeled=4396 deg=- hier=-",
-		"region 1: L1 bound=0.20889129422426506 data=e1b9be73ef4f8364 have=b992f07ba98a8208 io=2674/0.0022319625 modeled=2674 deg=- hier=-",
-		"subscribe 0 view 0: L3 bound=0.8690061426643385 data=7362047f40b58bab have=- io=375/2.0625e-06 modeled=-1 deg=- hier=-",
-		"subscribe 0 view 1: L2 bound=0.4808484093331313 data=85216739aadc37b6 have=- io=1888/0.0011533625 modeled=-1 deg=- hier=-",
-		"subscribe 0 view 2: L1 bound=0.20889129422426506 data=da09a043b0464c10 have=- io=3931/0.0023576625 modeled=3931 deg=- hier=-",
-		"subscribe 1 view 0: L3 bound=0.8690061426643385 data=7362047f40b58bab have=- io=375/2.0625e-06 modeled=-1 deg=- hier=-",
-		"subscribe 1 view 1: L2 bound=0.4808484093331313 data=85216739aadc37b6 have=- io=1888/0.0011533625 modeled=-1 deg=- hier=-",
-		"subscribe 1 view 2: L1 bound=0.20889129422426506 data=da09a043b0464c10 have=- io=3931/0.0023576625 modeled=-1 deg=- hier=-",
-		"subscribe 1 view 3: L0 bound=8.884036627336806e-06 data=61825e75cb107508 have=- io=6935/0.0036580625 modeled=6935 deg=0/0 hier=-",
+		"retrieve 0: L0 bound=8.884036627336806e-06 data=8458aa5fb8072102 have=- io=6763/0.003641062167 modeled=6763 deg=- hier=-",
+		"retrieve 1: L1 bound=0.20889129422426506 data=3fe19b916566b060 have=- io=3759/0.002340662167 modeled=3759 deg=- hier=-",
+		"retrieve 2: L2 bound=0.4808484093331313 data=855135fec3d07d42 have=- io=1827/0.001147462167 modeled=1827 deg=- hier=-",
+		"retrieve 3: L3 bound=0.8690061426643385 data=ebd92d204c46471b have=- io=373/2.062166667e-06 modeled=373 deg=- hier=-",
+		"tolerance 0: L3 bound=0.8690061426643385 data=ebd92d204c46471b have=- io=373/2.062166667e-06 modeled=373 deg=- hier=-",
+		"tolerance 1: L1 bound=0.20889129422426506 data=3fe19b916566b060 have=- io=3759/0.002340662167 modeled=3759 deg=- hier=-",
+		"tolerance 2: L0 bound=8.884036627336806e-06 data=8458aa5fb8072102 have=- io=6763/0.003641062167 modeled=6763 deg=0/0 hier=-",
+		"region 0: L0 bound=8.884036627336806e-06 data=ab0273ae0c36f88c have=196350585cd65fdb io=4295/0.003394262167 modeled=4295 deg=- hier=-",
+		"region 1: L1 bound=0.20889129422426506 data=5cbcfdb9a3b0942f have=c5a974f30d698869 io=2594/0.002224162167 modeled=2594 deg=- hier=-",
+		"subscribe 0 view 0: L3 bound=0.8690061426643385 data=ebd92d204c46471b have=- io=373/2.062166667e-06 modeled=-1 deg=- hier=-",
+		"subscribe 0 view 1: L2 bound=0.4808484093331313 data=855135fec3d07d42 have=- io=1827/0.001147462167 modeled=-1 deg=- hier=-",
+		"subscribe 0 view 2: L1 bound=0.20889129422426506 data=3fe19b916566b060 have=- io=3759/0.002340662167 modeled=3759 deg=- hier=-",
+		"subscribe 1 view 0: L3 bound=0.8690061426643385 data=ebd92d204c46471b have=- io=373/2.062166667e-06 modeled=-1 deg=- hier=-",
+		"subscribe 1 view 1: L2 bound=0.4808484093331313 data=855135fec3d07d42 have=- io=1827/0.001147462167 modeled=-1 deg=- hier=-",
+		"subscribe 1 view 2: L1 bound=0.20889129422426506 data=3fe19b916566b060 have=- io=3759/0.002340662167 modeled=-1 deg=- hier=-",
+		"subscribe 1 view 3: L0 bound=8.884036627336806e-06 data=8458aa5fb8072102 have=- io=6763/0.003641062167 modeled=6763 deg=0/0 hier=-",
 	},
 	"write/direct/cold": {
 		"retrieve 0: L0 bound=2.2210091568342014e-06 data=cd684c97ea7f0451 have=- io=3316/0.0013316 modeled=3316 deg=- hier=-",
-		"retrieve 1: L1 bound=0.20888685220595138 data=bf1ef72875c5a2ff have=- io=3723/0.0013723 modeled=3723 deg=- hier=-",
-		"retrieve 2: L2 bound=0.4808461883239744 data=7f7fcfb18e3db71e have=- io=2471/0.0012471 modeled=2471 deg=- hier=-",
-		"retrieve 3: L3 bound=0.8690061426643385 data=7362047f40b58bab have=- io=1680/2.28e-06 modeled=1680 deg=- hier=-",
-		"tolerance 0: L3 bound=0.8690061426643385 data=7362047f40b58bab have=- io=1680/2.28e-06 modeled=1680 deg=- hier=-",
-		"tolerance 1: L1 bound=0.20888685220595138 data=bf1ef72875c5a2ff have=- io=3723/0.0013723 modeled=3723 deg=- hier=-",
+		"retrieve 1: L1 bound=0.20888685220595138 data=208d935836f1e713 have=- io=2500/0.00125 modeled=2500 deg=- hier=-",
+		"retrieve 2: L2 bound=0.4808461883239744 data=0d030e4d375a9aab have=- io=1836/0.0011836 modeled=1836 deg=- hier=-",
+		"retrieve 3: L3 bound=0.8690061426643385 data=ebd92d204c46471b have=- io=1519/2.253166667e-06 modeled=1519 deg=- hier=-",
+		"tolerance 0: L3 bound=0.8690061426643385 data=ebd92d204c46471b have=- io=1519/2.253166667e-06 modeled=1519 deg=- hier=-",
+		"tolerance 1: L1 bound=0.20888685220595138 data=208d935836f1e713 have=- io=2500/0.00125 modeled=2500 deg=- hier=-",
 		"tolerance 2: L0 bound=2.2210091568342014e-06 data=cd684c97ea7f0451 have=- io=3316/0.0013316 modeled=3316 deg=0/0 hier=-",
-		"subscribe 0 view 0: L3 bound=0.8690061426643385 data=7362047f40b58bab have=- io=1680/2.28e-06 modeled=-1 deg=- hier=-",
-		"subscribe 0 view 1: L2 bound=0.4808461883239744 data=7f7fcfb18e3db71e have=- io=4151/0.00124938 modeled=-1 deg=- hier=-",
-		"subscribe 0 view 2: L1 bound=0.20888685220595138 data=bf1ef72875c5a2ff have=- io=7874/0.00262168 modeled=7874 deg=- hier=-",
-		"subscribe 1 view 0: L3 bound=0.8690061426643385 data=7362047f40b58bab have=- io=1680/2.28e-06 modeled=-1 deg=- hier=-",
-		"subscribe 1 view 1: L2 bound=0.4808461883239744 data=7f7fcfb18e3db71e have=- io=4151/0.00124938 modeled=-1 deg=- hier=-",
-		"subscribe 1 view 2: L1 bound=0.20888685220595138 data=bf1ef72875c5a2ff have=- io=7874/0.00262168 modeled=-1 deg=- hier=-",
-		"subscribe 1 view 3: L0 bound=2.2210091568342014e-06 data=cd684c97ea7f0451 have=- io=11190/0.00395328 modeled=11190 deg=0/0 hier=-",
+		"subscribe 0 view 0: L3 bound=0.8690061426643385 data=ebd92d204c46471b have=- io=1519/2.253166667e-06 modeled=-1 deg=- hier=-",
+		"subscribe 0 view 1: L2 bound=0.4808461883239744 data=0d030e4d375a9aab have=- io=3355/0.001185853167 modeled=-1 deg=- hier=-",
+		"subscribe 0 view 2: L1 bound=0.20888685220595138 data=208d935836f1e713 have=- io=5855/0.002435853167 modeled=5855 deg=- hier=-",
+		"subscribe 1 view 0: L3 bound=0.8690061426643385 data=ebd92d204c46471b have=- io=1519/2.253166667e-06 modeled=-1 deg=- hier=-",
+		"subscribe 1 view 1: L2 bound=0.4808461883239744 data=0d030e4d375a9aab have=- io=3355/0.001185853167 modeled=-1 deg=- hier=-",
+		"subscribe 1 view 2: L1 bound=0.20888685220595138 data=208d935836f1e713 have=- io=5855/0.002435853167 modeled=-1 deg=- hier=-",
+		"subscribe 1 view 3: L0 bound=2.2210091568342014e-06 data=cd684c97ea7f0451 have=- io=9171/0.003767453167 modeled=9171 deg=0/0 hier=-",
 	},
 	"write/direct/warm": {
 		"retrieve 0: L0 bound=2.2210091568342014e-06 data=cd684c97ea7f0451 have=- io=2230/0.001223 modeled=2230 deg=- hier=-",
-		"retrieve 1: L1 bound=0.20888685220595138 data=bf1ef72875c5a2ff have=- io=3723/0.0013723 modeled=3723 deg=- hier=-",
-		"retrieve 2: L2 bound=0.4808461883239744 data=7f7fcfb18e3db71e have=- io=2471/0.0012471 modeled=2471 deg=- hier=-",
-		"retrieve 3: L3 bound=0.8690061426643385 data=7362047f40b58bab have=- io=1680/2.28e-06 modeled=1680 deg=- hier=-",
-		"tolerance 0: L3 bound=0.8690061426643385 data=7362047f40b58bab have=- io=375/2.0625e-06 modeled=375 deg=- hier=-",
-		"tolerance 1: L1 bound=0.20888685220595138 data=bf1ef72875c5a2ff have=- io=1194/0.0011194 modeled=1194 deg=- hier=-",
+		"retrieve 1: L1 bound=0.20888685220595138 data=208d935836f1e713 have=- io=2500/0.00125 modeled=2500 deg=- hier=-",
+		"retrieve 2: L2 bound=0.4808461883239744 data=0d030e4d375a9aab have=- io=1836/0.0011836 modeled=1836 deg=- hier=-",
+		"retrieve 3: L3 bound=0.8690061426643385 data=ebd92d204c46471b have=- io=1519/2.253166667e-06 modeled=1519 deg=- hier=-",
+		"tolerance 0: L3 bound=0.8690061426643385 data=ebd92d204c46471b have=- io=373/2.062166667e-06 modeled=373 deg=- hier=-",
+		"tolerance 1: L1 bound=0.20888685220595138 data=208d935836f1e713 have=- io=1172/0.0011172 modeled=1172 deg=- hier=-",
 		"tolerance 2: L0 bound=2.2210091568342014e-06 data=cd684c97ea7f0451 have=- io=2230/0.001223 modeled=2230 deg=0/0 hier=-",
-		"subscribe 0 view 0: L3 bound=0.8690061426643385 data=7362047f40b58bab have=- io=375/2.0625e-06 modeled=-1 deg=- hier=-",
-		"subscribe 0 view 1: L2 bound=0.4808461883239744 data=7f7fcfb18e3db71e have=- io=998/0.0010643625 modeled=-1 deg=- hier=-",
-		"subscribe 0 view 2: L1 bound=0.20888685220595138 data=bf1ef72875c5a2ff have=- io=2192/0.0021837625 modeled=2192 deg=- hier=-",
-		"subscribe 1 view 0: L3 bound=0.8690061426643385 data=7362047f40b58bab have=- io=375/2.0625e-06 modeled=-1 deg=- hier=-",
-		"subscribe 1 view 1: L2 bound=0.4808461883239744 data=7f7fcfb18e3db71e have=- io=998/0.0010643625 modeled=-1 deg=- hier=-",
-		"subscribe 1 view 2: L1 bound=0.20888685220595138 data=bf1ef72875c5a2ff have=- io=2192/0.0021837625 modeled=-1 deg=- hier=-",
-		"subscribe 1 view 3: L0 bound=2.2210091568342014e-06 data=cd684c97ea7f0451 have=- io=4422/0.0034067625 modeled=4422 deg=0/0 hier=-",
+		"subscribe 0 view 0: L3 bound=0.8690061426643385 data=ebd92d204c46471b have=- io=373/2.062166667e-06 modeled=-1 deg=- hier=-",
+		"subscribe 0 view 1: L2 bound=0.4808461883239744 data=0d030e4d375a9aab have=- io=1015/0.001066262167 modeled=-1 deg=- hier=-",
+		"subscribe 0 view 2: L1 bound=0.20888685220595138 data=208d935836f1e713 have=- io=2187/0.002183462167 modeled=2187 deg=- hier=-",
+		"subscribe 1 view 0: L3 bound=0.8690061426643385 data=ebd92d204c46471b have=- io=373/2.062166667e-06 modeled=-1 deg=- hier=-",
+		"subscribe 1 view 1: L2 bound=0.4808461883239744 data=0d030e4d375a9aab have=- io=1015/0.001066262167 modeled=-1 deg=- hier=-",
+		"subscribe 1 view 2: L1 bound=0.20888685220595138 data=208d935836f1e713 have=- io=2187/0.002183462167 modeled=-1 deg=- hier=-",
+		"subscribe 1 view 3: L0 bound=2.2210091568342014e-06 data=cd684c97ea7f0451 have=- io=4417/0.003406462167 modeled=4417 deg=0/0 hier=-",
 	},
 	"series/delta/cold": {
-		"step 0 level 0: L0 bound=9.999999999999999e-06 data=e6bf4a1133c71190 have=- io=5033/0.0034792435 modeled=5033 deg=- hier=6805/0.003558407167",
-		"step 0 level 1: L1 bound=0.17499476503954947 data=be17b99eda7e08e3 have=- io=2861/0.0022620435 modeled=2861 deg=- hier=5498/0.002427707167",
-		"step 0 level 2: L2 bound=0.4981023791443594 data=d64a9d8a3aad7f2b have=- io=1349/0.0011108435 modeled=1349 deg=- hier=3014/0.001179307167",
-		"step 0 level 3: L3 bound=0.8261111925905927 data=f1d17d1b32cb7f4c have=- io=261/2.0435e-06 modeled=261 deg=- hier=1243/2.207166667e-06",
-		"step 1 level 0: L0 bound=9.999999999999999e-06 data=dfae4be056a387dd have=- io=5039/0.003479544 modeled=5039 deg=- hier=6805/0.003558407167",
-		"step 1 level 1: L1 bound=0.17499476503954947 data=5c0f570d8d931c8f have=- io=2862/0.002261844 modeled=2862 deg=- hier=5498/0.002427707167",
-		"step 1 level 2: L2 bound=0.4981023791443594 data=9362bf2a5546ae41 have=- io=1358/0.001111444 modeled=1358 deg=- hier=3014/0.001179307167",
-		"step 1 level 3: L3 bound=0.8261111925905927 data=78797bdb493ca14e have=- io=264/2.044e-06 modeled=264 deg=- hier=1243/2.207166667e-06",
-		"step 2 level 0: L0 bound=9.999999999999999e-06 data=3930a8851a0c2ccb have=- io=5049/0.0034808435 modeled=5049 deg=- hier=6805/0.003558407167",
-		"step 2 level 1: L1 bound=0.17499476503954947 data=09008aa67759be25 have=- io=2862/0.0022621435 modeled=2862 deg=- hier=5498/0.002427707167",
-		"step 2 level 2: L2 bound=0.4981023791443594 data=85ccb6694b002269 have=- io=1360/0.0011119435 modeled=1360 deg=- hier=3014/0.001179307167",
-		"step 2 level 3: L3 bound=0.8261111925905927 data=86ede5f241c5c427 have=- io=261/2.0435e-06 modeled=261 deg=- hier=1243/2.207166667e-06",
-		"step 0 tolerance 0: L3 bound=0.8261111925905927 data=f1d17d1b32cb7f4c have=- io=261/2.0435e-06 modeled=261 deg=- hier=1243/2.207166667e-06",
-		"step 0 tolerance 1: L1 bound=0.17499476503954947 data=be17b99eda7e08e3 have=- io=2861/0.0022620435 modeled=2861 deg=- hier=5498/0.002427707167",
-		"step 0 tolerance 2: L0 bound=9.999999999999999e-06 data=e6bf4a1133c71190 have=- io=5033/0.0034792435 modeled=5033 deg=0/0 hier=6805/0.003558407167",
-		"step 1 tolerance 0: L3 bound=0.8261111925905927 data=78797bdb493ca14e have=- io=264/2.044e-06 modeled=264 deg=- hier=1243/2.207166667e-06",
-		"step 1 tolerance 1: L1 bound=0.17499476503954947 data=5c0f570d8d931c8f have=- io=2862/0.002261844 modeled=2862 deg=- hier=5498/0.002427707167",
-		"step 1 tolerance 2: L0 bound=9.999999999999999e-06 data=dfae4be056a387dd have=- io=5039/0.003479544 modeled=5039 deg=0/0 hier=6805/0.003558407167",
-		"step 2 tolerance 0: L3 bound=0.8261111925905927 data=86ede5f241c5c427 have=- io=261/2.0435e-06 modeled=261 deg=- hier=1243/2.207166667e-06",
-		"step 2 tolerance 1: L1 bound=0.17499476503954947 data=09008aa67759be25 have=- io=2862/0.0022621435 modeled=2862 deg=- hier=5498/0.002427707167",
-		"step 2 tolerance 2: L0 bound=9.999999999999999e-06 data=3930a8851a0c2ccb have=- io=5049/0.0034808435 modeled=5049 deg=0/0 hier=6805/0.003558407167",
+		"step 0 level 0: L0 bound=9.999999999999999e-06 data=64959b7ba1d15f0a have=- io=4941/0.003470143333 modeled=4941 deg=- hier=5779/0.0034633945",
+		"step 0 level 1: L1 bound=0.17499476503954947 data=0a70f5a8e8434cf9 have=- io=2770/0.002253043333 modeled=2770 deg=- hier=4453/0.0023307945",
+		"step 0 level 2: L2 bound=0.4981023791443594 data=dc596d457a148361 have=- io=1318/0.001107843333 modeled=1318 deg=- hier=2737/0.0011591945",
+		"step 0 level 3: L3 bound=0.8637289642367035 data=503b3b4943d250ed have=- io=260/2.043333333e-06 modeled=260 deg=- hier=1167/2.1945e-06",
+		"step 1 level 0: L0 bound=9.999999999999999e-06 data=d9557af3890b8a31 have=- io=4939/0.003469643833 modeled=4939 deg=- hier=5779/0.0034633945",
+		"step 1 level 1: L1 bound=0.17499476503954947 data=c58e6fe109207ef2 have=- io=2764/0.002252143833 modeled=2764 deg=- hier=4453/0.0023307945",
+		"step 1 level 2: L2 bound=0.4981023791443594 data=d7f26d4ac2d37e98 have=- io=1319/0.001107643833 modeled=1319 deg=- hier=2737/0.0011591945",
+		"step 1 level 3: L3 bound=0.8637289642367035 data=9835ef01d2dc79c4 have=- io=263/2.043833333e-06 modeled=263 deg=- hier=1167/2.1945e-06",
+		"step 2 level 0: L0 bound=9.999999999999999e-06 data=67fd30ba0aa9c9cb have=- io=4945/0.0034704435 modeled=4945 deg=- hier=5779/0.0034633945",
+		"step 2 level 1: L1 bound=0.17499476503954947 data=01d60fefed6ea66e have=- io=2759/0.0022518435 modeled=2759 deg=- hier=4453/0.0023307945",
+		"step 2 level 2: L2 bound=0.4981023791443594 data=b03441a16ca08c60 have=- io=1316/0.0011075435 modeled=1316 deg=- hier=2737/0.0011591945",
+		"step 2 level 3: L3 bound=0.8637289642367035 data=3f8ca96bf38bcd8b have=- io=261/2.0435e-06 modeled=261 deg=- hier=1167/2.1945e-06",
+		"step 0 tolerance 0: L3 bound=0.8637289642367035 data=503b3b4943d250ed have=- io=260/2.043333333e-06 modeled=260 deg=- hier=1167/2.1945e-06",
+		"step 0 tolerance 1: L1 bound=0.17499476503954947 data=0a70f5a8e8434cf9 have=- io=2770/0.002253043333 modeled=2770 deg=- hier=4453/0.0023307945",
+		"step 0 tolerance 2: L0 bound=9.999999999999999e-06 data=64959b7ba1d15f0a have=- io=4941/0.003470143333 modeled=4941 deg=0/0 hier=5779/0.0034633945",
+		"step 1 tolerance 0: L3 bound=0.8637289642367035 data=9835ef01d2dc79c4 have=- io=263/2.043833333e-06 modeled=263 deg=- hier=1167/2.1945e-06",
+		"step 1 tolerance 1: L1 bound=0.17499476503954947 data=c58e6fe109207ef2 have=- io=2764/0.002252143833 modeled=2764 deg=- hier=4453/0.0023307945",
+		"step 1 tolerance 2: L0 bound=9.999999999999999e-06 data=d9557af3890b8a31 have=- io=4939/0.003469643833 modeled=4939 deg=0/0 hier=5779/0.0034633945",
+		"step 2 tolerance 0: L3 bound=0.8637289642367035 data=3f8ca96bf38bcd8b have=- io=261/2.0435e-06 modeled=261 deg=- hier=1167/2.1945e-06",
+		"step 2 tolerance 1: L1 bound=0.17499476503954947 data=01d60fefed6ea66e have=- io=2759/0.0022518435 modeled=2759 deg=- hier=4453/0.0023307945",
+		"step 2 tolerance 2: L0 bound=9.999999999999999e-06 data=67fd30ba0aa9c9cb have=- io=4945/0.0034704435 modeled=4945 deg=0/0 hier=5779/0.0034633945",
 	},
 	"series/delta/warm": {
-		"step 0 level 0: L0 bound=9.999999999999999e-06 data=e6bf4a1133c71190 have=- io=5033/0.0034792435 modeled=5033 deg=- hier=6805/0.003558407167",
-		"step 0 level 1: L1 bound=0.17499476503954947 data=be17b99eda7e08e3 have=- io=2861/0.0022620435 modeled=2861 deg=- hier=6805/0.003558407167",
-		"step 0 level 2: L2 bound=0.4981023791443594 data=d64a9d8a3aad7f2b have=- io=1349/0.0011108435 modeled=1349 deg=- hier=6805/0.003558407167",
-		"step 0 level 3: L3 bound=0.8261111925905927 data=f1d17d1b32cb7f4c have=- io=261/2.0435e-06 modeled=261 deg=- hier=6805/0.003558407167",
-		"step 1 level 0: L0 bound=9.999999999999999e-06 data=dfae4be056a387dd have=- io=5039/0.003479544 modeled=5039 deg=- hier=6805/0.003558407167",
-		"step 1 level 1: L1 bound=0.17499476503954947 data=5c0f570d8d931c8f have=- io=2862/0.002261844 modeled=2862 deg=- hier=6805/0.003558407167",
-		"step 1 level 2: L2 bound=0.4981023791443594 data=9362bf2a5546ae41 have=- io=1358/0.001111444 modeled=1358 deg=- hier=6805/0.003558407167",
-		"step 1 level 3: L3 bound=0.8261111925905927 data=78797bdb493ca14e have=- io=264/2.044e-06 modeled=264 deg=- hier=6805/0.003558407167",
-		"step 2 level 0: L0 bound=9.999999999999999e-06 data=3930a8851a0c2ccb have=- io=5049/0.0034808435 modeled=5049 deg=- hier=6805/0.003558407167",
-		"step 2 level 1: L1 bound=0.17499476503954947 data=09008aa67759be25 have=- io=2862/0.0022621435 modeled=2862 deg=- hier=6805/0.003558407167",
-		"step 2 level 2: L2 bound=0.4981023791443594 data=85ccb6694b002269 have=- io=1360/0.0011119435 modeled=1360 deg=- hier=6805/0.003558407167",
-		"step 2 level 3: L3 bound=0.8261111925905927 data=86ede5f241c5c427 have=- io=261/2.0435e-06 modeled=261 deg=- hier=6805/0.003558407167",
-		"step 0 tolerance 0: L3 bound=0.8261111925905927 data=f1d17d1b32cb7f4c have=- io=261/2.0435e-06 modeled=261 deg=- hier=6805/0.003558407167",
-		"step 0 tolerance 1: L1 bound=0.17499476503954947 data=be17b99eda7e08e3 have=- io=2861/0.0022620435 modeled=2861 deg=- hier=6805/0.003558407167",
-		"step 0 tolerance 2: L0 bound=9.999999999999999e-06 data=e6bf4a1133c71190 have=- io=5033/0.0034792435 modeled=5033 deg=0/0 hier=6805/0.003558407167",
-		"step 1 tolerance 0: L3 bound=0.8261111925905927 data=78797bdb493ca14e have=- io=264/2.044e-06 modeled=264 deg=- hier=6805/0.003558407167",
-		"step 1 tolerance 1: L1 bound=0.17499476503954947 data=5c0f570d8d931c8f have=- io=2862/0.002261844 modeled=2862 deg=- hier=6805/0.003558407167",
-		"step 1 tolerance 2: L0 bound=9.999999999999999e-06 data=dfae4be056a387dd have=- io=5039/0.003479544 modeled=5039 deg=0/0 hier=6805/0.003558407167",
-		"step 2 tolerance 0: L3 bound=0.8261111925905927 data=86ede5f241c5c427 have=- io=261/2.0435e-06 modeled=261 deg=- hier=6805/0.003558407167",
-		"step 2 tolerance 1: L1 bound=0.17499476503954947 data=09008aa67759be25 have=- io=2862/0.0022621435 modeled=2862 deg=- hier=6805/0.003558407167",
-		"step 2 tolerance 2: L0 bound=9.999999999999999e-06 data=3930a8851a0c2ccb have=- io=5049/0.0034808435 modeled=5049 deg=0/0 hier=6805/0.003558407167",
+		"step 0 level 0: L0 bound=9.999999999999999e-06 data=64959b7ba1d15f0a have=- io=4941/0.003470143333 modeled=4941 deg=- hier=5779/0.0034633945",
+		"step 0 level 1: L1 bound=0.17499476503954947 data=0a70f5a8e8434cf9 have=- io=2770/0.002253043333 modeled=2770 deg=- hier=5779/0.0034633945",
+		"step 0 level 2: L2 bound=0.4981023791443594 data=dc596d457a148361 have=- io=1318/0.001107843333 modeled=1318 deg=- hier=5779/0.0034633945",
+		"step 0 level 3: L3 bound=0.8637289642367035 data=503b3b4943d250ed have=- io=260/2.043333333e-06 modeled=260 deg=- hier=5779/0.0034633945",
+		"step 1 level 0: L0 bound=9.999999999999999e-06 data=d9557af3890b8a31 have=- io=4939/0.003469643833 modeled=4939 deg=- hier=5779/0.0034633945",
+		"step 1 level 1: L1 bound=0.17499476503954947 data=c58e6fe109207ef2 have=- io=2764/0.002252143833 modeled=2764 deg=- hier=5779/0.0034633945",
+		"step 1 level 2: L2 bound=0.4981023791443594 data=d7f26d4ac2d37e98 have=- io=1319/0.001107643833 modeled=1319 deg=- hier=5779/0.0034633945",
+		"step 1 level 3: L3 bound=0.8637289642367035 data=9835ef01d2dc79c4 have=- io=263/2.043833333e-06 modeled=263 deg=- hier=5779/0.0034633945",
+		"step 2 level 0: L0 bound=9.999999999999999e-06 data=67fd30ba0aa9c9cb have=- io=4945/0.0034704435 modeled=4945 deg=- hier=5779/0.0034633945",
+		"step 2 level 1: L1 bound=0.17499476503954947 data=01d60fefed6ea66e have=- io=2759/0.0022518435 modeled=2759 deg=- hier=5779/0.0034633945",
+		"step 2 level 2: L2 bound=0.4981023791443594 data=b03441a16ca08c60 have=- io=1316/0.0011075435 modeled=1316 deg=- hier=5779/0.0034633945",
+		"step 2 level 3: L3 bound=0.8637289642367035 data=3f8ca96bf38bcd8b have=- io=261/2.0435e-06 modeled=261 deg=- hier=5779/0.0034633945",
+		"step 0 tolerance 0: L3 bound=0.8637289642367035 data=503b3b4943d250ed have=- io=260/2.043333333e-06 modeled=260 deg=- hier=5779/0.0034633945",
+		"step 0 tolerance 1: L1 bound=0.17499476503954947 data=0a70f5a8e8434cf9 have=- io=2770/0.002253043333 modeled=2770 deg=- hier=5779/0.0034633945",
+		"step 0 tolerance 2: L0 bound=9.999999999999999e-06 data=64959b7ba1d15f0a have=- io=4941/0.003470143333 modeled=4941 deg=0/0 hier=5779/0.0034633945",
+		"step 1 tolerance 0: L3 bound=0.8637289642367035 data=9835ef01d2dc79c4 have=- io=263/2.043833333e-06 modeled=263 deg=- hier=5779/0.0034633945",
+		"step 1 tolerance 1: L1 bound=0.17499476503954947 data=c58e6fe109207ef2 have=- io=2764/0.002252143833 modeled=2764 deg=- hier=5779/0.0034633945",
+		"step 1 tolerance 2: L0 bound=9.999999999999999e-06 data=d9557af3890b8a31 have=- io=4939/0.003469643833 modeled=4939 deg=0/0 hier=5779/0.0034633945",
+		"step 2 tolerance 0: L3 bound=0.8637289642367035 data=3f8ca96bf38bcd8b have=- io=261/2.0435e-06 modeled=261 deg=- hier=5779/0.0034633945",
+		"step 2 tolerance 1: L1 bound=0.17499476503954947 data=01d60fefed6ea66e have=- io=2759/0.0022518435 modeled=2759 deg=- hier=5779/0.0034633945",
+		"step 2 tolerance 2: L0 bound=9.999999999999999e-06 data=67fd30ba0aa9c9cb have=- io=4945/0.0034704435 modeled=4945 deg=0/0 hier=5779/0.0034633945",
 	},
 }
 

@@ -15,24 +15,24 @@ import (
 // ratio-2 cascade: per step the coarse vertices, triangles, data, restriction
 // rows and the Collapses/Rejected counters. Both planes are large enough to
 // be decimated in parts, and the values were recorded from the partitioned
-// collapse order; meshes of one part keep the serial order the map-based
-// implementation this package started with defined. Any change to the parts,
-// collapse order, tie-breaking, vertex placement or restriction weights
-// changes them, and with them every stored byte and recorded error bound
-// downstream.
+// collapse order with each coarse level numbered in its input's order (least
+// input vertex first, triangles rotated and sorted). Any change to the parts,
+// collapse order, tie-breaking, vertex placement, output order or
+// restriction weights changes them, and with them every stored byte and
+// recorded error bound downstream.
 var decimateGolden = map[string]string{
-	"plane/edge-length":           "c7584b651d7977feae4d72389a59fcfc9449de38f95b8bd630f19282033464a6",
-	"plane/edge-length/track":     "f2671e442c05ad8e0a1686a70c422f721f5c2a7e277a65da267cd3275fdf8e5a",
-	"plane/data-weighted":         "27ac2f18639154ab2ea0128bb03b76f7b95b59d3611717668140b8c745c5edc4",
-	"plane/data-weighted/track":   "0f8e4cecefae2d55a92ae9d22f3f8875d1d34223a1ccc4f47df1113e01236c18",
-	"plane/hash-order":            "8c8defb1f860a89e8018aa326fdf19838cdd4b8f78099423bc9cb1c00e95f2cf",
-	"plane/hash-order/track":      "f40e306fcc4b27c63fc77e7cb12c2fa63ddaa040c4f9ede9f3c7872db8aca01d",
-	"plane2x/edge-length":         "76bca97d91e7b8048c1d0e81f084aea0ffb089725a377e649869bf15603b36ab",
-	"plane2x/edge-length/track":   "345822e23ff38694399ce136b7bee0d6d87617a59865f8d7bdd8f0d121ec31d7",
-	"plane2x/data-weighted":       "84f5d2dc1257e55d117ef0fe81cb41a97555041425f56fc30bb76796f4fee348",
-	"plane2x/data-weighted/track": "e47fa2c715529bc3c8552c40250f4ea5444ba1c81573d6b2dcb3943aba2f930e",
-	"plane2x/hash-order":          "2125aeaa34ba999854869396bbe1f52ef0cb9569d39374008ebbfaa20d2a038b",
-	"plane2x/hash-order/track":    "b1b9b2f4ac48e24b9176a9da3a26d4923786c33a22a3457b55df4ce056a1875c",
+	"plane/edge-length":           "6cc07988af5675e6d15711bc20b87f5017b2294bb57654cb197e39d005e149f7",
+	"plane/edge-length/track":     "c02910689dbd050b6a6c5230afab69b947f19ca232f9ab1b97e40f7050679743",
+	"plane/data-weighted":         "28b1bf1b5f11c1bbc3929b55ca02d2f3b8094abfe485f0b74cc57baff8041500",
+	"plane/data-weighted/track":   "66ce74b371109d58d68862272160e8f742212e6fde7f58c5457fc44f88f02093",
+	"plane/hash-order":            "237de4aa30518992a46bd9b8510896063236dc5ad61e40ac3230c9b9df848b3d",
+	"plane/hash-order/track":      "b190662b785aac6d95f3e3e6dc36e0f4e62846690f1286748e5c19ac9e2c9546",
+	"plane2x/edge-length":         "50819795cb3d68fb4d2efc44e1c865244c7a0f66d4daaf4b25af99d79918b396",
+	"plane2x/edge-length/track":   "76d019ddb7790464aba80017f7d38678ac4ab477405b0083f9e213868b6ec340",
+	"plane2x/data-weighted":       "1980fd48d676ed069451e9f7fd9ffc05735e1c1c67e9095eba972794b3333347",
+	"plane2x/data-weighted/track": "f3f804d010e9aaa7617011d82f5590b45f191fe6ba82d5832e866812ab6af547",
+	"plane2x/hash-order":          "cc8e534f85d675bdb2b88e32a900e69606247c561228b9352f6f0383975fa1bb",
+	"plane2x/hash-order/track":    "29145bafb67b293bdbc510ce7422334b34e745e5c31e07e91680367d1b668941",
 }
 
 func TestDecimateGolden(t *testing.T) {
