@@ -114,9 +114,13 @@ func partitionVerts(m *mesh.Mesh, tb tileBox) [][]int32 {
 	return tiles
 }
 
-// Chunk payload layout: the covered vertex ids as run-length coded ranges
-// (mesh numbering is spatially coherent, so tiles decompose into few runs),
-// followed by the codec-compressed values in id order.
+// Chunk payload layout: the covered vertex ids as run-length coded ranges,
+// followed by the codec-compressed values in id order. Level 0 is numbered
+// by the caller and every coarser level in its input's order (the decimator
+// numbers a coarse vertex by the least input vertex it stands for), so on a
+// mesh numbered row by row a tile's ids fall into about one run per row it
+// crosses: 810 runs for level 1's 10,560 vertices on the XGC1 plane in 8x8
+// tiles, against 814 for level 0's 21,120.
 //
 //	uvarint nRuns
 //	nRuns x (varint startDelta, uvarint runLength)
@@ -199,15 +203,19 @@ func parseChunkPayload(data []byte, runs []idRun) ([]idRun, int, []byte, error) 
 		var length uint64
 		switch {
 		case off+1 < len(data) && data[off]|data[off+1] < 0x80:
-			// Both varints are one byte, as for most runs of a fine
-			// level: decode the zigzag delta and the length inline.
+			// Both varints are one byte: a run starting within 63 ids of
+			// the last. Decode the zigzag delta and the length inline.
+			// This case must come first, because the next one takes
+			// data[off] for the first byte of a two-byte varint.
 			b := data[off]
 			d = int64(b>>1) ^ -int64(b&1)
 			length = uint64(data[off+1])
 			off += 2
 		case off+2 < len(data) && data[off+1]|data[off+2] < 0x80:
-			// A two-byte start delta and a one-byte length, as for nearly
-			// every level-0 run of an annulus.
+			// A two-byte start delta and a one-byte length. On an 8x8
+			// tiling of the XGC1 plane this is 789 of level 0's 814 runs
+			// and 803 of level 1's 810: every level is in its input's
+			// order, so a tile's runs are its rows, a row apart.
 			u := uint64(data[off]&0x7f) | uint64(data[off+1])<<7
 			d = int64(u>>1) ^ -int64(u&1)
 			length = uint64(data[off+2])
@@ -244,22 +252,13 @@ func parseChunkPayload(data []byte, runs []idRun) ([]idRun, int, []byte, error) 
 
 // scatterRuns copies vals, in id order, to the ids the runs cover in out and
 // marks those ids in have when it is non-nil. vals must hold exactly as many
-// values as the runs cover. Single-id runs, the common case on fine levels,
-// are assigned directly. It stops at the first run that does not fit in out
-// and returns that run's last id and false.
+// values as the runs cover. It stops at the first run that does not fit in
+// out and returns that run's last id and false.
 func scatterRuns(runs []idRun, vals, out []float64, have []bool) (int64, bool) {
 	j := 0
 	for _, r := range runs {
 		if r.start > int64(len(out))-r.n {
 			return r.start + r.n - 1, false
-		}
-		if r.n == 1 {
-			out[r.start] = vals[j]
-			if have != nil {
-				have[r.start] = true
-			}
-			j++
-			continue
 		}
 		s, e := int(r.start), int(r.start+r.n)
 		copy(out[s:e], vals[j:])
