@@ -55,7 +55,7 @@ type Backend interface {
 
 // checkRange validates a [off, off+n) extent against a value of length size.
 func checkRange(key string, off, n, size int64) error {
-	if off < 0 || n < 0 || off+n > size {
+	if off < 0 || n < 0 || off > size || n > size-off {
 		return fmt.Errorf("storage: %w: %q [%d,%d) of %d bytes", ErrOutOfRange, key, off, off+n, size)
 	}
 	return nil
