@@ -24,7 +24,8 @@ import (
 // Fields: seed=N (PRNG seed, default 1), tier=NAME (restrict injection to
 // one tier when applied via Hierarchy.InjectFaults; empty = all tiers),
 // read.err / read.corrupt / read.trunc / write.err / write.crash
-// (probabilities in [0,1]), read.delay (Go duration added to every read).
+// (probabilities in [0,1]), read.delay (non-negative Go duration added to
+// every read).
 
 // FaultSpec describes what a FaultBackend injects.
 type FaultSpec struct {
@@ -64,6 +65,9 @@ func ParseFaultSpec(s string) (FaultSpec, error) {
 			spec.ReadTrunc, err = parseProb(v)
 		case "read.delay":
 			spec.ReadDelay, err = time.ParseDuration(v)
+			if err == nil && spec.ReadDelay < 0 {
+				err = fmt.Errorf("delay %v is negative", spec.ReadDelay)
+			}
 		case "write.err":
 			spec.WriteErr, err = parseProb(v)
 		case "write.crash":
@@ -83,7 +87,7 @@ func parseProb(v string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) { // NaN fails both
 		return 0, fmt.Errorf("probability %v outside [0,1]", p)
 	}
 	return p, nil

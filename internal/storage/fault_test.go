@@ -23,7 +23,7 @@ func TestParseFaultSpec(t *testing.T) {
 	if fs != want {
 		t.Fatalf("spec = %+v, want %+v", fs, want)
 	}
-	for _, bad := range []string{"", "read.err", "read.err=2", "read.err=-0.1", "bogus=1", "read.delay=fast"} {
+	for _, bad := range []string{"", "read.err", "read.err=2", "read.err=-0.1", "bogus=1", "read.delay=fast", "read.err=NaN", "read.delay=-5ms"} {
 		if _, err := ParseFaultSpec(bad); err == nil {
 			t.Errorf("spec %q accepted", bad)
 		}
