@@ -28,12 +28,14 @@ import (
 // change, showed everything else stayed where it was — and both re-recorded
 // once more when the plane's hierarchy moved to the partitioned collapse
 // order (internal/decimate), which changes every level's geometry and data,
-// and again when each coarse level came to be numbered in its input's order,
-// which changes every coarse level's geometry, mapping and tile contents.
+// again when each coarse level came to be numbered in its input's order,
+// which changes every coarse level's geometry, mapping and tile contents,
+// and again when the coarse triangles stopped being rotated and sorted and
+// kept their input slots instead, which changes the same.
 var storedGolden = map[string]string{
-	"write/delta":  "78f0f6c3457d2e4d264cb4608617ebcb02cef5c466e767c54665b4c0253a2f38",
-	"write/direct": "21464bbe3be08729ff62c88f369b66e59962ec6e16eed013b805742758eff3aa",
-	"series/delta": "24267d17e343676dad0fd9d509c2952fe5d94ffc3910481ea295c5a366653190",
+	"write/delta":  "c25d915285a11f21cd8d351a1a115f6ca3c5c1c32c1a926c124bbb1bad02f576",
+	"write/direct": "d4b2ee702ea4950708a1730a2ce1f3ad384571d60dfe7aa33a8e30b06ed0f368",
+	"series/delta": "2f98664ca0a75091e6d53dfb194d8964b65ca032c1d35cdb29a927cb89fce989",
 }
 
 // hashStored digests every key in the hierarchy and its stored bytes.
@@ -111,9 +113,9 @@ func TestWriteStoredBytesGolden(t *testing.T) {
 // container sizes and so moves with the geometry's size). A change to how
 // geometry is encoded must leave these hashes alone.
 var nonGeometryGolden = map[string]string{
-	"write/delta":  "825406a4f5c1d70052e7543fecf0b4b674637b87d9b8aa8eec4ca7a20ada1c0d",
-	"write/direct": "67676ea051d0e75a8cd1790427ae9caa6806d9790f06c9497815a8137d3bac06",
-	"series/delta": "9a3fe281ea052d429962582c3d21ae35800ae614563bd55843f8f72b2672a492",
+	"write/delta":  "d2254c463f872a2c91f3154bbc6eef58ac46a49ca42628f6ab05444fece47171",
+	"write/direct": "a54e12313a7e7e126b946dc58f2ffb02e3951587a697e0a49c73ef4f34f6b3b8",
+	"series/delta": "944f730331e89b73a9420d349b7ed561300621dd6be5db3e6dfc79f4d1d47614",
 }
 
 // hashNonGeometry digests, for every stored container in key order, the

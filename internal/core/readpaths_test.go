@@ -27,62 +27,62 @@ import (
 // and 4 must produce the same lines.
 var readPathsGolden = map[string][]string{
 	"write/delta/cold": {
-		"retrieve 0: L0 bound=8.884036627336806e-06 data=8458aa5fb8072102 have=- io=11906/0.004040953167 modeled=11906 deg=- hier=-",
-		"retrieve 1: L1 bound=0.20889129422426506 data=3fe19b916566b060 have=- io=7665/0.002616853167 modeled=7665 deg=- hier=-",
-		"retrieve 2: L2 bound=0.4808484093331313 data=855135fec3d07d42 have=- io=4263/0.001276653167 modeled=4263 deg=- hier=-",
-		"retrieve 3: L3 bound=0.8690061426643385 data=ebd92d204c46471b have=- io=1519/2.253166667e-06 modeled=1519 deg=- hier=-",
-		"tolerance 0: L3 bound=0.8690061426643385 data=ebd92d204c46471b have=- io=1519/2.253166667e-06 modeled=1519 deg=- hier=-",
-		"tolerance 1: L1 bound=0.20889129422426506 data=3fe19b916566b060 have=- io=7665/0.002616853167 modeled=7665 deg=- hier=-",
-		"tolerance 2: L0 bound=8.884036627336806e-06 data=8458aa5fb8072102 have=- io=11906/0.004040953167 modeled=11906 deg=0/0 hier=-",
-		"region 0: L0 bound=8.884036627336806e-06 data=ab0273ae0c36f88c have=196350585cd65fdb io=9438/0.003794153167 modeled=9438 deg=- hier=-",
-		"region 1: L1 bound=0.20889129422426506 data=5cbcfdb9a3b0942f have=c5a974f30d698869 io=6500/0.002500353167 modeled=6500 deg=- hier=-",
-		"subscribe 0 view 0: L3 bound=0.8690061426643385 data=ebd92d204c46471b have=- io=1519/2.253166667e-06 modeled=-1 deg=- hier=-",
-		"subscribe 0 view 1: L2 bound=0.4808484093331313 data=855135fec3d07d42 have=- io=4263/0.001276653167 modeled=-1 deg=- hier=-",
-		"subscribe 0 view 2: L1 bound=0.20889129422426506 data=3fe19b916566b060 have=- io=7665/0.002616853167 modeled=7665 deg=- hier=-",
-		"subscribe 1 view 0: L3 bound=0.8690061426643385 data=ebd92d204c46471b have=- io=1519/2.253166667e-06 modeled=-1 deg=- hier=-",
-		"subscribe 1 view 1: L2 bound=0.4808484093331313 data=855135fec3d07d42 have=- io=4263/0.001276653167 modeled=-1 deg=- hier=-",
-		"subscribe 1 view 2: L1 bound=0.20889129422426506 data=3fe19b916566b060 have=- io=7665/0.002616853167 modeled=-1 deg=- hier=-",
-		"subscribe 1 view 3: L0 bound=8.884036627336806e-06 data=8458aa5fb8072102 have=- io=11906/0.004040953167 modeled=11906 deg=0/0 hier=-",
+		"retrieve 0: L0 bound=8.884036627336806e-06 data=4721255bfea720e0 have=- io=11766/0.004027652 modeled=11766 deg=- hier=-",
+		"retrieve 1: L1 bound=0.20889129422426506 data=0a2ef82c1e549aba have=- io=7521/0.002603152 modeled=7521 deg=- hier=-",
+		"retrieve 2: L2 bound=0.4808484093331313 data=545f477ee8d62991 have=- io=4203/0.001271352 modeled=4203 deg=- hier=-",
+		"retrieve 3: L3 bound=0.8690061426643385 data=ebd92d204c46471b have=- io=1512/2.252e-06 modeled=1512 deg=- hier=-",
+		"tolerance 0: L3 bound=0.8690061426643385 data=ebd92d204c46471b have=- io=1512/2.252e-06 modeled=1512 deg=- hier=-",
+		"tolerance 1: L1 bound=0.20889129422426506 data=0a2ef82c1e549aba have=- io=7521/0.002603152 modeled=7521 deg=- hier=-",
+		"tolerance 2: L0 bound=8.884036627336806e-06 data=4721255bfea720e0 have=- io=11766/0.004027652 modeled=11766 deg=0/0 hier=-",
+		"region 0: L0 bound=8.884036627336806e-06 data=cca7549e5f706482 have=196350585cd65fdb io=9296/0.003780652 modeled=9296 deg=- hier=-",
+		"region 1: L1 bound=0.20889129422426506 data=090c15a30710d070 have=c5a974f30d698869 io=6354/0.002486452 modeled=6354 deg=- hier=-",
+		"subscribe 0 view 0: L3 bound=0.8690061426643385 data=ebd92d204c46471b have=- io=1512/2.252e-06 modeled=-1 deg=- hier=-",
+		"subscribe 0 view 1: L2 bound=0.4808484093331313 data=545f477ee8d62991 have=- io=4203/0.001271352 modeled=-1 deg=- hier=-",
+		"subscribe 0 view 2: L1 bound=0.20889129422426506 data=0a2ef82c1e549aba have=- io=7521/0.002603152 modeled=7521 deg=- hier=-",
+		"subscribe 1 view 0: L3 bound=0.8690061426643385 data=ebd92d204c46471b have=- io=1512/2.252e-06 modeled=-1 deg=- hier=-",
+		"subscribe 1 view 1: L2 bound=0.4808484093331313 data=545f477ee8d62991 have=- io=4203/0.001271352 modeled=-1 deg=- hier=-",
+		"subscribe 1 view 2: L1 bound=0.20889129422426506 data=0a2ef82c1e549aba have=- io=7521/0.002603152 modeled=-1 deg=- hier=-",
+		"subscribe 1 view 3: L0 bound=8.884036627336806e-06 data=4721255bfea720e0 have=- io=11766/0.004027652 modeled=11766 deg=0/0 hier=-",
 	},
 	"write/delta/warm": {
-		"retrieve 0: L0 bound=8.884036627336806e-06 data=8458aa5fb8072102 have=- io=6763/0.003641062167 modeled=6763 deg=- hier=-",
-		"retrieve 1: L1 bound=0.20889129422426506 data=3fe19b916566b060 have=- io=3759/0.002340662167 modeled=3759 deg=- hier=-",
-		"retrieve 2: L2 bound=0.4808484093331313 data=855135fec3d07d42 have=- io=1827/0.001147462167 modeled=1827 deg=- hier=-",
+		"retrieve 0: L0 bound=8.884036627336806e-06 data=4721255bfea720e0 have=- io=6764/0.003641162167 modeled=6764 deg=- hier=-",
+		"retrieve 1: L1 bound=0.20889129422426506 data=0a2ef82c1e549aba have=- io=3760/0.002340762167 modeled=3760 deg=- hier=-",
+		"retrieve 2: L2 bound=0.4808484093331313 data=545f477ee8d62991 have=- io=1826/0.001147362167 modeled=1826 deg=- hier=-",
 		"retrieve 3: L3 bound=0.8690061426643385 data=ebd92d204c46471b have=- io=373/2.062166667e-06 modeled=373 deg=- hier=-",
 		"tolerance 0: L3 bound=0.8690061426643385 data=ebd92d204c46471b have=- io=373/2.062166667e-06 modeled=373 deg=- hier=-",
-		"tolerance 1: L1 bound=0.20889129422426506 data=3fe19b916566b060 have=- io=3759/0.002340662167 modeled=3759 deg=- hier=-",
-		"tolerance 2: L0 bound=8.884036627336806e-06 data=8458aa5fb8072102 have=- io=6763/0.003641062167 modeled=6763 deg=0/0 hier=-",
-		"region 0: L0 bound=8.884036627336806e-06 data=ab0273ae0c36f88c have=196350585cd65fdb io=4295/0.003394262167 modeled=4295 deg=- hier=-",
-		"region 1: L1 bound=0.20889129422426506 data=5cbcfdb9a3b0942f have=c5a974f30d698869 io=2594/0.002224162167 modeled=2594 deg=- hier=-",
+		"tolerance 1: L1 bound=0.20889129422426506 data=0a2ef82c1e549aba have=- io=3760/0.002340762167 modeled=3760 deg=- hier=-",
+		"tolerance 2: L0 bound=8.884036627336806e-06 data=4721255bfea720e0 have=- io=6764/0.003641162167 modeled=6764 deg=0/0 hier=-",
+		"region 0: L0 bound=8.884036627336806e-06 data=cca7549e5f706482 have=196350585cd65fdb io=4294/0.003394162167 modeled=4294 deg=- hier=-",
+		"region 1: L1 bound=0.20889129422426506 data=090c15a30710d070 have=c5a974f30d698869 io=2593/0.002224062167 modeled=2593 deg=- hier=-",
 		"subscribe 0 view 0: L3 bound=0.8690061426643385 data=ebd92d204c46471b have=- io=373/2.062166667e-06 modeled=-1 deg=- hier=-",
-		"subscribe 0 view 1: L2 bound=0.4808484093331313 data=855135fec3d07d42 have=- io=1827/0.001147462167 modeled=-1 deg=- hier=-",
-		"subscribe 0 view 2: L1 bound=0.20889129422426506 data=3fe19b916566b060 have=- io=3759/0.002340662167 modeled=3759 deg=- hier=-",
+		"subscribe 0 view 1: L2 bound=0.4808484093331313 data=545f477ee8d62991 have=- io=1826/0.001147362167 modeled=-1 deg=- hier=-",
+		"subscribe 0 view 2: L1 bound=0.20889129422426506 data=0a2ef82c1e549aba have=- io=3760/0.002340762167 modeled=3760 deg=- hier=-",
 		"subscribe 1 view 0: L3 bound=0.8690061426643385 data=ebd92d204c46471b have=- io=373/2.062166667e-06 modeled=-1 deg=- hier=-",
-		"subscribe 1 view 1: L2 bound=0.4808484093331313 data=855135fec3d07d42 have=- io=1827/0.001147462167 modeled=-1 deg=- hier=-",
-		"subscribe 1 view 2: L1 bound=0.20889129422426506 data=3fe19b916566b060 have=- io=3759/0.002340662167 modeled=-1 deg=- hier=-",
-		"subscribe 1 view 3: L0 bound=8.884036627336806e-06 data=8458aa5fb8072102 have=- io=6763/0.003641062167 modeled=6763 deg=0/0 hier=-",
+		"subscribe 1 view 1: L2 bound=0.4808484093331313 data=545f477ee8d62991 have=- io=1826/0.001147362167 modeled=-1 deg=- hier=-",
+		"subscribe 1 view 2: L1 bound=0.20889129422426506 data=0a2ef82c1e549aba have=- io=3760/0.002340762167 modeled=-1 deg=- hier=-",
+		"subscribe 1 view 3: L0 bound=8.884036627336806e-06 data=4721255bfea720e0 have=- io=6764/0.003641162167 modeled=6764 deg=0/0 hier=-",
 	},
 	"write/direct/cold": {
 		"retrieve 0: L0 bound=2.2210091568342014e-06 data=cd684c97ea7f0451 have=- io=3316/0.0013316 modeled=3316 deg=- hier=-",
-		"retrieve 1: L1 bound=0.20888685220595138 data=208d935836f1e713 have=- io=2500/0.00125 modeled=2500 deg=- hier=-",
-		"retrieve 2: L2 bound=0.4808461883239744 data=0d030e4d375a9aab have=- io=1836/0.0011836 modeled=1836 deg=- hier=-",
-		"retrieve 3: L3 bound=0.8690061426643385 data=ebd92d204c46471b have=- io=1519/2.253166667e-06 modeled=1519 deg=- hier=-",
-		"tolerance 0: L3 bound=0.8690061426643385 data=ebd92d204c46471b have=- io=1519/2.253166667e-06 modeled=1519 deg=- hier=-",
-		"tolerance 1: L1 bound=0.20888685220595138 data=208d935836f1e713 have=- io=2500/0.00125 modeled=2500 deg=- hier=-",
+		"retrieve 1: L1 bound=0.20888685220595138 data=208d935836f1e713 have=- io=2427/0.0012427 modeled=2427 deg=- hier=-",
+		"retrieve 2: L2 bound=0.4808461883239744 data=0d030e4d375a9aab have=- io=1793/0.0011793 modeled=1793 deg=- hier=-",
+		"retrieve 3: L3 bound=0.8690061426643385 data=ebd92d204c46471b have=- io=1512/2.252e-06 modeled=1512 deg=- hier=-",
+		"tolerance 0: L3 bound=0.8690061426643385 data=ebd92d204c46471b have=- io=1512/2.252e-06 modeled=1512 deg=- hier=-",
+		"tolerance 1: L1 bound=0.20888685220595138 data=208d935836f1e713 have=- io=2427/0.0012427 modeled=2427 deg=- hier=-",
 		"tolerance 2: L0 bound=2.2210091568342014e-06 data=cd684c97ea7f0451 have=- io=3316/0.0013316 modeled=3316 deg=0/0 hier=-",
-		"subscribe 0 view 0: L3 bound=0.8690061426643385 data=ebd92d204c46471b have=- io=1519/2.253166667e-06 modeled=-1 deg=- hier=-",
-		"subscribe 0 view 1: L2 bound=0.4808461883239744 data=0d030e4d375a9aab have=- io=3355/0.001185853167 modeled=-1 deg=- hier=-",
-		"subscribe 0 view 2: L1 bound=0.20888685220595138 data=208d935836f1e713 have=- io=5855/0.002435853167 modeled=5855 deg=- hier=-",
-		"subscribe 1 view 0: L3 bound=0.8690061426643385 data=ebd92d204c46471b have=- io=1519/2.253166667e-06 modeled=-1 deg=- hier=-",
-		"subscribe 1 view 1: L2 bound=0.4808461883239744 data=0d030e4d375a9aab have=- io=3355/0.001185853167 modeled=-1 deg=- hier=-",
-		"subscribe 1 view 2: L1 bound=0.20888685220595138 data=208d935836f1e713 have=- io=5855/0.002435853167 modeled=-1 deg=- hier=-",
-		"subscribe 1 view 3: L0 bound=2.2210091568342014e-06 data=cd684c97ea7f0451 have=- io=9171/0.003767453167 modeled=9171 deg=0/0 hier=-",
+		"subscribe 0 view 0: L3 bound=0.8690061426643385 data=ebd92d204c46471b have=- io=1512/2.252e-06 modeled=-1 deg=- hier=-",
+		"subscribe 0 view 1: L2 bound=0.4808461883239744 data=0d030e4d375a9aab have=- io=3305/0.001181552 modeled=-1 deg=- hier=-",
+		"subscribe 0 view 2: L1 bound=0.20888685220595138 data=208d935836f1e713 have=- io=5732/0.002424252 modeled=5732 deg=- hier=-",
+		"subscribe 1 view 0: L3 bound=0.8690061426643385 data=ebd92d204c46471b have=- io=1512/2.252e-06 modeled=-1 deg=- hier=-",
+		"subscribe 1 view 1: L2 bound=0.4808461883239744 data=0d030e4d375a9aab have=- io=3305/0.001181552 modeled=-1 deg=- hier=-",
+		"subscribe 1 view 2: L1 bound=0.20888685220595138 data=208d935836f1e713 have=- io=5732/0.002424252 modeled=-1 deg=- hier=-",
+		"subscribe 1 view 3: L0 bound=2.2210091568342014e-06 data=cd684c97ea7f0451 have=- io=9048/0.003755852 modeled=9048 deg=0/0 hier=-",
 	},
 	"write/direct/warm": {
 		"retrieve 0: L0 bound=2.2210091568342014e-06 data=cd684c97ea7f0451 have=- io=2230/0.001223 modeled=2230 deg=- hier=-",
-		"retrieve 1: L1 bound=0.20888685220595138 data=208d935836f1e713 have=- io=2500/0.00125 modeled=2500 deg=- hier=-",
-		"retrieve 2: L2 bound=0.4808461883239744 data=0d030e4d375a9aab have=- io=1836/0.0011836 modeled=1836 deg=- hier=-",
-		"retrieve 3: L3 bound=0.8690061426643385 data=ebd92d204c46471b have=- io=1519/2.253166667e-06 modeled=1519 deg=- hier=-",
+		"retrieve 1: L1 bound=0.20888685220595138 data=208d935836f1e713 have=- io=2427/0.0012427 modeled=2427 deg=- hier=-",
+		"retrieve 2: L2 bound=0.4808461883239744 data=0d030e4d375a9aab have=- io=1793/0.0011793 modeled=1793 deg=- hier=-",
+		"retrieve 3: L3 bound=0.8690061426643385 data=ebd92d204c46471b have=- io=1512/2.252e-06 modeled=1512 deg=- hier=-",
 		"tolerance 0: L3 bound=0.8690061426643385 data=ebd92d204c46471b have=- io=373/2.062166667e-06 modeled=373 deg=- hier=-",
 		"tolerance 1: L1 bound=0.20888685220595138 data=208d935836f1e713 have=- io=1172/0.0011172 modeled=1172 deg=- hier=-",
 		"tolerance 2: L0 bound=2.2210091568342014e-06 data=cd684c97ea7f0451 have=- io=2230/0.001223 modeled=2230 deg=0/0 hier=-",
@@ -95,50 +95,50 @@ var readPathsGolden = map[string][]string{
 		"subscribe 1 view 3: L0 bound=2.2210091568342014e-06 data=cd684c97ea7f0451 have=- io=4417/0.003406462167 modeled=4417 deg=0/0 hier=-",
 	},
 	"series/delta/cold": {
-		"step 0 level 0: L0 bound=9.999999999999999e-06 data=64959b7ba1d15f0a have=- io=4941/0.003470143333 modeled=4941 deg=- hier=5779/0.0034633945",
-		"step 0 level 1: L1 bound=0.17499476503954947 data=0a70f5a8e8434cf9 have=- io=2770/0.002253043333 modeled=2770 deg=- hier=4453/0.0023307945",
-		"step 0 level 2: L2 bound=0.4981023791443594 data=dc596d457a148361 have=- io=1318/0.001107843333 modeled=1318 deg=- hier=2737/0.0011591945",
-		"step 0 level 3: L3 bound=0.8637289642367035 data=503b3b4943d250ed have=- io=260/2.043333333e-06 modeled=260 deg=- hier=1167/2.1945e-06",
-		"step 1 level 0: L0 bound=9.999999999999999e-06 data=d9557af3890b8a31 have=- io=4939/0.003469643833 modeled=4939 deg=- hier=5779/0.0034633945",
-		"step 1 level 1: L1 bound=0.17499476503954947 data=c58e6fe109207ef2 have=- io=2764/0.002252143833 modeled=2764 deg=- hier=4453/0.0023307945",
-		"step 1 level 2: L2 bound=0.4981023791443594 data=d7f26d4ac2d37e98 have=- io=1319/0.001107643833 modeled=1319 deg=- hier=2737/0.0011591945",
-		"step 1 level 3: L3 bound=0.8637289642367035 data=9835ef01d2dc79c4 have=- io=263/2.043833333e-06 modeled=263 deg=- hier=1167/2.1945e-06",
-		"step 2 level 0: L0 bound=9.999999999999999e-06 data=67fd30ba0aa9c9cb have=- io=4945/0.0034704435 modeled=4945 deg=- hier=5779/0.0034633945",
-		"step 2 level 1: L1 bound=0.17499476503954947 data=01d60fefed6ea66e have=- io=2759/0.0022518435 modeled=2759 deg=- hier=4453/0.0023307945",
-		"step 2 level 2: L2 bound=0.4981023791443594 data=b03441a16ca08c60 have=- io=1316/0.0011075435 modeled=1316 deg=- hier=2737/0.0011591945",
-		"step 2 level 3: L3 bound=0.8637289642367035 data=3f8ca96bf38bcd8b have=- io=261/2.0435e-06 modeled=261 deg=- hier=1167/2.1945e-06",
-		"step 0 tolerance 0: L3 bound=0.8637289642367035 data=503b3b4943d250ed have=- io=260/2.043333333e-06 modeled=260 deg=- hier=1167/2.1945e-06",
-		"step 0 tolerance 1: L1 bound=0.17499476503954947 data=0a70f5a8e8434cf9 have=- io=2770/0.002253043333 modeled=2770 deg=- hier=4453/0.0023307945",
-		"step 0 tolerance 2: L0 bound=9.999999999999999e-06 data=64959b7ba1d15f0a have=- io=4941/0.003470143333 modeled=4941 deg=0/0 hier=5779/0.0034633945",
-		"step 1 tolerance 0: L3 bound=0.8637289642367035 data=9835ef01d2dc79c4 have=- io=263/2.043833333e-06 modeled=263 deg=- hier=1167/2.1945e-06",
-		"step 1 tolerance 1: L1 bound=0.17499476503954947 data=c58e6fe109207ef2 have=- io=2764/0.002252143833 modeled=2764 deg=- hier=4453/0.0023307945",
-		"step 1 tolerance 2: L0 bound=9.999999999999999e-06 data=d9557af3890b8a31 have=- io=4939/0.003469643833 modeled=4939 deg=0/0 hier=5779/0.0034633945",
-		"step 2 tolerance 0: L3 bound=0.8637289642367035 data=3f8ca96bf38bcd8b have=- io=261/2.0435e-06 modeled=261 deg=- hier=1167/2.1945e-06",
-		"step 2 tolerance 1: L1 bound=0.17499476503954947 data=01d60fefed6ea66e have=- io=2759/0.0022518435 modeled=2759 deg=- hier=4453/0.0023307945",
-		"step 2 tolerance 2: L0 bound=9.999999999999999e-06 data=67fd30ba0aa9c9cb have=- io=4945/0.0034704435 modeled=4945 deg=0/0 hier=5779/0.0034633945",
+		"step 0 level 0: L0 bound=9.999999999999999e-06 data=c3ec5ac292679332 have=- io=4941/0.003470143333 modeled=4941 deg=- hier=5718/0.003457594",
+		"step 0 level 1: L1 bound=0.17499476503954947 data=e3056ae05d295216 have=- io=2769/0.002252943333 modeled=2769 deg=- hier=4411/0.002326894",
+		"step 0 level 2: L2 bound=0.4981023791443594 data=e6fdccf9547a13b7 have=- io=1317/0.001107743333 modeled=1317 deg=- hier=2723/0.001158094",
+		"step 0 level 3: L3 bound=0.8261111925905927 data=b5a46852d44a74aa have=- io=260/2.043333333e-06 modeled=260 deg=- hier=1164/2.194e-06",
+		"step 1 level 0: L0 bound=9.999999999999999e-06 data=257f64d58442f226 have=- io=4942/0.003469844 modeled=4942 deg=- hier=5718/0.003457594",
+		"step 1 level 1: L1 bound=0.17499476503954947 data=1790a24f6794df3a have=- io=2765/0.002252144 modeled=2765 deg=- hier=4411/0.002326894",
+		"step 1 level 2: L2 bound=0.4981023791443594 data=5d79f7778c07713b have=- io=1320/0.001107644 modeled=1320 deg=- hier=2723/0.001158094",
+		"step 1 level 3: L3 bound=0.8261111925905927 data=9b9701554345c687 have=- io=264/2.044e-06 modeled=264 deg=- hier=1164/2.194e-06",
+		"step 2 level 0: L0 bound=9.999999999999999e-06 data=8fb80f6e87f4c4a0 have=- io=4952/0.003471043667 modeled=4952 deg=- hier=5718/0.003457594",
+		"step 2 level 1: L1 bound=0.17499476503954947 data=4e765aea67e3a4de have=- io=2765/0.002252343667 modeled=2765 deg=- hier=4411/0.002326894",
+		"step 2 level 2: L2 bound=0.4981023791443594 data=e8253259e171bf74 have=- io=1320/0.001107843667 modeled=1320 deg=- hier=2723/0.001158094",
+		"step 2 level 3: L3 bound=0.8261111925905927 data=3cfc22971d955fcf have=- io=262/2.043666667e-06 modeled=262 deg=- hier=1164/2.194e-06",
+		"step 0 tolerance 0: L3 bound=0.8261111925905927 data=b5a46852d44a74aa have=- io=260/2.043333333e-06 modeled=260 deg=- hier=1164/2.194e-06",
+		"step 0 tolerance 1: L1 bound=0.17499476503954947 data=e3056ae05d295216 have=- io=2769/0.002252943333 modeled=2769 deg=- hier=4411/0.002326894",
+		"step 0 tolerance 2: L0 bound=9.999999999999999e-06 data=c3ec5ac292679332 have=- io=4941/0.003470143333 modeled=4941 deg=0/0 hier=5718/0.003457594",
+		"step 1 tolerance 0: L3 bound=0.8261111925905927 data=9b9701554345c687 have=- io=264/2.044e-06 modeled=264 deg=- hier=1164/2.194e-06",
+		"step 1 tolerance 1: L1 bound=0.17499476503954947 data=1790a24f6794df3a have=- io=2765/0.002252144 modeled=2765 deg=- hier=4411/0.002326894",
+		"step 1 tolerance 2: L0 bound=9.999999999999999e-06 data=257f64d58442f226 have=- io=4942/0.003469844 modeled=4942 deg=0/0 hier=5718/0.003457594",
+		"step 2 tolerance 0: L3 bound=0.8261111925905927 data=3cfc22971d955fcf have=- io=262/2.043666667e-06 modeled=262 deg=- hier=1164/2.194e-06",
+		"step 2 tolerance 1: L1 bound=0.17499476503954947 data=4e765aea67e3a4de have=- io=2765/0.002252343667 modeled=2765 deg=- hier=4411/0.002326894",
+		"step 2 tolerance 2: L0 bound=9.999999999999999e-06 data=8fb80f6e87f4c4a0 have=- io=4952/0.003471043667 modeled=4952 deg=0/0 hier=5718/0.003457594",
 	},
 	"series/delta/warm": {
-		"step 0 level 0: L0 bound=9.999999999999999e-06 data=64959b7ba1d15f0a have=- io=4941/0.003470143333 modeled=4941 deg=- hier=5779/0.0034633945",
-		"step 0 level 1: L1 bound=0.17499476503954947 data=0a70f5a8e8434cf9 have=- io=2770/0.002253043333 modeled=2770 deg=- hier=5779/0.0034633945",
-		"step 0 level 2: L2 bound=0.4981023791443594 data=dc596d457a148361 have=- io=1318/0.001107843333 modeled=1318 deg=- hier=5779/0.0034633945",
-		"step 0 level 3: L3 bound=0.8637289642367035 data=503b3b4943d250ed have=- io=260/2.043333333e-06 modeled=260 deg=- hier=5779/0.0034633945",
-		"step 1 level 0: L0 bound=9.999999999999999e-06 data=d9557af3890b8a31 have=- io=4939/0.003469643833 modeled=4939 deg=- hier=5779/0.0034633945",
-		"step 1 level 1: L1 bound=0.17499476503954947 data=c58e6fe109207ef2 have=- io=2764/0.002252143833 modeled=2764 deg=- hier=5779/0.0034633945",
-		"step 1 level 2: L2 bound=0.4981023791443594 data=d7f26d4ac2d37e98 have=- io=1319/0.001107643833 modeled=1319 deg=- hier=5779/0.0034633945",
-		"step 1 level 3: L3 bound=0.8637289642367035 data=9835ef01d2dc79c4 have=- io=263/2.043833333e-06 modeled=263 deg=- hier=5779/0.0034633945",
-		"step 2 level 0: L0 bound=9.999999999999999e-06 data=67fd30ba0aa9c9cb have=- io=4945/0.0034704435 modeled=4945 deg=- hier=5779/0.0034633945",
-		"step 2 level 1: L1 bound=0.17499476503954947 data=01d60fefed6ea66e have=- io=2759/0.0022518435 modeled=2759 deg=- hier=5779/0.0034633945",
-		"step 2 level 2: L2 bound=0.4981023791443594 data=b03441a16ca08c60 have=- io=1316/0.0011075435 modeled=1316 deg=- hier=5779/0.0034633945",
-		"step 2 level 3: L3 bound=0.8637289642367035 data=3f8ca96bf38bcd8b have=- io=261/2.0435e-06 modeled=261 deg=- hier=5779/0.0034633945",
-		"step 0 tolerance 0: L3 bound=0.8637289642367035 data=503b3b4943d250ed have=- io=260/2.043333333e-06 modeled=260 deg=- hier=5779/0.0034633945",
-		"step 0 tolerance 1: L1 bound=0.17499476503954947 data=0a70f5a8e8434cf9 have=- io=2770/0.002253043333 modeled=2770 deg=- hier=5779/0.0034633945",
-		"step 0 tolerance 2: L0 bound=9.999999999999999e-06 data=64959b7ba1d15f0a have=- io=4941/0.003470143333 modeled=4941 deg=0/0 hier=5779/0.0034633945",
-		"step 1 tolerance 0: L3 bound=0.8637289642367035 data=9835ef01d2dc79c4 have=- io=263/2.043833333e-06 modeled=263 deg=- hier=5779/0.0034633945",
-		"step 1 tolerance 1: L1 bound=0.17499476503954947 data=c58e6fe109207ef2 have=- io=2764/0.002252143833 modeled=2764 deg=- hier=5779/0.0034633945",
-		"step 1 tolerance 2: L0 bound=9.999999999999999e-06 data=d9557af3890b8a31 have=- io=4939/0.003469643833 modeled=4939 deg=0/0 hier=5779/0.0034633945",
-		"step 2 tolerance 0: L3 bound=0.8637289642367035 data=3f8ca96bf38bcd8b have=- io=261/2.0435e-06 modeled=261 deg=- hier=5779/0.0034633945",
-		"step 2 tolerance 1: L1 bound=0.17499476503954947 data=01d60fefed6ea66e have=- io=2759/0.0022518435 modeled=2759 deg=- hier=5779/0.0034633945",
-		"step 2 tolerance 2: L0 bound=9.999999999999999e-06 data=67fd30ba0aa9c9cb have=- io=4945/0.0034704435 modeled=4945 deg=0/0 hier=5779/0.0034633945",
+		"step 0 level 0: L0 bound=9.999999999999999e-06 data=c3ec5ac292679332 have=- io=4941/0.003470143333 modeled=4941 deg=- hier=5718/0.003457594",
+		"step 0 level 1: L1 bound=0.17499476503954947 data=e3056ae05d295216 have=- io=2769/0.002252943333 modeled=2769 deg=- hier=5718/0.003457594",
+		"step 0 level 2: L2 bound=0.4981023791443594 data=e6fdccf9547a13b7 have=- io=1317/0.001107743333 modeled=1317 deg=- hier=5718/0.003457594",
+		"step 0 level 3: L3 bound=0.8261111925905927 data=b5a46852d44a74aa have=- io=260/2.043333333e-06 modeled=260 deg=- hier=5718/0.003457594",
+		"step 1 level 0: L0 bound=9.999999999999999e-06 data=257f64d58442f226 have=- io=4942/0.003469844 modeled=4942 deg=- hier=5718/0.003457594",
+		"step 1 level 1: L1 bound=0.17499476503954947 data=1790a24f6794df3a have=- io=2765/0.002252144 modeled=2765 deg=- hier=5718/0.003457594",
+		"step 1 level 2: L2 bound=0.4981023791443594 data=5d79f7778c07713b have=- io=1320/0.001107644 modeled=1320 deg=- hier=5718/0.003457594",
+		"step 1 level 3: L3 bound=0.8261111925905927 data=9b9701554345c687 have=- io=264/2.044e-06 modeled=264 deg=- hier=5718/0.003457594",
+		"step 2 level 0: L0 bound=9.999999999999999e-06 data=8fb80f6e87f4c4a0 have=- io=4952/0.003471043667 modeled=4952 deg=- hier=5718/0.003457594",
+		"step 2 level 1: L1 bound=0.17499476503954947 data=4e765aea67e3a4de have=- io=2765/0.002252343667 modeled=2765 deg=- hier=5718/0.003457594",
+		"step 2 level 2: L2 bound=0.4981023791443594 data=e8253259e171bf74 have=- io=1320/0.001107843667 modeled=1320 deg=- hier=5718/0.003457594",
+		"step 2 level 3: L3 bound=0.8261111925905927 data=3cfc22971d955fcf have=- io=262/2.043666667e-06 modeled=262 deg=- hier=5718/0.003457594",
+		"step 0 tolerance 0: L3 bound=0.8261111925905927 data=b5a46852d44a74aa have=- io=260/2.043333333e-06 modeled=260 deg=- hier=5718/0.003457594",
+		"step 0 tolerance 1: L1 bound=0.17499476503954947 data=e3056ae05d295216 have=- io=2769/0.002252943333 modeled=2769 deg=- hier=5718/0.003457594",
+		"step 0 tolerance 2: L0 bound=9.999999999999999e-06 data=c3ec5ac292679332 have=- io=4941/0.003470143333 modeled=4941 deg=0/0 hier=5718/0.003457594",
+		"step 1 tolerance 0: L3 bound=0.8261111925905927 data=9b9701554345c687 have=- io=264/2.044e-06 modeled=264 deg=- hier=5718/0.003457594",
+		"step 1 tolerance 1: L1 bound=0.17499476503954947 data=1790a24f6794df3a have=- io=2765/0.002252144 modeled=2765 deg=- hier=5718/0.003457594",
+		"step 1 tolerance 2: L0 bound=9.999999999999999e-06 data=257f64d58442f226 have=- io=4942/0.003469844 modeled=4942 deg=0/0 hier=5718/0.003457594",
+		"step 2 tolerance 0: L3 bound=0.8261111925905927 data=3cfc22971d955fcf have=- io=262/2.043666667e-06 modeled=262 deg=- hier=5718/0.003457594",
+		"step 2 tolerance 1: L1 bound=0.17499476503954947 data=4e765aea67e3a4de have=- io=2765/0.002252343667 modeled=2765 deg=- hier=5718/0.003457594",
+		"step 2 tolerance 2: L0 bound=9.999999999999999e-06 data=8fb80f6e87f4c4a0 have=- io=4952/0.003471043667 modeled=4952 deg=0/0 hier=5718/0.003457594",
 	},
 }
 

@@ -15,24 +15,24 @@ import (
 // ratio-2 cascade: per step the coarse vertices, triangles, data, restriction
 // rows and the Collapses/Rejected counters. Both planes are large enough to
 // be decimated in parts, and the values were recorded from the partitioned
-// collapse order with each coarse level numbered in its input's order (least
-// input vertex first, triangles rotated and sorted). Any change to the parts,
+// collapse order with each coarse level in its input's order (vertices by
+// least input vertex, triangles by input slot). Any change to the parts,
 // collapse order, tie-breaking, vertex placement, output order or
 // restriction weights changes them, and with them every stored byte and
 // recorded error bound downstream.
 var decimateGolden = map[string]string{
-	"plane/edge-length":           "6cc07988af5675e6d15711bc20b87f5017b2294bb57654cb197e39d005e149f7",
-	"plane/edge-length/track":     "c02910689dbd050b6a6c5230afab69b947f19ca232f9ab1b97e40f7050679743",
-	"plane/data-weighted":         "28b1bf1b5f11c1bbc3929b55ca02d2f3b8094abfe485f0b74cc57baff8041500",
-	"plane/data-weighted/track":   "66ce74b371109d58d68862272160e8f742212e6fde7f58c5457fc44f88f02093",
-	"plane/hash-order":            "237de4aa30518992a46bd9b8510896063236dc5ad61e40ac3230c9b9df848b3d",
-	"plane/hash-order/track":      "b190662b785aac6d95f3e3e6dc36e0f4e62846690f1286748e5c19ac9e2c9546",
-	"plane2x/edge-length":         "50819795cb3d68fb4d2efc44e1c865244c7a0f66d4daaf4b25af99d79918b396",
-	"plane2x/edge-length/track":   "76d019ddb7790464aba80017f7d38678ac4ab477405b0083f9e213868b6ec340",
-	"plane2x/data-weighted":       "1980fd48d676ed069451e9f7fd9ffc05735e1c1c67e9095eba972794b3333347",
-	"plane2x/data-weighted/track": "f3f804d010e9aaa7617011d82f5590b45f191fe6ba82d5832e866812ab6af547",
-	"plane2x/hash-order":          "cc8e534f85d675bdb2b88e32a900e69606247c561228b9352f6f0383975fa1bb",
-	"plane2x/hash-order/track":    "29145bafb67b293bdbc510ce7422334b34e745e5c31e07e91680367d1b668941",
+	"plane/edge-length":           "4c27a830bdca32b99fdcaadf681191163a80c2e660a8b95ca5633b851b284d86",
+	"plane/edge-length/track":     "cb08ba2ae4436050933ae2e18bfac12d13ae7cfed11b7e3cc0fa52b0fc2e8ab9",
+	"plane/data-weighted":         "eb90c09d5ee2e1aec01fb2e2d26c8ae3e9ab0a093eb918fc4106d0d630a6e803",
+	"plane/data-weighted/track":   "26fc10654ba9777bf05a295127e50a4c981c82710a1278a5d3b505b0df11aa2a",
+	"plane/hash-order":            "283c23b20f6b2664cd286ff3c6a1dbb1de79478d5e8ebf18464ae1f1ce838871",
+	"plane/hash-order/track":      "9fa79e2f4fe04c404b2239339dac620b883e06d76618bffd7931ff4d0e275b66",
+	"plane2x/edge-length":         "40f5d45e7c66eeeae65bc8bdd3950dc063de35c768208857a32f12f08879c868",
+	"plane2x/edge-length/track":   "56273b74d3944a03558a025ae61a4d33d554167d0f664798f831d3729fadc47b",
+	"plane2x/data-weighted":       "b1b03d22f33937f3cd0824f0a3b7ec81b0999b0d9c33a18aeb42ceb160aa6381",
+	"plane2x/data-weighted/track": "1d2260ff36672f8106efc25beeece1201840ea6add669db301fac23ab903dd3f",
+	"plane2x/hash-order":          "15197ff7575dc80d1153cb1bd4245979651518f0417b59b9a76657c606b84f06",
+	"plane2x/hash-order/track":    "973f3987408cd561f6c31503d68775c3f6b13257b39c2827fcde3892cf91e736",
 }
 
 func TestDecimateGolden(t *testing.T) {
