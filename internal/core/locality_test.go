@@ -47,7 +47,7 @@ func tileRuns(m *mesh.Mesh, n int) int {
 // each part's id range, then the seam pass's) the default XGC1 plane's
 // levels 1-3 held 7,154 / 4,412 / 2,449 runs against level 0's 814 (810 /
 // 767 / 681 in input order), and Rect(192, 192)'s level 1 took 51,389 CMSH
-// bytes (16,605 in input order) against the serial order's 24,504.
+// bytes (13,679 in input order) against the serial order's 24,504.
 func TestCoarseLevelsKeepLocality(t *testing.T) {
 	levels := chainLevels(t, mesh.Annulus(32, 640, 0.6, 1)) // sim.XGC1's default plane
 	base := tileRuns(levels[0], 8)

@@ -35,10 +35,10 @@ import (
 // raw, which a decoder reads in place instead of dragging through a Huffman
 // loop; and the 28 planes are independent, so a decoder inflates them
 // concurrently. Per-corner deltas keep each corner's walk through the vertex
-// ids separate. The decimator stores every coarse level's triangles rotated
-// to start at their least index and sorted by their indices, so corner 0's
-// deltas are small and never negative and corners 1 and 2 move with it;
-// a caller's level 0 gets whatever its own order gives.
+// ids separate. The decimator numbers every coarse level's vertices by
+// their least input vertex and keeps its triangles in their input's order,
+// so each corner's deltas stay as small as the input's; a caller's level 0
+// gets whatever its own order gives.
 //
 // Version 1 — magic, version, counts, then nVerts × 2 raw float64 and
 // nTris × 3 varint zig-zag deltas against the previous index — is what every
