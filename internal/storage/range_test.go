@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"sync"
 	"testing"
 )
@@ -54,6 +55,7 @@ func TestBackendGetRangeErrors(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			for _, c := range []struct{ off, n int64 }{
 				{-1, 10}, {0, -1}, {0, 101}, {101, 0}, {90, 20}, {200, 1},
+				{1, math.MaxInt64}, // off+n wraps negative
 			} {
 				if _, err := b.GetRange("k", c.off, c.n); !errors.Is(err, ErrOutOfRange) {
 					t.Errorf("GetRange(%d,%d): err = %v, want ErrOutOfRange", c.off, c.n, err)
