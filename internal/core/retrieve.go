@@ -50,11 +50,10 @@ type archive struct {
 	estimator delta.Estimator
 	tolerance float64
 
-	// bounds and levelBytes are the planner inputs recorded at write time:
-	// composed absolute error bound and modeled container size per level.
-	// bounds[l] is -1 on hierarchies written before bound recording.
-	bounds     []float64
-	levelBytes []int64
+	// bounds is the planner input recorded at write time: the composed
+	// absolute error bound per level, -1 on hierarchies written before
+	// bound recording.
+	bounds []float64
 	// vertCounts[l] is level l's vertex count as recorded at write time,
 	// -1 when the metadata does not carry it (campaigns never do).
 	vertCounts []int
@@ -142,7 +141,7 @@ func openArchive(ctx context.Context, aio *adios.IO, name string, campaign bool)
 		geo:        make([]*levelGeo, levels),
 		vertCounts: make([]int, levels),
 	}
-	a.bounds, a.levelBytes = readPlanAttrs(h, levels)
+	a.bounds = readPlanAttrs(h, levels)
 	for l := range a.vertCounts {
 		a.vertCounts[l] = -1
 		if n, ok := h.AttrInt(fmt.Sprintf("verts-L%d", l)); ok && n >= 0 && n <= math.MaxInt32 {
@@ -329,10 +328,10 @@ func finishTolerance(ctx context.Context, v *View, pl *plan.Plan) {
 	}
 }
 
-// runPlan builds the planner over step's products, asks it for a plan and
-// walks the plan.
+// runPlan builds the planner, asks it for a plan and walks the plan over
+// step's containers.
 func (a *archive) runPlan(ctx context.Context, step int, makePlan func(*plan.Planner) (*plan.Plan, error)) (*View, error) {
-	p, err := a.planFor(step)
+	p, err := a.planner()
 	if err != nil {
 		return nil, err
 	}

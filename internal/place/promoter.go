@@ -15,13 +15,6 @@ import (
 type Mover interface {
 	// PlacementView snapshots residency, capacity, and tracked heat.
 	PlacementView() View
-	// IntendMoves publishes the cycle's planned destinations before any
-	// byte moves, so cost estimators (internal/plan via PlannedTier) price
-	// reads against where data is headed; ApplyMove retires each key's
-	// intent as it completes or fails. The set replaces the previous
-	// publication — a cancelled cycle publishes nil to retract the moves
-	// it never attempted.
-	IntendMoves(moves []Move)
 	// ApplyMove executes one move and reports the stored bytes it
 	// relocated. Failures are advisory: the key may have been deleted or
 	// rewritten since the View, or the destination may have filled up.
@@ -148,15 +141,13 @@ func (pr *Promoter) RunOnce(ctx context.Context) int {
 	if len(promos)+len(demos) == 0 {
 		return 0
 	}
-	pr.mover.IntendMoves(append(append([]Move(nil), promos...), demos...))
 	applied := 0
 	var movedBytes int64
 	apply := func(moves []Move, metric *obs.Counter) {
 		for _, m := range moves {
 			// A cancelled cycle (promoter shutdown, caller gave up) stops
-			// between moves and retracts the intents it will never act on.
+			// between moves.
 			if ctx.Err() != nil {
-				pr.mover.IntendMoves(nil)
 				return
 			}
 			n, err := pr.mover.ApplyMove(m)

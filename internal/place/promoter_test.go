@@ -8,12 +8,11 @@ import (
 	"time"
 )
 
-// fakeMover records the promoter's protocol: intents must be published
-// before any byte moves, and every planned move is applied exactly once.
+// fakeMover records the promoter's moves: every planned move is applied
+// exactly once.
 type fakeMover struct {
 	mu       sync.Mutex
 	view     View
-	intents  [][]Move
 	applied  []Move
 	applyErr map[string]error
 }
@@ -22,12 +21,6 @@ func (f *fakeMover) PlacementView() View {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.view
-}
-
-func (f *fakeMover) IntendMoves(moves []Move) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.intents = append(f.intents, moves)
 }
 
 func (f *fakeMover) ApplyMove(m Move) (int64, error) {
@@ -63,19 +56,13 @@ func TestRunOnceAppliesPolicyMoves(t *testing.T) {
 	if n != 2 {
 		t.Fatalf("applied = %d, want 2", n)
 	}
-	if len(fm.intents) != 1 || len(fm.intents[0]) != 2 {
-		t.Fatalf("intents = %v, want one batch of 2", fm.intents)
-	}
-	// Hot-first order, intents published before application.
+	// Hot-first order.
 	if fm.applied[0].Key != "hot" || fm.applied[0].To != 0 {
 		t.Fatalf("applied = %v, want hot first", fm.applied)
 	}
 	// A second cycle over the converged view plans nothing.
 	if n := pr.RunOnce(context.Background()); n != 0 {
 		t.Fatalf("second cycle applied %d moves, want 0", n)
-	}
-	if len(fm.intents) != 1 {
-		t.Fatalf("converged cycle still published intents: %v", fm.intents)
 	}
 }
 

@@ -1,13 +1,11 @@
 // Package plan is the single retrieval planner behind every Canopus read
-// path. It owns the four decisions the read paths used to duplicate:
+// path. It owns the three decisions the read paths used to duplicate:
 //
 //   - level selection: which stored products a retrieval must fetch, in
 //     which order, for a requested accuracy level or error tolerance;
 //   - error-bound composition: what absolute error bound a view carries
 //     after each product is applied, from the per-level bounds recorded at
 //     write time (ComposeBounds is the write-side half of the same rule);
-//   - cost estimation: modeled bytes x tier latency/bandwidth per step, so
-//     callers can compare plans before touching storage;
 //   - degradation fallback: the order in which coarser levels substitute
 //     for a product that cannot be read.
 //
@@ -44,11 +42,9 @@ func (m Mode) String() string {
 	return "progressive"
 }
 
-// Tier carries the cost-model parameters of the tier a product lives on —
-// or is headed to, when the placement policy's background promoter has an
-// intent in flight (callers resolve residency via Hierarchy.PlannedTier).
-// A zero Tier (unknown placement) estimates as free rather than failing:
-// cost estimates are advisory and must never block a retrieval.
+// Tier carries the cost-model parameters of the tier a product lives on.
+// The planner does not read it: plans choose levels by recorded bound
+// alone.
 type Tier struct {
 	Name           string
 	LatencySeconds float64
@@ -64,43 +60,26 @@ type Product struct {
 	// view that has this level applied. Negative means unknown — the
 	// container predates bound recording.
 	Bound float64
-	// Bytes is the modeled size of the level's stored container; 0 when
-	// unknown.
+	// Bytes is the modeled size of the level's stored container, and Tier
+	// is where it lives. The planner reads neither.
 	Bytes int64
-	// Tier is where the container currently lives.
-	Tier Tier
+	Tier  Tier
 }
 
 // Step is one fetch of a Plan, in execution order.
 type Step struct {
 	// Level is the accuracy level whose product this step fetches.
 	Level int
-	// Bound is the composed error bound the view carries once the step is
-	// applied (< 0 unknown).
-	Bound float64
-	// Tier names the tier the step's product is expected to read from —
-	// live residency at planning time, including the destination of any
-	// in-flight policy promotion (core resolves it via PlannedTier).
-	// Empty when placement is unknown.
-	Tier string
-	// EstBytes and EstSeconds are the modeled cost of the step.
-	EstBytes   int64
-	EstSeconds float64
 }
 
 // Plan is a fully-resolved retrieval: the ordered product fetches plus the
 // planner's verdict on what they achieve.
 type Plan struct {
-	Mode Mode
 	// Target is the accuracy level the plan ends at.
 	Target int
 	// Tolerance is the requested error target for tolerance-driven plans,
 	// or a negative value for level-driven plans.
 	Tolerance float64
-	// BoundsKnown reports whether every level had a recorded bound. When
-	// false, a tolerance plan is the conservative level-order fallback to
-	// the finest level.
-	BoundsKnown bool
 	// Unreachable is set on tolerance plans whose eps undercuts the finest
 	// recorded bound: the plan still ends at the finest level, and the
 	// executor reports how close it got.
@@ -113,9 +92,6 @@ type Plan struct {
 	// read. Empty for Progressive plans, which degrade by stopping at the
 	// last step that applied cleanly.
 	Fallbacks []int
-	// EstBytes and EstSeconds total the per-step estimates.
-	EstBytes   int64
-	EstSeconds float64
 }
 
 // Planner builds Plans over one stored hierarchy's product set.
@@ -138,18 +114,8 @@ func New(mode Mode, prods []Product) (*Planner, error) {
 	return &Planner{mode: mode, prods: append([]Product(nil), prods...)}, nil
 }
 
-// Bound reports the recorded composed error bound of a view at the given
-// level, or -1 when the hierarchy predates bound recording (or the level is
-// out of range).
-func (p *Planner) Bound(level int) float64 {
-	if level < 0 || level >= len(p.prods) || p.prods[level].Bound < 0 {
-		return -1
-	}
-	return p.prods[level].Bound
-}
-
-// BoundsKnown reports whether every level carries a recorded bound.
-func (p *Planner) BoundsKnown() bool {
+// boundsKnown reports whether every level carries a recorded bound.
+func (p *Planner) boundsKnown() bool {
 	for _, pr := range p.prods {
 		if pr.Bound < 0 || math.IsNaN(pr.Bound) {
 			return false
@@ -158,32 +124,12 @@ func (p *Planner) BoundsKnown() bool {
 	return true
 }
 
-// step prices one level fetch against its tier.
-func (p *Planner) step(level int) Step {
-	pr := p.prods[level]
-	s := Step{Level: level, Bound: p.Bound(level), Tier: pr.Tier.Name, EstBytes: pr.Bytes}
-	s.EstSeconds = pr.Tier.LatencySeconds
-	if pr.Tier.ReadBandwidth > 0 {
-		s.EstSeconds += float64(pr.Bytes) / pr.Tier.ReadBandwidth
-	}
-	return s
-}
-
-// finish totals the step estimates.
-func (p *Planner) finish(pl *Plan) *Plan {
-	for _, s := range pl.Steps {
-		pl.EstBytes += s.EstBytes
-		pl.EstSeconds += s.EstSeconds
-	}
-	return pl
-}
-
 // stepsTo builds the coarse-to-fine fetch sequence ending at target: the
 // base product first, then every finer product down to the target.
 func (p *Planner) stepsTo(target int) []Step {
 	steps := make([]Step, 0, len(p.prods)-target)
 	for l := len(p.prods) - 1; l >= target; l-- {
-		steps = append(steps, p.step(l))
+		steps = append(steps, Step{Level: l})
 	}
 	return steps
 }
@@ -204,21 +150,21 @@ func (p *Planner) ForLevel(target int) (*Plan, error) {
 	if target < 0 || target >= len(p.prods) {
 		return nil, fmt.Errorf("plan: level %d out of range [0,%d)", target, len(p.prods))
 	}
-	pl := &Plan{Mode: p.mode, Target: target, Tolerance: -1, BoundsKnown: p.BoundsKnown()}
+	pl := &Plan{Target: target, Tolerance: -1}
 	if p.mode == Direct {
-		pl.Steps = []Step{p.step(target)}
+		pl.Steps = []Step{{Level: target}}
 		pl.Fallbacks = p.Fallbacks(target)
 	} else {
 		pl.Steps = p.stepsTo(target)
 	}
-	return p.finish(pl), nil
+	return pl, nil
 }
 
 // ForTolerance plans the cheapest retrieval whose composed error bound
 // meets eps. Bounds tighten and costs grow toward finer levels, so the
 // cheapest satisfying plan ends at the coarsest level whose recorded bound
 // is <= eps. Hierarchies without recorded bounds get the conservative
-// level-order plan to the finest level (BoundsKnown false); an eps tighter
+// level-order plan to the finest level; an eps tighter
 // than the finest recorded bound also plans to the finest level but is
 // flagged Unreachable so the executor can report how close it got.
 func (p *Planner) ForTolerance(eps float64) (*Plan, error) {
@@ -227,12 +173,12 @@ func (p *Planner) ForTolerance(eps float64) (*Plan, error) {
 		return nil, err
 	}
 	if p.mode == Direct {
-		pl.Steps = []Step{p.step(pl.Target)}
+		pl.Steps = []Step{{Level: pl.Target}}
 		pl.Fallbacks = p.Fallbacks(pl.Target)
 	} else {
 		pl.Steps = p.stepsTo(pl.Target)
 	}
-	return p.finish(pl), nil
+	return pl, nil
 }
 
 // ForStream plans a streaming refinement toward eps: the full coarse-to-fine
@@ -246,7 +192,7 @@ func (p *Planner) ForStream(eps float64) (*Plan, error) {
 		return nil, err
 	}
 	pl.Steps = p.stepsTo(pl.Target)
-	return p.finish(pl), nil
+	return pl, nil
 }
 
 // toleranceTarget resolves eps to a target level and the plan flags, shared
@@ -255,8 +201,8 @@ func (p *Planner) toleranceTarget(eps float64) (*Plan, error) {
 	if !(eps > 0) {
 		return nil, fmt.Errorf("plan: tolerance %g must be positive", eps)
 	}
-	pl := &Plan{Mode: p.mode, Tolerance: eps, BoundsKnown: p.BoundsKnown()}
-	if !pl.BoundsKnown {
+	pl := &Plan{Tolerance: eps}
+	if !p.boundsKnown() {
 		// Legacy container: no recorded bounds to compose, so the only
 		// plan guaranteed to meet any eps is full accuracy, level order.
 		pl.Target = 0

@@ -5,21 +5,16 @@ import (
 	"testing"
 )
 
-func prods(bounds []float64, bytes []int64) []Product {
+func prods(bounds ...float64) []Product {
 	ps := make([]Product, len(bounds))
 	for i := range bounds {
-		ps[i] = Product{
-			Level: i,
-			Bound: bounds[i],
-			Bytes: bytes[i],
-			Tier:  Tier{Name: "t", LatencySeconds: 1e-3, ReadBandwidth: 1e6},
-		}
+		ps[i] = Product{Level: i, Bound: bounds[i]}
 	}
 	return ps
 }
 
 func TestForLevelProgressive(t *testing.T) {
-	p, err := New(Progressive, prods([]float64{1, 2, 4}, []int64{4000, 2000, 1000}))
+	p, err := New(Progressive, prods(1, 2, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,15 +30,7 @@ func TestForLevelProgressive(t *testing.T) {
 			t.Fatalf("step %d level = %d, want %d (coarse-to-fine)", i, pl.Steps[i].Level, want)
 		}
 	}
-	if pl.EstBytes != 7000 {
-		t.Fatalf("EstBytes = %d, want 7000", pl.EstBytes)
-	}
-	// 3 ops x 1ms latency + 7000B / 1MB/s.
-	want := 3*1e-3 + 7000.0/1e6
-	if math.Abs(pl.EstSeconds-want) > 1e-12 {
-		t.Fatalf("EstSeconds = %g, want %g", pl.EstSeconds, want)
-	}
-	if !pl.BoundsKnown || pl.Unreachable {
+	if pl.Unreachable {
 		t.Fatalf("flags = %+v", pl)
 	}
 
@@ -52,7 +39,7 @@ func TestForLevelProgressive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pl.Steps) != 1 || pl.Steps[0].Level != 2 || pl.EstBytes != 1000 {
+	if len(pl.Steps) != 1 || pl.Steps[0].Level != 2 {
 		t.Fatalf("base plan = %+v", pl)
 	}
 
@@ -65,7 +52,7 @@ func TestForLevelProgressive(t *testing.T) {
 }
 
 func TestForLevelDirect(t *testing.T) {
-	p, err := New(Direct, prods([]float64{1, 2, 4}, []int64{4000, 2000, 1000}))
+	p, err := New(Direct, prods(1, 2, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,13 +66,10 @@ func TestForLevelDirect(t *testing.T) {
 	if len(pl.Fallbacks) != 2 || pl.Fallbacks[0] != 1 || pl.Fallbacks[1] != 2 {
 		t.Fatalf("fallbacks = %v, want [1 2] (nearest coarser first)", pl.Fallbacks)
 	}
-	if pl.EstBytes != 4000 {
-		t.Fatalf("EstBytes = %d, want 4000", pl.EstBytes)
-	}
 }
 
 func TestForToleranceSelectsCoarsestSatisfyingLevel(t *testing.T) {
-	p, err := New(Progressive, prods([]float64{1, 2, 4}, []int64{4000, 2000, 1000}))
+	p, err := New(Progressive, prods(1, 2, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,16 +93,10 @@ func TestForToleranceSelectsCoarsestSatisfyingLevel(t *testing.T) {
 				c.eps, pl.Target, len(pl.Steps), pl.Unreachable, c.target, c.steps)
 		}
 	}
-	// Looser eps must never cost more modeled bytes than tighter eps.
-	loose, _ := p.ForTolerance(5)
-	tight, _ := p.ForTolerance(1.5)
-	if loose.EstBytes >= tight.EstBytes {
-		t.Fatalf("loose plan %dB >= tight plan %dB", loose.EstBytes, tight.EstBytes)
-	}
 }
 
 func TestForToleranceUnreachable(t *testing.T) {
-	p, err := New(Progressive, prods([]float64{1, 2, 4}, []int64{4000, 2000, 1000}))
+	p, err := New(Progressive, prods(1, 2, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,27 +121,24 @@ func TestForToleranceUnreachable(t *testing.T) {
 func TestForToleranceLegacyFallback(t *testing.T) {
 	// One unknown bound poisons the composition: the only safe plan is
 	// level-order to the finest level.
-	p, err := New(Progressive, prods([]float64{1, -1, 4}, []int64{4000, 2000, 1000}))
+	p, err := New(Progressive, prods(1, -1, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.BoundsKnown() {
-		t.Fatal("BoundsKnown with an unknown level bound")
+	if p.boundsKnown() {
+		t.Fatal("boundsKnown with an unknown level bound")
 	}
 	pl, err := p.ForTolerance(100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pl.BoundsKnown || pl.Target != 0 || len(pl.Steps) != 3 || pl.Unreachable {
+	if pl.Target != 0 || len(pl.Steps) != 3 || pl.Unreachable {
 		t.Fatalf("legacy plan = %+v, want conservative level-order plan to level 0", pl)
-	}
-	if p.Bound(1) != -1 {
-		t.Fatalf("Bound(1) = %g, want -1", p.Bound(1))
 	}
 }
 
 func TestForStream(t *testing.T) {
-	p, err := New(Direct, prods([]float64{1, 2, 4}, []int64{4000, 2000, 1000}))
+	p, err := New(Direct, prods(1, 2, 4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,10 @@ import (
 	"time"
 )
 
+// badFaultSpecs are specs ParseFaultSpec must refuse; FuzzParseFaultSpec
+// starts from them too.
+var badFaultSpecs = []string{"", "read.err", "read.err=2", "read.err=-0.1", "bogus=1", "read.delay=fast", "read.err=NaN", "read.delay=-5ms"}
+
 func TestParseFaultSpec(t *testing.T) {
 	fs, err := ParseFaultSpec("seed=7,tier=lustre,read.err=0.25,read.corrupt=0.5,read.trunc=0.1,read.delay=2ms,write.err=0.3,write.crash=1")
 	if err != nil {
@@ -23,7 +27,7 @@ func TestParseFaultSpec(t *testing.T) {
 	if fs != want {
 		t.Fatalf("spec = %+v, want %+v", fs, want)
 	}
-	for _, bad := range []string{"", "read.err", "read.err=2", "read.err=-0.1", "bogus=1", "read.delay=fast", "read.err=NaN", "read.delay=-5ms"} {
+	for _, bad := range badFaultSpecs {
 		if _, err := ParseFaultSpec(bad); err == nil {
 			t.Errorf("spec %q accepted", bad)
 		}

@@ -74,6 +74,31 @@ func FuzzEnvelope(f *testing.F) {
 	})
 }
 
+// FuzzParseFaultSpec hardens the -faults grammar, which comes from the
+// command line: any string parses or is refused without a panic, and every
+// accepted spec has each probability in [0,1] and a non-negative delay.
+func FuzzParseFaultSpec(f *testing.F) {
+	for _, s := range badFaultSpecs {
+		f.Add(s)
+	}
+	f.Add("seed=7,tier=lustre,read.err=0.25,read.corrupt=0.5,read.trunc=0.1,read.delay=2ms,write.err=0.3,write.crash=1")
+	f.Add("read.err=1e-320, write.crash=0x1p-2,read.delay=1h")
+	f.Fuzz(func(t *testing.T, s string) {
+		spec, err := ParseFaultSpec(s)
+		if err != nil {
+			return
+		}
+		for _, p := range []float64{spec.ReadErr, spec.ReadCorrupt, spec.ReadTrunc, spec.WriteErr, spec.WriteCrash} {
+			if !(p >= 0 && p <= 1) {
+				t.Fatalf("spec %q accepted with probability %v", s, p)
+			}
+		}
+		if spec.ReadDelay < 0 {
+			t.Fatalf("spec %q accepted with delay %v", s, spec.ReadDelay)
+		}
+	})
+}
+
 func expectedErr(err error) bool {
 	return errors.Is(err, ErrCorrupt) || errors.Is(err, ErrOutOfRange) || errors.Is(err, ErrNotFound)
 }

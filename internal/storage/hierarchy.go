@@ -51,10 +51,6 @@ type Hierarchy struct {
 	// tracker is the per-key access tracker feeding the policy; it owns
 	// the logical clock that keeps placement deterministic.
 	tracker *place.Tracker
-	// pending maps keys to the destination of an intended background move
-	// (published by Mover.IntendMoves, retired by ApplyMove); PlannedTier
-	// consults it ahead of actual residency.
-	pending map[string]int
 	// promoter, when attached (NewPromoter), is kicked by successful
 	// reads so placement reacts to the workload within one cycle.
 	promoter atomic.Pointer[place.Promoter]
@@ -85,7 +81,6 @@ func NewHierarchy(tiers ...*Tier) *Hierarchy {
 		catalog: make(map[string]*entry),
 		policy:  place.LRU{},
 		tracker: place.NewTracker(),
-		pending: make(map[string]int),
 	}
 	for _, t := range tiers {
 		t.backend() // materialize backends up front
@@ -253,7 +248,6 @@ func (h *Hierarchy) Delete(key string) error {
 		return nil
 	}
 	delete(h.catalog, key)
-	delete(h.pending, key)
 	h.tracker.Forget(key)
 	return h.tiers[e.tier].backend().Delete(key)
 }

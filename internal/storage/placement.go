@@ -68,27 +68,8 @@ func (h *Hierarchy) candidatesLocked(keep func(key string, e *entry) bool) []pla
 	return cands
 }
 
-// PlannedTier reports where key is headed: the destination of an intended
-// (published but not yet applied) background move when one is in flight,
-// else the tier currently holding it, or -1 for unknown keys. Cost
-// estimators (internal/plan via core) price retrievals against this instead
-// of raw Where, so a plan built mid-cycle reflects the residency the policy
-// is converging to.
-func (h *Hierarchy) PlannedTier(key string) int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if _, ok := h.catalog[key]; !ok {
-		return -1
-	}
-	if to, ok := h.pending[key]; ok && to >= 0 && to < len(h.tiers) {
-		return to
-	}
-	return h.catalog[key].tier
-}
-
 // moverAdapter adapts the hierarchy to place.Mover: snapshotting is
-// PlacementView, intents land in the pending map PlannedTier consults, and
-// moves execute through the race-safe Promote/Demote.
+// PlacementView, and moves execute through the race-safe Promote/Demote.
 type moverAdapter struct{ h *Hierarchy }
 
 // Mover returns the place.Mover surface a Promoter drives.
@@ -97,29 +78,10 @@ func (h *Hierarchy) Mover() place.Mover { return moverAdapter{h} }
 // PlacementView implements place.Mover.
 func (m moverAdapter) PlacementView() place.View { return m.h.PlacementView() }
 
-// IntendMoves implements place.Mover. The published set replaces any prior
-// intents: each promoter cycle publishes its whole plan up front, and a
-// cancelled cycle publishes nil to retract the moves it never attempted
-// (moves already applied were retired individually by ApplyMove).
-func (m moverAdapter) IntendMoves(moves []place.Move) {
-	m.h.mu.Lock()
-	defer m.h.mu.Unlock()
-	clear(m.h.pending)
-	for _, mv := range moves {
-		m.h.pending[mv.Key] = mv.To
-	}
-}
-
 // ApplyMove implements place.Mover: one promotion or demotion through the
-// migration machinery, retiring the key's published intent whether or not
-// the move succeeds.
+// migration machinery.
 func (m moverAdapter) ApplyMove(mv place.Move) (int64, error) {
 	h := m.h
-	defer func() {
-		h.mu.Lock()
-		delete(h.pending, mv.Key)
-		h.mu.Unlock()
-	}()
 	h.mu.Lock()
 	e, ok := h.catalog[mv.Key]
 	if !ok {

@@ -106,55 +106,21 @@ func TestPromoterPullsHotKeyUp(t *testing.T) {
 	}
 }
 
-// PlannedTier reports pending promoter intent before bytes move, so cost
-// estimates price reads against the residency placement is converging to.
-func TestPlannedTierReflectsIntent(t *testing.T) {
-	h := migHierarchy(0, 0)
-	ctx := context.Background()
-	h.Put(ctx, "k", payload(50), 2, 1)
-	if got := h.PlannedTier("k"); got != 2 {
-		t.Fatalf("PlannedTier = %d, want 2 (actual)", got)
-	}
-	mv := h.Mover()
-	mv.IntendMoves([]place.Move{{Key: "k", To: 0}})
-	if got := h.PlannedTier("k"); got != 0 {
-		t.Fatalf("PlannedTier with intent = %d, want 0", got)
-	}
-	// Where still reports actual residency.
-	if got := h.Where("k"); got != 2 {
-		t.Fatalf("Where = %d, want 2", got)
-	}
-	// Applying the move retires the intent and updates the catalog.
-	if _, err := mv.ApplyMove(place.Move{Key: "k", To: 0}); err != nil {
-		t.Fatal(err)
-	}
-	if got := h.PlannedTier("k"); got != 0 {
-		t.Fatalf("PlannedTier after apply = %d, want 0", got)
-	}
-	if got := h.Where("k"); got != 0 {
-		t.Fatalf("Where after apply = %d, want 0", got)
-	}
-	if got := h.PlannedTier("ghost"); got != -1 {
-		t.Fatalf("PlannedTier(ghost) = %d, want -1", got)
-	}
-}
-
-// A move whose key was deleted between View and apply must fail cleanly and
-// clear the pending intent rather than resurrecting the key.
+// A move whose key was deleted between View and apply must fail cleanly
+// rather than resurrecting the key.
 func TestApplyMoveAfterDelete(t *testing.T) {
 	h := migHierarchy(0, 0)
 	ctx := context.Background()
 	h.Put(ctx, "k", payload(50), 2, 1)
 	mv := h.Mover()
-	mv.IntendMoves([]place.Move{{Key: "k", To: 0}})
 	if err := h.Delete("k"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := mv.ApplyMove(place.Move{Key: "k", To: 0}); err == nil {
 		t.Fatal("ApplyMove of deleted key succeeded")
 	}
-	if got := h.PlannedTier("k"); got != -1 {
-		t.Fatalf("PlannedTier after failed apply = %d, want -1", got)
+	if got := h.Where("k"); got != -1 {
+		t.Fatalf("Where after failed apply = %d, want -1", got)
 	}
 }
 
